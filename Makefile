@@ -47,12 +47,15 @@ chaos-smoke:
 
 # The network serving layer under the race detector: wire protocol
 # round-trip/golden/fuzz-seed suites plus the loopback TCP integration
-# tests (accounting in both window-1 and batched-pipelined modes, abrupt
-# disconnect, slow-reader kill, partial-NACK retry, drain ordering,
-# TCP-vs-in-process fingerprint equality across batch sizes {1,8,64} at
-# 1 and 8 workers), then an end-to-end batched fleetload verify run.
+# tests (accounting at one observation per frame and batched-pipelined,
+# abrupt disconnect, slow-reader kill, partial-NACK retry, drain ordering,
+# version-1 refusals, TCP-vs-in-process fingerprint equality across batch
+# 1 window 1 and batch sizes {1,8,64} at 1 and 8 workers), then two
+# end-to-end fleetload verify runs: the default one-observation-per-frame
+# shape and a batched one.
 server-smoke:
 	$(GO) test -race ./internal/wire/ ./internal/server/
+	$(GO) run -race ./cmd/fleetload -sessions 64 -obs 32 -verify > /dev/null
 	$(GO) run -race ./cmd/fleetload -sessions 64 -obs 32 -batch 16 -window 4 -verify > /dev/null
 
 # Full suite under the race detector: exercises the worker pool, the

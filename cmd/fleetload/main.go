@@ -1,18 +1,19 @@
 // Command fleetload drives the TCP ingest server with N concurrent
-// window-1 sessions of deterministic seeded traffic and reports
-// throughput and ingest-latency percentiles.
+// sessions of deterministic seeded traffic and reports throughput and
+// ingest-latency percentiles. By default every session sends one
+// observation per OBSERVE_BATCH frame with one frame in flight.
 //
 // Usage:
 //
 //	fleetload [-addr host:port] [-sessions N] [-obs N] [-shards N]
-//	          [-seed N] [-chunk-every N] [-batch N] [-window N] [-linger D]
+//	          [-seed N] [-batch N] [-window N] [-linger D]
 //	          [-max-batch N] [-queue-depth N] [-timeout D] [-dial-burst N]
 //	          [-verify] [-control addr] [-metrics path]
 //
-// -batch N switches the clients to pipelined batching: observations
-// accumulate into OBSERVE_BATCH frames of N, up to -window frames ride
-// the wire unacknowledged, and the coalesced ACK_BATCH bitmaps drive
-// per-item retry. The latency percentiles then report the *amortized*
+// -batch N pipelines the clients: observations accumulate into
+// OBSERVE_BATCH frames of N, up to -window frames (default 4) ride the
+// wire unacknowledged, and the coalesced ACK_BATCH bitmaps drive per-item
+// retry. The latency percentiles then report the *amortized*
 // per-observation cost (round trip / batch size), and the report adds
 // "amortized_us_per_obs" (histogram mean) plus the batching knobs.
 //
@@ -78,7 +79,6 @@ type options struct {
 	Obs         int
 	Shards      int
 	Seed        int64
-	ChunkEvery  int
 	Batch       int
 	Window      int
 	Linger      time.Duration
@@ -134,9 +134,8 @@ func main() {
 	flag.IntVar(&o.Obs, "obs", 20, "observations per session")
 	flag.IntVar(&o.Shards, "shards", 8, "fleet shards (in-process mode)")
 	flag.Int64Var(&o.Seed, "seed", 1, "fleet and traffic seed")
-	flag.IntVar(&o.ChunkEvery, "chunk-every", 0, "send every Nth observation through the chunked path (0 = never)")
-	flag.IntVar(&o.Batch, "batch", 0, "observations per OBSERVE_BATCH frame (0 = window-1 singles)")
-	flag.IntVar(&o.Window, "window", 0, "in-flight OBSERVE_BATCH frames per session (0 = default 4)")
+	flag.IntVar(&o.Batch, "batch", 0, "observations per OBSERVE_BATCH frame (0 = one, with one frame in flight)")
+	flag.IntVar(&o.Window, "window", 0, "in-flight OBSERVE_BATCH frames per session (0 = default 4, or 1 without -batch)")
 	flag.DurationVar(&o.Linger, "linger", 0, "partial-batch flush deadline (0 = size-triggered only)")
 	flag.IntVar(&o.MaxBatch, "max-batch", 0, "fleet MaxBatch (0 = default; -verify forces 1)")
 	flag.IntVar(&o.QueueDepth, "queue-depth", 0, "shard queue depth (0 = default; -verify forces no-drop sizing)")
@@ -198,17 +197,16 @@ func run(o options, out *os.File) error {
 	lat := reg.Scope("loadgen").Histogram("rtt_us", obs.ExponentialBuckets(1, 2, 24))
 
 	load := server.LoadConfig{
-		Addr:       o.Addr,
-		Sessions:   o.Sessions,
-		Obs:        o.Obs,
-		ChunkEvery: o.ChunkEvery,
-		Batch:      o.Batch,
-		Window:     o.Window,
-		Linger:     o.Linger,
-		Seed:       o.Seed,
-		Timeout:    o.Timeout,
-		DialBurst:  o.DialBurst,
-		Latency:    lat,
+		Addr:      o.Addr,
+		Sessions:  o.Sessions,
+		Obs:       o.Obs,
+		Batch:     o.Batch,
+		Window:    o.Window,
+		Linger:    o.Linger,
+		Seed:      o.Seed,
+		Timeout:   o.Timeout,
+		DialBurst: o.DialBurst,
+		Latency:   lat,
 	}
 	rep := report{Sessions: o.Sessions, ObsPerSess: o.Obs, Seed: o.Seed}
 
@@ -379,12 +377,11 @@ func direct(o options, out *os.File) error {
 		return err
 	}
 	load := server.LoadConfig{
-		Sessions:   o.Sessions,
-		Obs:        o.Obs,
-		Dim:        f.FeatureDim(),
-		ChunkEvery: o.ChunkEvery,
-		Seed:       o.Seed,
-		Timeout:    o.Timeout,
+		Sessions: o.Sessions,
+		Obs:      o.Obs,
+		Dim:      f.FeatureDim(),
+		Seed:     o.Seed,
+		Timeout:  o.Timeout,
 	}
 	res, err := server.DirectLoad(f, load)
 	if err != nil {

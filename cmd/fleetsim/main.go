@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fleetsim [-sessions N] [-shards N] [-duration D] [-tick D] [-workers N]
-//	         [-seed N] [-serial] [-chunk-bytes N] [-metrics path]
+//	         [-seed N] [-chunk-bytes N] [-metrics path]
 //	         [-traffic uniform|bursty|diurnal|adversarial]
 //	         [-churn-rate R] [-snapshot-every N] [-device-classes]
 //
@@ -47,7 +47,6 @@ type options struct {
 	Tick          time.Duration
 	Workers       int
 	Seed          int64
-	Serial        bool
 	ChunkBytes    int
 	Metrics       string
 	Traffic       string
@@ -61,7 +60,6 @@ type report struct {
 	fleet.Stats
 	Workers       int     `json:"workers"`
 	Seed          int64   `json:"seed"`
-	SerialInfer   bool    `json:"serial_infer"`
 	ChunkBytes    int     `json:"chunk_bytes"`
 	Traffic       string  `json:"traffic"`
 	ChurnRate     float64 `json:"churn_rate"`
@@ -81,7 +79,6 @@ func main() {
 	flag.DurationVar(&o.Tick, "tick", time.Second, "virtual time per observation round")
 	flag.IntVar(&o.Workers, "workers", 0, "parallel workers (0 = all cores); results are identical at any value")
 	flag.Int64Var(&o.Seed, "seed", 1, "fleet seed")
-	flag.BoolVar(&o.Serial, "serial", false, "per-session serial inference instead of coalesced batches (same results, slower)")
 	flag.IntVar(&o.ChunkBytes, "chunk-bytes", 0, "drive sessions with chunked streaming ingest in this byte granularity (0 = whole-buffer; fingerprints are identical either way)")
 	flag.StringVar(&o.Metrics, "metrics", "", `write a JSON metrics dump here after the run ("-" = stdout)`)
 	flag.StringVar(&o.Traffic, "traffic", "uniform", "traffic model: uniform|bursty|diurnal|adversarial")
@@ -124,14 +121,13 @@ func run(o options, out *os.File) error {
 		defer affectedge.WireMetrics(nil)
 	}
 	cfg := fleet.Config{
-		Sessions:    o.Sessions,
-		Shards:      o.Shards,
-		Ticks:       ticks,
-		TickEvery:   o.Tick,
-		Seed:        o.Seed,
-		SerialInfer: o.Serial,
-		ChunkBytes:  o.ChunkBytes,
-		Traffic:     traffic,
+		Sessions:   o.Sessions,
+		Shards:     o.Shards,
+		Ticks:      ticks,
+		TickEvery:  o.Tick,
+		Seed:       o.Seed,
+		ChunkBytes: o.ChunkBytes,
+		Traffic:    traffic,
 	}
 	if o.DeviceClasses {
 		for _, dc := range android.DeviceClasses() {
@@ -144,7 +140,6 @@ func run(o options, out *os.File) error {
 	rep := report{
 		Workers:       o.Workers,
 		Seed:          o.Seed,
-		SerialInfer:   o.Serial,
 		ChunkBytes:    o.ChunkBytes,
 		Traffic:       traffic.Name(),
 		ChurnRate:     o.ChurnRate,

@@ -46,7 +46,8 @@ func IFFT(x []complex128) error {
 // repeated-multiplication recurrence the previous in-line loop used and
 // the stage kernels keep scalar per-butterfly operation order, so
 // results are bit-identical to the historical implementation (pinned by
-// fftInPlaceRef and the golden tests).
+// the golden tests and by the test-only oracle fftInPlaceRef in
+// dsp_ref_test.go).
 func fftInPlace(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 1 {

@@ -9,7 +9,7 @@ import (
 )
 
 // Differential tests pinning the simd-kernel DSP paths against the
-// verbatim historical implementations in dsp_ref.go, with the vector
+// verbatim historical implementations in dsp_ref_test.go, with the vector
 // backend both enabled and force-disabled. Bit equality at both
 // settings is the acceptance criterion for the rewrite: dispatch is an
 // execution detail, never a results change.

@@ -5,15 +5,43 @@ import (
 	"testing"
 	"time"
 
+	"affectedge/internal/nn"
 	"affectedge/internal/obs"
 )
 
-// TestObserveBatchEquivalence pins the batched submission path against the
-// per-observation one: the same seeded traffic queued via ObserveBatch
-// (grouped requests, one enqueue per same-shard run) and via Observe (one
-// enqueue per observation) must drain to identical fingerprints. MaxBatch
-// is pinned to 1, so inference rounds are timing-independent and a grouped
-// request's rows are classified exactly like singles.
+// observe submits one observation through a one-item ObserveBatch and
+// returns its verdict, or the call's own error (ErrClosed).
+func observe(f *Fleet, id int, at time.Duration, x []float64) error {
+	statuses := []error{nil}
+	if err := f.ObserveBatch([]Obs{{ID: id, At: at, X: x}}, statuses); err != nil {
+		return err
+	}
+	return statuses[0]
+}
+
+// serialInfer swaps f's batched classifier call for one single-row
+// evaluation per row. The int8 kernels accumulate in exact integer
+// arithmetic, so every result must be bitwise identical to the batched
+// call; only throughput differs.
+func serialInfer(f *Fleet) {
+	dim, classes := f.cfg.FeatureDim, len(f.stream.Protos)
+	f.inferBatch = func(s *nn.QScratch, x []float64, m int, out []float64) error {
+		for k := 0; k < m; k++ {
+			if err := f.model.InferBatch(s, x[k*dim:(k+1)*dim], 1, out[k*classes:(k+1)*classes]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestObserveBatchEquivalence pins grouped submission against one-item
+// submission: the same seeded traffic queued as one ObserveBatch call per
+// round (grouped requests, one enqueue per same-shard run) and as one-item
+// ObserveBatch calls (one enqueue per observation) must drain to identical
+// fingerprints. MaxBatch is pinned to 1, so inference rounds are
+// timing-independent and a grouped request's rows are classified exactly
+// like singles; inference runs row at a time on both sides.
 func TestObserveBatchEquivalence(t *testing.T) {
 	const (
 		sessions = 8
@@ -21,18 +49,18 @@ func TestObserveBatchEquivalence(t *testing.T) {
 		rounds   = 16
 	)
 	cfg := Config{
-		Sessions:    sessions,
-		Shards:      shards,
-		Seed:        42,
-		QueueDepth:  sessions * rounds, // no-drop sizing
-		MaxBatch:    1,
-		SerialInfer: true,
+		Sessions:   sessions,
+		Shards:     shards,
+		Seed:       42,
+		QueueDepth: sessions * rounds, // no-drop sizing
+		MaxBatch:   1,
 	}
 	run := func(batched bool) string {
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		serialInfer(f)
 		dim := f.FeatureDim()
 		x := make([]float64, dim)
 		for k := range x {
@@ -58,7 +86,7 @@ func TestObserveBatchEquivalence(t *testing.T) {
 				}
 			} else {
 				for id := 0; id < sessions; id++ {
-					if err := f.Observe(id, at, x); err != nil {
+					if err := observe(f, id, at, x); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -80,7 +108,7 @@ func TestObserveBatchEquivalence(t *testing.T) {
 		return st.Fingerprint()
 	}
 	if single, batch := run(false), run(true); single != batch {
-		t.Fatalf("fingerprint divergence:\nper-observation %s\nbatched        %s", single, batch)
+		t.Fatalf("fingerprint divergence:\none-item %s\ngrouped  %s", single, batch)
 	}
 }
 
@@ -209,5 +237,36 @@ func TestObserveBatchOversizedRun(t *testing.T) {
 	}
 	if st.Batches < n/8 {
 		t.Errorf("batches %d, want at least %d MaxBatch-row rounds", st.Batches, n/8)
+	}
+}
+
+// TestObserveBatchAdmissionAllocs pins the request free list: once the
+// shard pool is warm, admitting a grouped run and draining it through the
+// coalescer allocates nothing — the ids/timestamps/features backing is
+// reused, not rebuilt per call.
+func TestObserveBatchAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops recycled items at random under -race")
+	}
+	f, err := New(Config{Sessions: 8, Shards: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, f.FeatureDim())
+	items := make([]Obs, 64)
+	for i := range items {
+		items[i] = Obs{ID: i % 8, At: time.Duration(i+1) * time.Millisecond, X: x}
+	}
+	statuses := make([]error, len(items))
+	sh := f.shards[0]
+	round := func() {
+		if err := f.ObserveBatch(items, statuses); err != nil {
+			t.Fatal(err)
+		}
+		sh.coalesce(<-sh.queue)
+	}
+	round() // warm the pool and the shard's inference scratch
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state admission: %.2f allocs per 64-item batch, want 0", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"affectedge/internal/parallel"
 )
@@ -25,13 +26,15 @@ func BenchmarkFleetObserve(b *testing.B) {
 		for _, rows := range []int{16, 128} {
 			b.Run(fmt.Sprintf("%s/rows=%d", mode.name, rows), func(b *testing.B) {
 				f, err := New(Config{
-					Sessions:    rows, // one shard: rows sessions per batch
-					Shards:      1,
-					Seed:        1,
-					SerialInfer: mode.serial,
+					Sessions: rows, // one shard: rows sessions per batch
+					Shards:   1,
+					Seed:     1,
 				})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if mode.serial {
+					serialInfer(f)
 				}
 				sh := f.shards[0]
 				// Pre-synthesize the shard's feature matrix once; the
@@ -96,4 +99,41 @@ func BenchmarkFleetStats(b *testing.B) {
 			b.Fatal("bad snapshot")
 		}
 	}
+}
+
+// BenchmarkFleetObserveBatch prices live submission inside the fleet: one
+// 64-item ObserveBatch (one grouped request) plus the shard worker's
+// coalesce of it — admission, gather, int8 inference, and apply — run in
+// the caller's goroutine. Steady state allocates nothing (pinned by
+// TestObserveBatchAdmissionAllocs).
+func BenchmarkFleetObserveBatch(b *testing.B) {
+	const rows = 64
+	f, err := New(Config{Sessions: rows, Shards: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dim := f.FeatureDim()
+	items := make([]Obs, rows)
+	for k := range items {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = 0.125 * float64((k+j)%7)
+		}
+		items[k] = Obs{ID: k, X: x}
+	}
+	statuses := make([]error, rows)
+	sh := f.shards[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range items {
+			items[k].At = time.Duration(i+1) * time.Millisecond
+		}
+		if err := f.ObserveBatch(items, statuses); err != nil {
+			b.Fatal(err)
+		}
+		sh.coalesce(<-sh.queue)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/observation")
 }

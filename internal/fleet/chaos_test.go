@@ -189,7 +189,7 @@ func TestChaosLiveLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			err := f.Observe(id, time.Duration(i+1)*time.Millisecond, x)
+			err := observe(f, id, time.Duration(i+1)*time.Millisecond, x)
 			if err != nil && f.Disconnected(id) {
 				// Parked sessions refuse intake; that's the contract.
 				continue

@@ -46,9 +46,12 @@ func TestDeterminismBatchedVsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detCfg()
-	cfg.SerialInfer = true
-	serial, err := Run(cfg)
+	f, err := New(detCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialInfer(f)
+	serial, err := f.RunTicks(detCfg().Ticks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@
 //     merge in shard order, so a run is bit-identical at any worker count
 //     — the repository-wide determinism contract.
 //
-//   - The live serving path (Start/Observe/Close): each shard owns a
-//     bounded ingress queue and a worker goroutine. Observe never blocks:
-//     when a shard's queue is full the observation is dropped and counted
-//     (backpressure surfaces as ErrBackpressure). Close stops intake,
-//     drains every queue, and joins the workers.
+//   - The live serving path (Start/ObserveBatch/Close): each shard owns a
+//     bounded ingress queue and a worker goroutine. ObserveBatch never
+//     blocks: an observation that does not fit its shard's queue is
+//     dropped, counted, and NACKed with ErrBackpressure. Close stops
+//     intake, drains every queue, and joins the workers.
 package fleet
 
 import (
@@ -99,11 +99,6 @@ type Config struct {
 	// Device configures every session's simulated phone (zero value:
 	// android.DefaultDeviceConfig).
 	Device android.DeviceConfig
-	// SerialInfer evaluates sessions one at a time instead of coalescing a
-	// shard's requests into one batched GEMM. Integer arithmetic is exact,
-	// so results are identical; only throughput changes. Used by the
-	// batching benchmarks and equivalence tests.
-	SerialInfer bool
 	// VideoEvery, when positive, gives every session a video workload on
 	// the deterministic path: each VideoEvery ticks the session decodes the
 	// shared probe clip in its manager's current decoder operating mode
@@ -263,26 +258,14 @@ type session struct {
 }
 
 // request is one live-path submission travelling through a shard queue:
-// either a single observation (Observe; ids nil) or a grouped run from
-// ObserveBatch, which occupies one queue slot but carries len(ids)
-// observations with their timestamps and a flat len(ids)×dim feature
-// backing.
+// a same-shard run from ObserveBatch, which occupies one queue slot but
+// carries len(ids) observations with their timestamps and a flat
+// len(ids)×dim feature backing. Requests are recycled through the shard's
+// free pool, so steady-state admission allocates nothing.
 type request struct {
-	id int
-	at time.Duration
-	x  []float64
-
 	ids []int
 	ats []time.Duration
 	xs  []float64
-}
-
-// rows is how many observations r carries.
-func (r *request) rows() int {
-	if r.ids != nil {
-		return len(r.ids)
-	}
-	return 1
 }
 
 // shard is one lock stripe: a slice of the session population plus the
@@ -304,7 +287,8 @@ type shard struct {
 	apps   []string
 	devcfg android.DeviceConfig
 
-	queue chan request
+	queue chan *request
+	free  sync.Pool // recycled *request: filled by submitRun, returned by coalesce
 
 	// Inference scratch, owned by whichever goroutine holds the shard
 	// (the tick driver or the shard worker — never both).
@@ -313,7 +297,7 @@ type shard struct {
 	qs     nn.QScratch
 	batch  []*session
 	ats    []time.Duration // live path: per-batch-row timestamps
-	reqs   []request
+	reqs   []*request
 
 	// Video probe scratch (deterministic path; owned by the goroutine
 	// holding the shard). One pooled decoder per shard decodes every
@@ -346,9 +330,13 @@ type Fleet struct {
 	cfg    Config
 	stream *affect.StreamModel
 	model  *nn.QMLP
-	apps   []string
-	policy android.KillPolicy // read-only, shared by every device
-	shards []*shard
+	// inferBatch classifies m feature rows in one call: model.InferBatch,
+	// unless a same-package test swaps in a row-at-a-time twin to pin
+	// batched ≡ serial evaluation.
+	inferBatch func(s *nn.QScratch, x []float64, m int, out []float64) error
+	apps       []string
+	policy     android.KillPolicy // read-only, shared by every device
+	shards     []*shard
 
 	base int // deterministic ticks already run (RunTicks continuation)
 
@@ -360,10 +348,10 @@ type Fleet struct {
 
 	started atomic.Bool
 	closed  atomic.Bool
-	// lifeMu fences intake against Close: Observe enqueues under RLock,
-	// Close takes the write lock after flipping closed so every accepted
-	// observation is in a queue before the drain begins. Without it an
-	// enqueue could land after the workers exit and silently strand.
+	// lifeMu fences intake against Close: ObserveBatch enqueues under
+	// RLock, Close takes the write lock after flipping closed so every
+	// accepted observation is in a queue before the drain begins. Without
+	// it an enqueue could land after the workers exit and silently strand.
 	lifeMu sync.RWMutex
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -374,9 +362,9 @@ type Fleet struct {
 
 // New builds the fleet: the shared stream model and its matched int8
 // classifier, the shards, and cfg.Sessions initial sessions. No goroutines
-// are started; use Run for the deterministic simulation or Start/Observe/
-// Close for live serving. Wire metrics (WireMetrics) before calling New so
-// per-shard gauges attach.
+// are started; use Run for the deterministic simulation or
+// Start/ObserveBatch/Close for live serving. Wire metrics (WireMetrics)
+// before calling New so per-shard gauges attach.
 func New(cfg Config) (*Fleet, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -399,13 +387,14 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:    cfg,
-		stream: stream,
-		model:  model,
-		apps:   android.CatalogNames(),
-		policy: policy,
-		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
+		cfg:        cfg,
+		stream:     stream,
+		model:      model,
+		inferBatch: model.InferBatch,
+		apps:       android.CatalogNames(),
+		policy:     policy,
+		shards:     make([]*shard, cfg.Shards),
+		stop:       make(chan struct{}),
 	}
 	for i := range f.shards {
 		sh := &shard{
@@ -415,7 +404,7 @@ func New(cfg Config) (*Fleet, error) {
 			parked:   map[int]*session{},
 			apps:     f.apps,
 			devcfg:   cfg.Device,
-			queue:    make(chan request, cfg.QueueDepth),
+			queue:    make(chan *request, cfg.QueueDepth),
 			depth:    mtr.shard(i).Gauge("queue_depth_high"),
 			drops:    mtr.shard(i).Counter("drops"),
 		}
@@ -426,6 +415,7 @@ func New(cfg Config) (*Fleet, error) {
 				sh.apps = p.Apps
 			}
 		}
+		sh.free.New = func() any { return new(request) }
 		f.shards[i] = sh
 	}
 	if cfg.VideoEvery > 0 {
@@ -545,7 +535,7 @@ func (f *Fleet) RemoveSession(id int) error {
 }
 
 // FeatureDim returns the normalized classifier input dimensionality —
-// what every Observe feature vector must measure.
+// what every submitted feature vector must measure.
 func (f *Fleet) FeatureDim() int { return f.cfg.FeatureDim }
 
 // Sessions returns the current session count, including disconnected
@@ -576,66 +566,6 @@ func (f *Fleet) Start() error {
 	return nil
 }
 
-// Observe submits one live observation (a FeatureDim-long feature vector)
-// for session id at virtual time at. It never blocks: a full shard queue
-// drops the observation, counts it, and returns ErrBackpressure. The
-// feature slice is copied; the caller may reuse x immediately.
-func (f *Fleet) Observe(id int, at time.Duration, x []float64) error {
-	if len(x) != f.cfg.FeatureDim {
-		return fmt.Errorf("fleet: observation dim %d, want %d", len(x), f.cfg.FeatureDim)
-	}
-	return f.enqueue(id, at, append([]float64(nil), x...))
-}
-
-// ObserveChunks is Observe for feature vectors that arrive in fragments —
-// the shape a streaming featurizer emits. The fragments are concatenated
-// in order and must total FeatureDim values; each slice is copied, so
-// callers may reuse their chunk buffers immediately. Equivalent in every
-// observable way to Observe of the assembled vector.
-func (f *Fleet) ObserveChunks(id int, at time.Duration, chunks ...[]float64) error {
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	if total != f.cfg.FeatureDim {
-		return fmt.Errorf("fleet: chunked observation dim %d, want %d", total, f.cfg.FeatureDim)
-	}
-	x := make([]float64, 0, total)
-	for _, c := range chunks {
-		x = append(x, c...)
-	}
-	return f.enqueue(id, at, x)
-}
-
-// enqueue routes one assembled observation (ownership of x transfers to
-// the fleet) onto its shard's ingress queue, never blocking.
-func (f *Fleet) enqueue(id int, at time.Duration, x []float64) error {
-	f.lifeMu.RLock()
-	defer f.lifeMu.RUnlock()
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	sh := f.shardOf(id)
-	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	sh.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w %d", ErrUnknownSession, id)
-	}
-	r := request{id: id, at: at, x: x}
-	select {
-	case sh.queue <- r:
-		sh.depth.SetMax(int64(len(sh.queue)))
-		mtr.ingress.Inc()
-		return nil
-	default:
-		f.drops.Add(1)
-		sh.drops.Inc()
-		mtr.drops.Inc()
-		return ErrBackpressure
-	}
-}
-
 // Obs is one observation of a batched live submission (ObserveBatch).
 type Obs struct {
 	ID int
@@ -646,8 +576,8 @@ type Obs struct {
 // ObserveBatch submits many live observations in one shard-level pass: the
 // batch is cut into contiguous same-shard runs, and each run is admitted
 // with one session check under the shard lock and one grouped enqueue (one
-// queue slot regardless of run length) instead of a per-observation
-// Observe round. Verdicts come back per item in statuses, which must be
+// queue slot regardless of run length); a single observation is a
+// one-item batch. Verdicts come back per item in statuses, which must be
 // len(items) long: nil for accepted, ErrBackpressure for a full queue
 // (retryable — the protocol's per-item NACK bit), a wrapped
 // ErrUnknownSession or a dimension error otherwise, so one full shard or
@@ -682,74 +612,60 @@ func (f *Fleet) ObserveBatch(items []Obs, statuses []error) error {
 
 // submitRun admits one same-shard run of a batch. The grouped request
 // occupies one queue slot, so admission caps the run's row count by the
-// queue's free slot count — the same race-approximate full check as
-// Observe's select/default, lifted from slots to rows — and every item
-// past the cap is NACKed with ErrBackpressure instead of failing the run.
+// queue's free slot count (a race-approximate full check, settled by the
+// non-blocking send), and every item past the cap is NACKed with
+// ErrBackpressure instead of failing the run.
 func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 	dim := f.cfg.FeatureDim
 	valid := 0
 	sh.mu.Lock()
 	for i := range items {
-		if len(items[i].X) != dim {
+		switch {
+		case len(items[i].X) != dim:
 			statuses[i] = fmt.Errorf("fleet: observation dim %d, want %d", len(items[i].X), dim)
-			continue
-		}
-		if _, ok := sh.sessions[items[i].ID]; !ok {
+		case sh.sessions[items[i].ID] == nil:
 			statuses[i] = fmt.Errorf("%w %d", ErrUnknownSession, items[i].ID)
-			continue
+		default:
+			statuses[i] = nil
+			valid++
 		}
-		statuses[i] = nil
-		valid++
 	}
 	sh.mu.Unlock()
-	if valid > 0 {
-		admit := valid
-		if free := cap(sh.queue) - len(sh.queue); admit > free {
-			admit = free
-		}
-		if admit > 0 {
-			r := request{
-				ids: make([]int, 0, admit),
-				ats: make([]time.Duration, 0, admit),
-				xs:  make([]float64, 0, admit*dim),
-			}
-			for i := range items {
-				if statuses[i] != nil {
-					continue
-				}
-				if len(r.ids) == admit {
-					statuses[i] = ErrBackpressure
-					continue
-				}
-				r.ids = append(r.ids, items[i].ID)
-				r.ats = append(r.ats, items[i].At)
-				r.xs = append(r.xs, items[i].X...)
-			}
-			select {
-			case sh.queue <- r:
-				sh.depth.SetMax(int64(len(sh.queue)))
-				mtr.ingress.Add(int64(admit))
-			default:
-				// Lost the race for the last free slot: the whole run
-				// backs off retryably.
-				for i := range items {
-					if statuses[i] == nil {
-						statuses[i] = ErrBackpressure
-					}
-				}
-			}
-		} else {
-			for i := range items {
-				if statuses[i] == nil {
-					statuses[i] = ErrBackpressure
-				}
-			}
-		}
+	var r *request
+	admit := min(valid, cap(sh.queue)-len(sh.queue))
+	if admit > 0 {
+		r = sh.free.Get().(*request)
+		r.ids, r.ats, r.xs = r.ids[:0], r.ats[:0], r.xs[:0]
 	}
 	nacked := int64(0)
 	for i := range items {
-		if errors.Is(statuses[i], ErrBackpressure) {
+		if statuses[i] != nil {
+			continue
+		}
+		if r == nil || len(r.ids) == admit {
+			statuses[i] = ErrBackpressure
 			nacked++
+			continue
+		}
+		r.ids = append(r.ids, items[i].ID)
+		r.ats = append(r.ats, items[i].At)
+		r.xs = append(r.xs, items[i].X...)
+	}
+	if r != nil {
+		select {
+		case sh.queue <- r:
+			sh.depth.SetMax(int64(len(sh.queue)))
+			mtr.ingress.Add(int64(admit))
+		default:
+			// Lost the race for the last free slot: the whole run backs
+			// off retryably.
+			sh.free.Put(r)
+			for i := range items {
+				if statuses[i] == nil {
+					statuses[i] = ErrBackpressure
+					nacked++
+				}
+			}
 		}
 	}
 	if nacked > 0 {
@@ -782,7 +698,7 @@ func (f *Fleet) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Wait out in-flight Observes: once the write lock is acquired, every
+	// Wait out in-flight submissions: once the write lock is acquired, every
 	// accepted observation sits in a shard queue and the drain will see it.
 	f.lifeMu.Lock()
 	f.lifeMu.Unlock() //nolint:staticcheck // empty critical section is the fence
@@ -820,14 +736,14 @@ func (sh *shard) serve() {
 // into MaxBatch-sized rounds — the shard's inference envelope, and the
 // fingerprint's Batches/BatchRows/MaxBatchRows accounting, are then
 // identical to the same traffic arriving one request at a time.
-func (sh *shard) coalesce(first request) {
+func (sh *shard) coalesce(first *request) {
 	reqs := append(sh.reqs[:0], first)
-	rows := first.rows()
+	rows := len(first.ids)
 	for rows < sh.f.cfg.MaxBatch {
 		select {
 		case r := <-sh.queue:
 			reqs = append(reqs, r)
-			rows += r.rows()
+			rows += len(r.ids)
 		default:
 			goto full
 		}
@@ -842,13 +758,10 @@ full:
 	sh.feat = growFloats(sh.feat, rows*dim)
 	m := 0
 	for _, r := range reqs {
-		if r.ids == nil {
-			m = sh.gatherRow(m, r.id, r.at, r.x)
-			continue
-		}
 		for k, id := range r.ids {
 			m = sh.gatherRow(m, id, r.ats[k], r.xs[k*dim:(k+1)*dim])
 		}
+		sh.free.Put(r) // rows copied into sh.feat: the request is spent
 	}
 	classes := len(sh.f.stream.Protos)
 	maxB := sh.f.cfg.MaxBatch
@@ -890,23 +803,12 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, x []float64) int {
 }
 
 // infer classifies n feature rows of sh.feat starting at row off into
-// sh.logits — one coalesced batched evaluation, or n single-row
-// evaluations when SerialInfer is set (bit-identical results; integer
-// arithmetic is exact).
+// sh.logits in one coalesced batched evaluation.
 func (sh *shard) infer(off, n int) error {
 	dim := sh.f.cfg.FeatureDim
 	classes := len(sh.f.stream.Protos)
 	sh.logits = growFloats(sh.logits, n*classes)
-	feat := sh.feat[off*dim : (off+n)*dim]
-	if sh.f.cfg.SerialInfer {
-		for k := 0; k < n; k++ {
-			if err := sh.f.model.InferBatch(&sh.qs, feat[k*dim:(k+1)*dim], 1, sh.logits[k*classes:(k+1)*classes]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return sh.f.model.InferBatch(&sh.qs, feat, n, sh.logits[:n*classes])
+	return sh.f.inferBatch(&sh.qs, sh.feat[off*dim:(off+n)*dim], n, sh.logits[:n*classes])
 }
 
 // countBatch records one inference round of rows classified rows against a

@@ -160,10 +160,10 @@ func TestLiveServing(t *testing.T) {
 	}
 	norm, _ := cfg.Normalize()
 	x := make([]float64, norm.FeatureDim)
-	if err := f.Observe(0, time.Second, x[:3]); err == nil {
+	if err := observe(f, 0, time.Second, x[:3]); err == nil {
 		t.Error("short feature vector accepted")
 	}
-	if err := f.Observe(99, time.Second, x); err == nil {
+	if err := observe(f, 99, time.Second, x); err == nil {
 		t.Error("observation for unknown session accepted")
 	}
 	if _, err := f.Launch(99, time.Second, "chrome"); err == nil {
@@ -176,7 +176,7 @@ func TestLiveServing(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		for id := 0; id < 8; id++ {
 			for {
-				err := f.Observe(id, time.Duration(i+1)*time.Second, x)
+				err := observe(f, id, time.Duration(i+1)*time.Second, x)
 				if err == nil {
 					break
 				}
@@ -190,8 +190,8 @@ func TestLiveServing(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Observe(0, time.Second, x); !errors.Is(err, ErrClosed) {
-		t.Errorf("Observe after Close: %v, want ErrClosed", err)
+	if err := observe(f, 0, time.Second, x); !errors.Is(err, ErrClosed) {
+		t.Errorf("observe after Close: %v, want ErrClosed", err)
 	}
 	st := f.Stats()
 	// Close drains: every accepted observation must have been applied.
@@ -220,7 +220,7 @@ func TestBackpressureDropsAndCounts(t *testing.T) {
 	x := make([]float64, norm.FeatureDim)
 	var drops int
 	for i := 0; i < 10; i++ {
-		if err := f.Observe(0, time.Second, x); errors.Is(err, ErrBackpressure) {
+		if err := observe(f, 0, time.Second, x); errors.Is(err, ErrBackpressure) {
 			drops++
 		} else if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestLateDropSkipsRemovedSession(t *testing.T) {
 	norm, _ := cfg.Normalize()
 	x := make([]float64, norm.FeatureDim)
 	for i := 0; i < 3; i++ {
-		if err := f.Observe(1, time.Second, x); err != nil {
+		if err := observe(f, 1, time.Second, x); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ import (
 //
 // On the deterministic path, call Disconnect/Reconnect between RunTicks
 // rounds (the fleet is quiescent); on the live path they may race freely
-// with Observe, which treats a parked session as unknown.
+// with ObserveBatch, which treats a parked session as unknown.
 
 // Disconnect parks session id: it keeps all state but stops observing,
 // launching, and batching until Reconnect. Fails on an unknown id, an

@@ -48,7 +48,7 @@ func TestStressConcurrentServing(t *testing.T) {
 				for j := range x {
 					x[j] = rng.NormFloat64()
 				}
-				err := f.Observe(id, time.Duration(i+1)*time.Millisecond, x)
+				err := observe(f, id, time.Duration(i+1)*time.Millisecond, x)
 				switch {
 				case err == nil:
 					mine++
@@ -141,7 +141,7 @@ func TestStressCloseDuringTraffic(t *testing.T) {
 			x := make([]float64, norm.FeatureDim)
 			var mine int64
 			for i := 0; ; i++ {
-				err := f.Observe(i%cfg.Sessions, time.Duration(i+1)*time.Microsecond, x)
+				err := observe(f, i%cfg.Sessions, time.Duration(i+1)*time.Microsecond, x)
 				if errors.Is(err, ErrClosed) {
 					break
 				}

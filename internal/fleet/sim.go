@@ -70,8 +70,8 @@ type Stats struct {
 // Fingerprint hashes the frozen deterministic field list, little-endian,
 // in struct order. Two runs with the same Config produce the same
 // fingerprint at any parallel.SetWorkers count and with either inference
-// granularity (Config.SerialInfer) — the integer kernels make batched and
-// serial evaluation bitwise identical. WallTime and the video probe
+// granularity — the integer kernels make batched and row-at-a-time
+// evaluation bitwise identical. WallTime and the video probe
 // counters stay outside the hash: the list was frozen before the probe
 // existed, and the probe is read-only on fingerprinted state.
 func (s *Stats) Fingerprint() string {

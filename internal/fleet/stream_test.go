@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"time"
 
 	"affectedge/internal/parallel"
 )
@@ -60,62 +59,5 @@ func TestChunkedIngestAcrossWorkers(t *testing.T) {
 	}
 	if fps[1] != fps[4] {
 		t.Fatalf("chunked fingerprints diverge across worker counts: %v", fps)
-	}
-}
-
-// TestObserveChunks checks the live-path fragment API agrees with Observe:
-// same session trajectory, same stats, and the same validation.
-func TestObserveChunks(t *testing.T) {
-	mk := func() *Fleet {
-		f, err := New(Config{Sessions: 1, Shards: 1, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	dim := 24
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = float64(i) * 0.125
-	}
-	whole := mk()
-	frag := mk()
-	for i := 0; i < 50; i++ {
-		at := time.Duration(i) * time.Second
-		for j := range x {
-			x[j] += 0.25
-		}
-		if err := whole.Observe(0, at, x); err != nil {
-			t.Fatal(err)
-		}
-		if err := frag.ObserveChunks(0, at, x[:5], x[5:5], x[5:19], x[19:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := whole.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := frag.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ws, fs := whole.Stats(), frag.Stats()
-	if ws.Observations != fs.Observations || ws.AttentionSwitches != fs.AttentionSwitches ||
-		ws.MoodSwitches != fs.MoodSwitches || ws.Discarded != fs.Discarded {
-		t.Fatalf("fragment feed diverged: whole %+v\nfragmented %+v", ws, fs)
-	}
-	if ws.Observations == 0 {
-		t.Fatal("no observations processed")
-	}
-
-	bad := mk()
-	defer bad.Close()
-	if err := bad.ObserveChunks(0, 0, x[:5]); err == nil {
-		t.Fatal("short fragment total accepted")
-	}
-	if err := bad.ObserveChunks(99, 0, x); err == nil {
-		t.Fatal("unknown session accepted")
 	}
 }

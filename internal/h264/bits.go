@@ -27,9 +27,9 @@ var ErrBitstream = errors.New("h264: malformed bitstream")
 // BitWriter assembles a bit-packed byte stream, MSB first. Bits accumulate
 // in a word and spill to the byte buffer whole bytes at a time, so a
 // WriteBits call costs one shift/merge instead of a per-bit loop. The
-// scalar bit-at-a-time implementation is retained as refBitWriter and the
-// two are checked against each other by the differential tests; output is
-// byte-identical.
+// scalar bit-at-a-time implementation is retained as the test-only oracle
+// refBitWriter (bits_ref_test.go) and the two are checked against each
+// other by the differential tests; output is byte-identical.
 type BitWriter struct {
 	buf  []byte
 	acc  uint64 // pending sub-byte bits, right-aligned (oldest bit highest)
@@ -148,8 +148,8 @@ func (w *BitWriter) Bytes(trailing bool) []byte {
 // upcoming bits are cached MSB-aligned in a word refilled in bulk, so
 // ReadBits is a shift/mask pair and ReadUE counts its Exp-Golomb prefix
 // with one CLZ instead of a bit loop. The scalar implementation is
-// retained as refBitReader; differential tests pin the two to identical
-// values and positions.
+// retained as the test-only oracle refBitReader (bits_ref_test.go);
+// differential tests pin the two to identical values and positions.
 type BitReader struct {
 	buf   []byte
 	cache uint64 // upcoming bits, MSB-aligned; bits below nbits are zero

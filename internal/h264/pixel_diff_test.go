@@ -10,7 +10,7 @@ import (
 
 // Differential tests pinning the vectorized pixel kernels (sadBlock's
 // PSADBW interior path, the deblocking filter's precomputed edge masks)
-// against the verbatim historical implementations in pixel_ref.go, with
+// against the verbatim historical implementations in pixel_ref_test.go, with
 // the vector backend both enabled and force-disabled.
 
 func withBothDispatch(t *testing.T, fn func(t *testing.T, enabled bool)) {

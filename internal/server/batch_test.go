@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"affectedge/internal/affect"
 	"affectedge/internal/fleet"
 	"affectedge/internal/parallel"
 	"affectedge/internal/wire"
@@ -264,14 +266,22 @@ func TestBatchSlowReaderKill(t *testing.T) {
 	leak()
 }
 
-// TestBatchedFingerprintGrid is the PR's keystone determinism proof:
-// identical seeded traffic driven (a) in-process, (b) over TCP window-1
-// singles, and (c) over TCP pipelined batches at sizes 1, 8, and 64 must
-// leave equally-configured fleets with one identical Stats.Fingerprint —
-// at 1 and 8 pool workers. Queue depth is a shard's whole traffic share,
-// so drops (and therefore NACK-retry reordering) are structurally
-// impossible and per-session arrival order is exactly send order in
-// every mode.
+// TestBatchedFingerprintGrid is the serving layer's keystone determinism
+// proof — the network path adds no semantics: identical seeded traffic
+// driven (a) in-process through one-item fleet.ObserveBatch calls, (b)
+// over TCP one observation per frame with one frame in flight
+// ("unbatched": BatchSize 1, Window 1), and (c) over TCP pipelined
+// batches at sizes 1, 8, and 64 with 4 frames in flight must leave
+// equally-configured fleets with one identical Stats.Fingerprint — at 1
+// and 8 pool workers.
+//
+// Determinism liturgy: MaxBatch 1 (VerifyConfig) makes the live path's
+// batching accounting timing-independent; queue depth is a shard's whole
+// traffic share, so drops (a fingerprint field, and the only source of
+// NACK-retry reordering) are structurally impossible and per-session
+// arrival order is exactly send order in every mode; everything else in
+// the fingerprint is per-session state, and sessions are closed systems
+// fed identical observation sequences.
 func TestBatchedFingerprintGrid(t *testing.T) {
 	const (
 		sessions = 16
@@ -308,7 +318,7 @@ func TestBatchedFingerprintGrid(t *testing.T) {
 			fD.Close()
 			want := fD.Stats().Fingerprint()
 
-			tcpRun := func(t *testing.T, batch int) {
+			tcpRun := func(t *testing.T, batch, window int) {
 				f := newFleet(t)
 				srv := New(f, Config{})
 				addr, err := srv.Listen("127.0.0.1:0")
@@ -317,7 +327,7 @@ func TestBatchedFingerprintGrid(t *testing.T) {
 				}
 				l := load
 				l.Addr = addr.String()
-				l.Batch = batch
+				l.Batch, l.Window = batch, window
 				res, err := RunLoad(l)
 				if err != nil {
 					t.Fatalf("RunLoad: %v", err)
@@ -331,9 +341,9 @@ func TestBatchedFingerprintGrid(t *testing.T) {
 					t.Errorf("fingerprint mismatch (batch=%d):\n  tcp    %s\n  direct %s", batch, got, want)
 				}
 			}
-			t.Run("unbatched", func(t *testing.T) { tcpRun(t, 0) })
+			t.Run("unbatched", func(t *testing.T) { tcpRun(t, 1, 1) })
 			for _, batch := range []int{1, 8, 64} {
-				t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { tcpRun(t, batch) })
+				t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { tcpRun(t, batch, 4) })
 			}
 		})
 	}
@@ -359,5 +369,86 @@ func TestObserveBatchEmptyFrame(t *testing.T) {
 	}
 	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeBadFrame {
 		t.Fatalf("got %s code %d, want ERR CodeBadFrame", r.Type, r.Code)
+	}
+}
+
+// TestLockstepRetryKeepsOrder pins the window-1 guarantee under
+// backpressure: at BatchConfig{BatchSize: 1, Window: 1} a NACKed
+// observation is retried ahead of every later one, so the session applies
+// its observations in send order — its snapshot matches an in-order
+// in-process feed of the same vectors.
+func TestLockstepRetryKeepsOrder(t *testing.T) {
+	const obs = 24
+	cfg := fleet.Config{Sessions: 1, Shards: 1, Seed: 5, QueueDepth: 1}
+	f, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(f, Config{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := f.FeatureDim()
+	cli, err := Dial(addr.String(), 0, dim, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	cli.StartBatching(BatchConfig{BatchSize: 1, Window: 1})
+	// Noise-free emotion prototypes in runs of four: the hysteresis
+	// switch counts in the session state then depend on arrival order.
+	sm, err := affect.NewStreamModel(dim, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([][]float64, obs)
+	ats := make([]time.Duration, obs)
+	for i := range xs {
+		xs[i] = sm.Protos[(i/4)%len(sm.Protos)]
+		ats[i] = time.Duration(i+1) * time.Millisecond
+		if i == 4 {
+			// Until now the unstarted fleet's depth-1 queue held the first
+			// observation and NACKed the rest.
+			if err := f.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.ObserveQueued(ats[i], xs[i]); err != nil {
+			t.Fatalf("obs %d: %v", i, err)
+		}
+	}
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if acked, nacked, _ := cli.BatchStats(); acked != obs || nacked == 0 {
+		t.Fatalf("acked %d nacked %d, want %d and > 0", acked, nacked, obs)
+	}
+	srv.Close()
+	f.Close()
+
+	twin, err := fleet.New(fleet.Config{Sessions: 1, Shards: 1, Seed: 5, QueueDepth: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := []error{nil}
+	for i := range xs {
+		if err := twin.ObserveBatch([]fleet.Obs{{ID: 0, At: ats[i], X: xs[i]}}, status); err != nil || status[0] != nil {
+			t.Fatalf("twin obs %d: %v %v", i, err, status[0])
+		}
+	}
+	if err := twin.Start(); err != nil {
+		t.Fatal(err)
+	}
+	twin.Close()
+	var got, want bytes.Buffer
+	if err := f.SnapshotSession(0, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.SnapshotSession(0, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("session state after NACK retries differs from the in-order feed")
 	}
 }

@@ -8,10 +8,12 @@ import (
 	"affectedge/internal/fleet"
 )
 
-// BenchmarkLoopbackObserve measures one window-1 client's observation
-// round trip over loopback TCP: encode, kernel round trip, server
-// decode+dispatch, ACK back — the per-observation serving overhead the
-// wire adds on top of fleet.Observe.
+// BenchmarkLoopbackObserve measures one client's observation round trip
+// over loopback TCP at BatchConfig{BatchSize: 1, Window: 1} — one
+// observation per frame, each ObserveQueued waiting out the previous
+// frame's reply: encode, kernel round trip, server decode+dispatch,
+// ACK_BATCH back — the per-observation serving overhead the wire adds on
+// top of fleet.ObserveBatch.
 func BenchmarkLoopbackObserve(b *testing.B) {
 	f, err := fleet.New(fleet.Config{Sessions: 1, Shards: 1, Seed: 1, QueueDepth: 4096})
 	if err != nil {
@@ -34,22 +36,25 @@ func BenchmarkLoopbackObserve(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cli.Close()
+	cli.StartBatching(BatchConfig{BatchSize: 1, Window: 1})
 	vals := make([]float64, f.FeatureDim())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := cli.Observe(time.Duration(i+1)*time.Microsecond, vals)
-		if err != nil && !IsBackpressure(err) {
+		if err := cli.ObserveQueued(time.Duration(i+1)*time.Microsecond, vals); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := cli.Flush(); err != nil {
+		b.Fatal(err)
 	}
 }
 
 // BenchmarkLoopbackObserveBatch measures the amortized per-observation
 // cost of the pipelined batching path at several frame sizes: ns/op is
 // one observation's share of its OBSERVE_BATCH round trip, with up to 4
-// frames in flight. Compare against BenchmarkLoopbackObserve (window-1
-// singles) for the coalescing win.
+// frames in flight. Compare against BenchmarkLoopbackObserve (one
+// observation per frame, one frame in flight) for the coalescing win.
 func BenchmarkLoopbackObserveBatch(b *testing.B) {
 	for _, batch := range []int{8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -96,8 +101,9 @@ func BenchmarkLoopbackObserveBatch(b *testing.B) {
 }
 
 // BenchmarkLoadgen16 measures aggregate loopback throughput with 16
-// concurrent window-1 sessions — the obs/sec figure cmd/fleetload
-// reports, in benchmark form.
+// concurrent sessions sending one observation per frame (Batch 1, the
+// default window of 4 frames in flight) — the obs/sec figure
+// cmd/fleetload reports, in benchmark form.
 func BenchmarkLoadgen16(b *testing.B) {
 	const sessions = 16
 	f, err := fleet.New(fleet.Config{Sessions: sessions, Shards: 4, Seed: 1, QueueDepth: 4096})
@@ -121,7 +127,7 @@ func BenchmarkLoadgen16(b *testing.B) {
 	b.ResetTimer()
 	res, err := RunLoad(LoadConfig{
 		Addr: addr.String(), Sessions: sessions, Obs: obs,
-		Dim: f.FeatureDim(), Seed: 3,
+		Dim: f.FeatureDim(), Batch: 1, Seed: 3,
 	})
 	if err != nil {
 		b.Fatal(err)

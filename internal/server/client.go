@@ -4,23 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"affectedge/internal/obs"
 	"affectedge/internal/wire"
 )
 
-// Client is a synchronous, window-1 protocol client: every request waits
-// for its ACK/ERR before the next is sent, so replies pair with requests
-// by order and per-session observation order on the server is exactly
-// send order. One Client drives one session over one connection; it is
-// not safe for concurrent use (the loadgen runs one per goroutine).
-//
-// StartBatching switches on a second, pipelined mode (ObserveQueued /
-// Flush): observations accumulate into OBSERVE_BATCH frames and up to
-// Window frames ride the wire unacknowledged, amortizing one round trip
-// over BatchSize observations. The two modes must not interleave while
-// batches are in flight — Flush first.
+// Client is a pipelined protocol client for one session over one
+// connection; it is not safe for concurrent use (the loadgen runs one per
+// goroutine). Observations go through ObserveQueued / Flush: they
+// accumulate into OBSERVE_BATCH frames of BatchSize and up to Window
+// frames ride the wire unacknowledged, amortizing one round trip over
+// BatchSize observations. BatchConfig{BatchSize: 1, Window: 1} is the
+// lockstep shape — one observation per frame, each waiting for its reply
+// before the next is sent — under which per-session arrival order is
+// exactly send order, backpressure retries included.
 type Client struct {
 	nc      net.Conn
 	sp      wire.Splitter
@@ -30,7 +29,7 @@ type Client struct {
 	seq     uint64
 	timeout time.Duration
 
-	// pipelined batching state (inert until StartBatching)
+	// pipelining state
 	bcfg      BatchConfig
 	pend      []wire.BatchObs // accumulating batch; Vals are owned copies
 	pendSince time.Time       // when pend went non-empty (linger clock)
@@ -42,7 +41,7 @@ type Client struct {
 	bFrames   int64
 }
 
-// BatchConfig tunes the pipelined batching mode. Zero fields default:
+// BatchConfig tunes the pipeline. Zero fields default:
 // BatchSize 16, Window 4, Linger 0 (flushes are size-triggered only; a
 // positive Linger also flushes a partial batch once its oldest
 // observation has waited that long, trading latency for frame fill).
@@ -84,8 +83,8 @@ func IsBackpressure(err error) bool {
 }
 
 // Dial connects to addr, performs the HELLO handshake for session id with
-// feature dimensionality dim, and returns a ready client. timeout bounds
-// every round trip (0 means 30s).
+// feature dimensionality dim, and returns a ready client running the
+// default BatchConfig. timeout bounds every round trip (0 means 30s).
 func Dial(addr string, session int, dim int, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -95,6 +94,7 @@ func Dial(addr string, session int, dim int, timeout time.Duration) (*Client, er
 		return nil, err
 	}
 	c := &Client{nc: nc, rbuf: make([]byte, 8<<10), timeout: timeout}
+	c.StartBatching(BatchConfig{})
 	hello := wire.Frame{
 		Type:    wire.Hello,
 		Version: wire.Version,
@@ -108,42 +108,8 @@ func Dial(addr string, session int, dim int, timeout time.Duration) (*Client, er
 	return c, nil
 }
 
-// Observe sends one whole observation and waits for the verdict: nil
-// means ACKed (in a shard queue), a *RemoteError carries the server's
-// refusal — IsBackpressure identifies the retryable case.
-func (c *Client) Observe(at time.Duration, vals []float64) error {
-	c.seq++
-	f := wire.Frame{Type: wire.Observe, Seq: c.seq, At: int64(at), Vals: vals}
-	_, err := c.roundTrip(&f, c.seq)
-	return err
-}
-
-// ObserveChunks sends one observation as a fragment sequence (one
-// OBSERVE_CHUNK frame per fragment, FlagLast on the final one) and waits
-// for the single verdict of the assembled observation.
-func (c *Client) ObserveChunks(at time.Duration, chunks ...[]float64) error {
-	if len(chunks) == 0 {
-		return errors.New("server: ObserveChunks needs at least one chunk")
-	}
-	c.seq++
-	for i, ch := range chunks {
-		f := wire.Frame{
-			Type: wire.ObserveChunk,
-			Seq:  c.seq,
-			At:   int64(at),
-			Last: i == len(chunks)-1,
-			Vals: ch,
-		}
-		if err := c.send(&f); err != nil {
-			return err
-		}
-	}
-	_, err := c.recv(c.seq)
-	return err
-}
-
-// StartBatching switches the client into pipelined batching mode with
-// the given tuning. Call once, before the first ObserveQueued.
+// StartBatching retunes the pipeline. Call it with nothing queued or in
+// flight: right after Dial, or after Flush.
 func (c *Client) StartBatching(cfg BatchConfig) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
@@ -164,9 +130,6 @@ func (c *Client) StartBatching(cfg BatchConfig) {
 // (protocol or I/O) — backpressure never surfaces here; NACKed items are
 // requeued and retried transparently.
 func (c *Client) ObserveQueued(at time.Duration, vals []float64) error {
-	if c.bcfg.BatchSize == 0 {
-		return errors.New("server: ObserveQueued before StartBatching")
-	}
 	if c.bcfg.Linger > 0 && len(c.pend) > 0 && time.Since(c.pendSince) >= c.bcfg.Linger {
 		if err := c.flushBatch(); err != nil {
 			return err
@@ -201,21 +164,14 @@ func (c *Client) Flush() error {
 			}
 			continue
 		}
-		nacked, err := c.awaitBatch()
-		if err != nil {
+		if err := c.awaitBatch(); err != nil {
 			return err
-		}
-		if nacked > 0 && len(c.inflight) == 0 {
-			// The whole pipeline just drained into NACKs: the shard
-			// queue is full, so back off like the window-1 retry loop
-			// before re-sending.
-			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	return nil
 }
 
-// BatchStats reports the batching mode's accounting: observations ACKed,
+// BatchStats reports the pipeline's accounting: observations ACKed,
 // bitmap NACKs received (each retried), and OBSERVE_BATCH frames sent.
 func (c *Client) BatchStats() (acked, nacked, frames int64) {
 	return c.bAcked, c.bNacked, c.bFrames
@@ -227,7 +183,7 @@ func (c *Client) BatchStats() (acked, nacked, frames int64) {
 // items and the remainder stays pending.
 func (c *Client) flushBatch() error {
 	for len(c.inflight) >= c.bcfg.Window {
-		if _, err := c.awaitBatch(); err != nil {
+		if err := c.awaitBatch(); err != nil {
 			return err
 		}
 	}
@@ -259,53 +215,64 @@ func (c *Client) flushBatch() error {
 }
 
 // awaitBatch resolves the oldest in-flight batch against the next reply
-// frame. ACK_BATCH: clean items count as acked, bitmap-NACKed items are
-// requeued (payload buffers move back to pend, no copy) and the count is
-// returned. ERR is a hard failure — batched backpressure is always
-// per-item, so a frame-level error means the whole batch was refused.
-func (c *Client) awaitBatch() (nacked int, err error) {
+// frame. ACK_BATCH: clean items count as acked, and bitmap-NACKed items
+// are requeued (payload buffers move back to pend, no copy) ahead of
+// everything not yet sent, so a retry never overtakes a later
+// observation. When the whole pipeline has drained into NACKs the shard
+// queue is full, and awaitBatch backs off briefly before the retry goes
+// out. ERR is a hard failure — batched backpressure is always per-item,
+// so a frame-level error means the whole batch was refused.
+func (c *Client) awaitBatch() error {
 	if len(c.inflight) == 0 {
-		return 0, errors.New("server: awaitBatch with nothing in flight")
+		return errors.New("server: awaitBatch with nothing in flight")
 	}
 	if err := c.readFrame(); err != nil {
-		return 0, err
+		return err
 	}
 	sb := c.inflight[0]
 	c.inflight = c.inflight[:copy(c.inflight, c.inflight[1:])]
 	switch c.in.Type {
 	case wire.AckBatch:
 		if c.in.Seq != sb.items[0].Seq || c.in.Count != len(sb.items) {
-			return 0, fmt.Errorf("server: ACK_BATCH seq %d count %d, want %d count %d",
+			return fmt.Errorf("server: ACK_BATCH seq %d count %d, want %d count %d",
 				c.in.Seq, c.in.Count, sb.items[0].Seq, len(sb.items))
 		}
 		per := time.Since(sb.sent) / time.Duration(len(sb.items))
+		nacked := 0
 		for i := range sb.items {
 			c.bcfg.Latency.Observe(per.Microseconds())
-			if wire.Nacked(c.in.Bitmap, i) {
-				nacked++
-				if len(c.pend) == 0 {
-					c.pendSince = time.Now()
-				}
-				c.pend = append(c.pend, wire.BatchObs{At: sb.items[i].At, Vals: sb.items[i].Vals})
-			} else {
+			if !wire.Nacked(c.in.Bitmap, i) {
 				c.valsFree = append(c.valsFree, sb.items[i].Vals)
+				continue
 			}
+			if len(c.pend) == 0 {
+				c.pendSince = time.Now()
+			}
+			c.pend = slices.Insert(c.pend, nacked, wire.BatchObs{At: sb.items[i].At, Vals: sb.items[i].Vals})
+			nacked++
+		}
+		if nacked > 0 && len(c.inflight) == 0 {
+			time.Sleep(50 * time.Microsecond)
 		}
 		c.bAcked += int64(len(sb.items) - nacked)
 		c.bNacked += int64(nacked)
 		c.batchFree = append(c.batchFree, sb)
-		return nacked, nil
+		return nil
 	case wire.Err:
-		return 0, &RemoteError{Code: c.in.Code, Seq: c.in.Seq, Msg: c.in.Msg}
+		return &RemoteError{Code: c.in.Code, Seq: c.in.Seq, Msg: c.in.Msg}
 	default:
-		return 0, fmt.Errorf("server: unexpected %s reply to OBSERVE_BATCH", c.in.Type)
+		return fmt.Errorf("server: unexpected %s reply to OBSERVE_BATCH", c.in.Type)
 	}
 }
 
-// Snapshot requests the session's versioned snapshot and returns the gob
-// bytes (feed to fleet.RestoreSession). The returned slice is the
-// client's reusable reply buffer — copy it to keep it past the next call.
+// Snapshot drains the pipeline (Flush), then requests the session's
+// versioned snapshot and returns the gob bytes (feed to
+// fleet.RestoreSession). The returned slice is the client's reusable
+// reply buffer — copy it to keep it past the next call.
 func (c *Client) Snapshot() ([]byte, error) {
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
 	c.seq++
 	f := wire.Frame{Type: wire.SnapshotReq, Seq: c.seq}
 	return c.roundTrip(&f, c.seq)
@@ -336,9 +303,9 @@ func (c *Client) send(f *wire.Frame) error {
 }
 
 // recv reads one complete reply and maps it: ACK → (data, nil), ERR →
-// *RemoteError. Window-1 discipline means the first reply is the one for
-// the request just sent; a seq mismatch is a protocol bug and surfaces
-// as an error.
+// *RemoteError. Callers send with nothing in flight, so the first reply
+// is the one for the request just sent; a seq mismatch is a protocol bug
+// and surfaces as an error.
 func (c *Client) recv(wantSeq uint64) ([]byte, error) {
 	if err := c.readFrame(); err != nil {
 		return nil, err

@@ -71,7 +71,7 @@ func TestClientSeq(t *testing.T) {
 	if got := cli.Seq(); got != 0 {
 		t.Fatalf("fresh client at seq %d, want 0", got)
 	}
-	if err := cli.Observe(time.Millisecond, make([]float64, dim)); err != nil {
+	if err := observeSync(cli, time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cli.Seq(); got != 1 {
@@ -110,7 +110,7 @@ func TestWireMetricsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Observe(time.Millisecond, make([]float64, dim)); err != nil {
+	if err := observeSync(cli, time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatal(err)
 	}
 	cli.Close()
@@ -127,13 +127,13 @@ func TestWireMetricsWiring(t *testing.T) {
 		t.Fatalf("server.accepted = %d, want >= 1", v)
 	}
 	if v := reg.Counter("server.frames_in").Value(); v < 2 {
-		t.Fatalf("server.frames_in = %d, want >= 2 (HELLO + OBSERVE)", v)
+		t.Fatalf("server.frames_in = %d, want >= 2 (HELLO + OBSERVE_BATCH)", v)
 	}
 }
 
 // TestObserveUnknownSession pins the dispatch mapping for a session that
 // disappears mid-connection: typed ERR, connection kept (the session may
-// be restored), and both the whole-observation and snapshot paths agree.
+// be restored), and both the observation and snapshot paths agree.
 func TestObserveUnknownSession(t *testing.T) {
 	f, _, addr := newTestServer(t, testFleetConfig(2), Config{})
 	dim := f.FeatureDim()
@@ -146,7 +146,7 @@ func TestObserveUnknownSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := make([]float64, dim)
-	send(&wire.Frame{Type: wire.Observe, Seq: 1, At: 1, Vals: vals})
+	send(oneItem(1, 1, vals))
 	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeUnknownSession || r.Seq != 1 {
 		t.Fatalf("got %s code %d, want ERR CodeUnknownSession", r.Type, r.Code)
 	}
@@ -171,7 +171,7 @@ func TestObserveClosedFleet(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	send(&wire.Frame{Type: wire.Observe, Seq: 1, At: 1, Vals: make([]float64, dim)})
+	send(oneItem(1, 1, make([]float64, dim)))
 	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeClosed {
 		t.Fatalf("got %s code %d, want ERR CodeClosed", r.Type, r.Code)
 	}
@@ -232,36 +232,6 @@ func TestProtocolViolations(t *testing.T) {
 	})
 }
 
-// TestChunkDimErrors pins the reassembly bounds: a fragment overflowing
-// the feature dimensionality and a final fragment leaving the vector
-// short both refuse with CodeDim, and the connection keeps working.
-func TestChunkDimErrors(t *testing.T) {
-	f, _, addr := newTestServer(t, testFleetConfig(2), Config{})
-	dim := f.FeatureDim()
-	_, send, recv := rawDial(t, addr)
-	send(helloFrame(0, dim))
-	if r := recv(); r.Type != wire.Ack {
-		t.Fatalf("handshake: got %s", r.Type)
-	}
-	vals := make([]float64, dim)
-	// Overflow: a full-dim fragment held open, then one value too many.
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 1, At: 1, Vals: vals})
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 1, At: 1, Vals: vals[:1]})
-	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeDim || r.Seq != 1 {
-		t.Fatalf("got %s seq %d code %d, want ERR seq 1 CodeDim", r.Type, r.Seq, r.Code)
-	}
-	// Short: FlagLast with only part of the vector assembled.
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 2, At: 2, Last: true, Vals: vals[:3]})
-	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeDim || r.Seq != 2 {
-		t.Fatalf("got %s seq %d code %d, want ERR seq 2 CodeDim", r.Type, r.Seq, r.Code)
-	}
-	// Both refusals left the connection and chunk state clean.
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 3, At: 3, Last: true, Vals: vals})
-	if r := recv(); r.Type != wire.Ack || r.Seq != 3 {
-		t.Fatalf("got %s seq %d, want ACK seq 3", r.Type, r.Seq)
-	}
-}
-
 func TestLoadConfigErrors(t *testing.T) {
 	if _, err := RunLoad(LoadConfig{}); err == nil {
 		t.Fatal("RunLoad accepted an empty config")
@@ -295,7 +265,7 @@ func TestRunLoadLatency(t *testing.T) {
 	hist := reg.Histogram("loadgen.rtt_us", obs.ExponentialBuckets(1, 2, 24))
 	res, err := RunLoad(LoadConfig{
 		Addr: addr, Sessions: 4, Obs: 5, Dim: f.FeatureDim(),
-		ChunkEvery: 2, Seed: 11, Latency: hist,
+		Seed: 11, Latency: hist,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,13 @@ import (
 	"affectedge/internal/parallel"
 )
 
-// TestTCPFingerprintMatchesInProcess is the PR's keystone: the same
-// seeded traffic driven through TCP (HELLO handshakes, frame encode/
-// decode, per-connection goroutines, reply queues) and driven straight
-// into fleet.Observe must leave the two fleets with identical
-// Stats.Fingerprint — the network path adds no semantics.
+// TestTCPFingerprintMatchesInProcess: the same seeded traffic driven
+// through TCP (HELLO handshakes, frame encode/decode, per-connection
+// goroutines, reply queues) with the default client settings and driven
+// straight into fleet.ObserveBatch must leave the two fleets with
+// identical Stats.Fingerprint — the network path adds no semantics. It
+// runs a wider fleet (more sessions and shards) than
+// TestBatchedFingerprintGrid, which sweeps batch sizes.
 //
 // Determinism liturgy: MaxBatch 1 (VerifyConfig) makes the live path's
 // batching accounting timing-independent; QueueDepth is sized to a
@@ -37,9 +39,7 @@ func TestTCPFingerprintMatchesInProcess(t *testing.T) {
 			old := parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(old)
 
-			load := LoadConfig{
-				Sessions: sessions, Obs: obs, ChunkEvery: 5, Seed: trafSeed,
-			}
+			load := LoadConfig{Sessions: sessions, Obs: obs, Seed: trafSeed}
 
 			// TCP side.
 			fA, err := fleet.New(VerifyConfig(sessions, shards, queueDepth, seed))

@@ -22,20 +22,16 @@ type LoadConfig struct {
 	Sessions int    // session ids 0..Sessions-1, already added to the fleet
 	Obs      int    // observations per session
 	Dim      int    // feature dimensionality (fleet.FeatureDim)
-	// ChunkEvery > 0 sends every ChunkEvery-th observation as two
-	// fragments through the chunked path (OBSERVE_CHUNK over TCP,
-	// ObserveChunks in-process). Mutually exclusive with Batch.
-	ChunkEvery int
-	// Batch > 0 switches RunLoad sessions to the pipelined batching
-	// client (OBSERVE_BATCH frames of Batch observations, Window frames
-	// in flight, coalesced ACK_BATCH replies with per-item NACK retry).
-	// DirectLoad ignores it — the in-process twin is the semantic
-	// baseline either way.
-	Batch  int
-	Window int           // in-flight OBSERVE_BATCH frames (default 4)
-	Linger time.Duration // partial-batch flush deadline (0: size-only)
-	Seed   int64
-	Timeout    time.Duration // per round trip (default 30s)
+	// Batch is the observations per OBSERVE_BATCH frame of every RunLoad
+	// session, with Window frames in flight and per-item NACK retry.
+	// Batch 0 means one observation per frame and one frame in flight
+	// (BatchConfig{BatchSize: 1, Window: 1}). DirectLoad ignores both —
+	// the in-process twin is the semantic baseline either way.
+	Batch   int
+	Window  int           // in-flight OBSERVE_BATCH frames (default 4; 1 when Batch is 0)
+	Linger  time.Duration // partial-batch flush deadline (0: size-only)
+	Seed    int64
+	Timeout time.Duration // per round trip (default 30s)
 	// DialBurst bounds concurrent dial attempts while ramping (default
 	// 512) so a 10k-session ramp doesn't overflow the accept backlog;
 	// established connections all stay open concurrently.
@@ -82,13 +78,16 @@ func (cfg LoadConfig) normalize() (LoadConfig, error) {
 	if cfg.DialBurst <= 0 {
 		cfg.DialBurst = 512
 	}
-	if cfg.Batch > 0 && cfg.ChunkEvery > 0 {
-		return cfg, errors.New("server: load config: Batch and ChunkEvery are mutually exclusive")
+	if cfg.Batch <= 0 {
+		cfg.Batch = 1
+		if cfg.Window <= 0 {
+			cfg.Window = 1
+		}
 	}
 	return cfg, nil
 }
 
-// RunLoad drives cfg.Sessions concurrent window-1 clients against a
+// RunLoad drives cfg.Sessions concurrent pipelined clients against a
 // running ingest server. All sessions connect first (dial concurrency
 // bounded by DialBurst, connections held open), then send in lockstep
 // release: every observation is retried through backpressure NACKs until
@@ -126,56 +125,27 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			}
 			defer cli.Close()
 			<-start
+			cli.StartBatching(BatchConfig{
+				BatchSize: cfg.Batch, Window: cfg.Window,
+				Linger: cfg.Linger, Latency: cfg.Latency,
+			})
 			rng := trafficRNG(cfg.Seed, id)
 			vals := make([]float64, cfg.Dim)
-			if cfg.Batch > 0 {
-				cli.StartBatching(BatchConfig{
-					BatchSize: cfg.Batch, Window: cfg.Window,
-					Linger: cfg.Linger, Latency: cfg.Latency,
-				})
-				for i := 0; i < cfg.Obs; i++ {
-					at := nextObs(rng, i, vals)
-					if err := cli.ObserveQueued(at, vals); err != nil {
-						fail(fmt.Errorf("session %d obs %d: %w", id, i, err))
-						return
-					}
-				}
-				if err := cli.Flush(); err != nil {
-					fail(fmt.Errorf("session %d flush: %w", id, err))
-					return
-				}
-				acked, nacked, _ := cli.BatchStats()
-				atomic.AddInt64(&res.Sent, acked+nacked)
-				atomic.AddInt64(&res.Acked, acked)
-				atomic.AddInt64(&res.Nacked, nacked)
-				return
-			}
 			for i := 0; i < cfg.Obs; i++ {
 				at := nextObs(rng, i, vals)
-				chunked := cfg.ChunkEvery > 0 && (i+1)%cfg.ChunkEvery == 0
-				for {
-					t0 := time.Now()
-					if chunked {
-						half := cfg.Dim / 2
-						err = cli.ObserveChunks(at, vals[:half], vals[half:])
-					} else {
-						err = cli.Observe(at, vals)
-					}
-					atomic.AddInt64(&res.Sent, 1)
-					cfg.Latency.Observe(time.Since(t0).Microseconds())
-					if err == nil {
-						atomic.AddInt64(&res.Acked, 1)
-						break
-					}
-					if IsBackpressure(err) {
-						atomic.AddInt64(&res.Nacked, 1)
-						time.Sleep(50 * time.Microsecond)
-						continue
-					}
+				if err := cli.ObserveQueued(at, vals); err != nil {
 					fail(fmt.Errorf("session %d obs %d: %w", id, i, err))
 					return
 				}
 			}
+			if err := cli.Flush(); err != nil {
+				fail(fmt.Errorf("session %d flush: %w", id, err))
+				return
+			}
+			acked, nacked, _ := cli.BatchStats()
+			atomic.AddInt64(&res.Sent, acked+nacked)
+			atomic.AddInt64(&res.Acked, acked)
+			atomic.AddInt64(&res.Nacked, nacked)
 		}(id)
 	}
 	ready.Wait() // every session holds its connection (or failed to dial)
@@ -190,8 +160,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 }
 
 // DirectLoad is RunLoad's in-process twin: identical traffic (same seed,
-// same per-session RNG streams, same chunk schedule) fed straight into
-// fleet.Observe/ObserveChunks with the same retry-through-backpressure
+// same per-session RNG streams) fed straight into the fleet as one-item
+// fleet.ObserveBatch calls with the same retry-through-backpressure
 // discipline. Running both against equally-configured fleets and
 // comparing Stats.Fingerprint proves the network path is semantics-free.
 func DirectLoad(f *fleet.Fleet, cfg LoadConfig) (*LoadResult, error) {
@@ -210,17 +180,14 @@ func DirectLoad(f *fleet.Fleet, cfg LoadConfig) (*LoadResult, error) {
 		go func(id int) {
 			defer wg.Done()
 			rng := trafficRNG(cfg.Seed, id)
-			vals := make([]float64, cfg.Dim)
+			item := []fleet.Obs{{ID: id, X: make([]float64, cfg.Dim)}}
+			status := []error{nil}
 			for i := 0; i < cfg.Obs; i++ {
-				at := nextObs(rng, i, vals)
-				chunked := cfg.ChunkEvery > 0 && (i+1)%cfg.ChunkEvery == 0
+				item[0].At = nextObs(rng, i, item[0].X)
 				for {
-					var err error
-					if chunked {
-						half := cfg.Dim / 2
-						err = f.ObserveChunks(id, at, vals[:half], vals[half:])
-					} else {
-						err = f.Observe(id, at, vals)
+					err := f.ObserveBatch(item, status)
+					if err == nil {
+						err = status[0]
 					}
 					atomic.AddInt64(&res.Sent, 1)
 					if err == nil {

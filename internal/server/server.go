@@ -10,12 +10,14 @@
 //     version and the session id the connection authenticates as. A
 //     wrong version, an unknown/parked session, or a dimensionality
 //     mismatch is refused with a typed ERR and the connection closes.
-//   - Every OBSERVE/OBSERVE_CHUNK after that belongs to the
-//     authenticated session and is routed to the owning shard through
-//     fleet.Observe / fleet.ObserveChunks. The fleet's non-blocking
-//     ingest contract surfaces on the wire: an accepted observation is
-//     ACKed, a full shard queue (fleet.ErrBackpressure) is NACKed with
-//     CodeBackpressure — the client retries, nothing blocks the reader.
+//   - Every OBSERVE_BATCH after that belongs to the authenticated
+//     session and is submitted through fleet.ObserveBatch; a single
+//     observation is a one-item batch. The fleet's non-blocking ingest
+//     contract surfaces on the wire: the ACK_BATCH reply NACKs exactly
+//     the items a full shard queue (fleet.ErrBackpressure) turned away —
+//     the client retries those, nothing blocks the reader. Frame types
+//     0x02/0x03 (protocol version 1's OBSERVE/OBSERVE_CHUNK) no longer
+//     decode: they draw ERR CodeBadFrame and the connection closes.
 //   - SNAPSHOT_REQ returns the session's versioned gob snapshot in the
 //     ACK payload, so a device can checkpoint its server-side state over
 //     the same connection it streams on.
@@ -62,8 +64,9 @@ type Config struct {
 	// FlushBytes bounds how many encoded reply bytes one vectored flush
 	// accumulates before it is forced out (default 32KiB). The writer
 	// always flushes the moment its queue is momentarily empty, so a
-	// window-1 client still sees single-frame latency; the threshold only
-	// bites under pipelined load, where it caps flush latency by size.
+	// client with one frame in flight still sees single-frame latency; the
+	// threshold only bites under pipelined load, where it caps flush
+	// latency by size.
 	FlushBytes int
 	// FlushFrames caps the frames per vectored flush (default 64) — the
 	// net.Buffers length handed to one writev.
@@ -95,8 +98,8 @@ func (c Config) normalize() Config {
 // Counters is a snapshot of the server's accounting. The serving
 // invariant the loopback suite pins: every observation frame read is
 // exactly one of Accepted (ACKed, in a shard queue), Nacked
-// (backpressure ERR), or Rejected (unknown session / bad dimension /
-// abandoned chunk ERR).
+// (backpressure NACK bit), or Rejected (unknown session / bad dimension
+// ERR).
 type Counters struct {
 	Conns          int64 `json:"conns"`            // currently open
 	ConnsTotal     int64 `json:"conns_total"`      // ever accepted
@@ -290,16 +293,6 @@ type conn struct {
 	session int
 	helloed bool
 
-	// Chunked-observation assembly (reader-owned): fragments of one
-	// in-flight chunked observation, flattened into vals with recorded
-	// fragment lengths so dispatch can rebuild the chunk views for
-	// fleet.ObserveChunks.
-	chunkOpen bool
-	chunkSeq  uint64
-	chunkAt   int64
-	vals      []float64
-	fragLens  []int
-
 	// Batched-dispatch scratch (reader-owned): the fleet.ObserveBatch
 	// item and status views rebuilt per OBSERVE_BATCH frame.
 	bitems []fleet.Obs
@@ -377,8 +370,9 @@ func (c *conn) readLoop() {
 // into its own recycled buffer — and hand the lot to one vectored write
 // (net.Buffers → writev), flushing when the queue is momentarily empty or
 // when the FlushFrames/FlushBytes threshold is hit. Queue-empty flushing
-// keeps a window-1 client at single-frame latency; under pipelined load
-// the per-frame syscall cost amortizes across the whole flush.
+// keeps a client with one frame in flight at single-frame latency; under
+// pipelined load the per-frame syscall cost amortizes across the whole
+// flush.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.nc.Close()
@@ -467,12 +461,8 @@ func (c *conn) handle(fr *wire.Frame) bool {
 	case wire.Hello:
 		c.protoErr(errors.New("duplicate HELLO"))
 		return false
-	case wire.Observe:
-		return c.observe(fr)
 	case wire.ObserveBatch:
 		return c.observeBatch(fr)
-	case wire.ObserveChunk:
-		return c.observeChunk(fr)
 	case wire.SnapshotReq:
 		return c.snapshot(fr)
 	default: // Ack/Err are server→client only
@@ -519,26 +509,13 @@ func (c *conn) hello(fr *wire.Frame) bool {
 	return c.reply(wire.Frame{Type: wire.Ack, Seq: 0}) // HELLO acks as seq 0
 }
 
-// observe routes one whole observation into the fleet.
-func (c *conn) observe(fr *wire.Frame) bool {
-	if len(fr.Vals) != c.srv.dim {
-		c.srv.n.rejected.Add(1)
-		mtr.rejected.Inc()
-		return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Seq, Code: wire.CodeDim,
-			Msg: fmt.Sprintf("observation dim %d, want %d", len(fr.Vals), c.srv.dim)})
-	}
-	return c.dispatch(fr.Seq, c.srv.f.Observe(c.session, time.Duration(fr.At), fr.Vals))
-}
-
 // observeBatch routes one OBSERVE_BATCH into the fleet as a shard-level
 // grouped submission (fleet.ObserveBatch: one lock acquisition and one
 // coalesced enqueue per same-shard run) and answers with one ACK_BATCH
 // whose bitmap NACKs exactly the backpressured items — a full shard costs
-// those items a retry, not the whole frame. The PR 9 error-mapping
-// contract is otherwise preserved: a dimension mismatch is refused with a
-// frame-level CodeDim ERR before anything is submitted, an unknown
-// session (removed mid-flight) maps to a kept-connection ERR, and a
-// closed fleet to CodeClosed plus hangup.
+// those items a retry, not the whole frame. A dimension mismatch is
+// refused with a frame-level CodeDim ERR before anything is submitted;
+// any other refusal goes through refuse.
 func (c *conn) observeBatch(fr *wire.Frame) bool {
 	n := len(fr.Batch)
 	c.srv.n.batchesIn.Add(1)
@@ -547,8 +524,7 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 	mtr.batchObs.Add(int64(n))
 	for i := range fr.Batch {
 		if len(fr.Batch[i].Vals) != c.srv.dim {
-			c.srv.n.rejected.Add(int64(n))
-			mtr.rejected.Add(int64(n))
+			c.count(0, 0, n)
 			return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq, Code: wire.CodeDim,
 				Msg: fmt.Sprintf("batch item %d dim %d, want %d", i, len(fr.Batch[i].Vals), c.srv.dim)})
 		}
@@ -562,7 +538,7 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 		items[i] = fleet.Obs{ID: c.session, At: time.Duration(fr.Batch[i].At), X: fr.Batch[i].Vals}
 	}
 	if err := c.srv.f.ObserveBatch(items, statuses); err != nil {
-		return c.dispatch(fr.Batch[0].Seq, err) // ErrClosed or a programming error
+		return c.refuse(fr.Batch[0].Seq, err) // ErrClosed
 	}
 	// Fresh bitmap per reply: the frame travels through the FIFO to the
 	// writer, so the reader must not reuse its backing.
@@ -577,98 +553,30 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 			nacked++
 		default:
 			// Session removed mid-batch: the accepted prefix is already
-			// applied; the rest of the frame resolves to one kept-
-			// connection ERR exactly like a single OBSERVE would.
-			c.srv.n.accepted.Add(int64(acked))
-			mtr.accepted.Add(int64(acked))
-			c.srv.n.rejected.Add(int64(n - acked))
-			mtr.rejected.Add(int64(n - acked))
-			if errors.Is(st, fleet.ErrUnknownSession) {
-				return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq,
-					Code: wire.CodeUnknownSession, Msg: truncMsg(st.Error())})
-			}
-			c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq,
-				Code: wire.CodeInternal, Msg: truncMsg(st.Error())})
-			return false
+			// queued; the rest of the frame resolves to one ERR.
+			c.count(acked, 0, n-acked)
+			return c.refuse(fr.Batch[i].Seq, st)
 		}
 	}
-	c.srv.n.accepted.Add(int64(acked))
-	c.srv.n.nacked.Add(int64(nacked))
-	mtr.accepted.Add(int64(acked))
-	mtr.nacked.Add(int64(nacked))
+	c.count(acked, nacked, 0)
 	return c.reply(wire.Frame{Type: wire.AckBatch, Seq: fr.Batch[0].Seq, Count: n, Bitmap: bitmap})
 }
 
-// observeChunk assembles fragments of one observation. Fragments share a
-// seq and timestamp and concatenate in arrival order; FlagLast dispatches
-// the assembled observation through fleet.ObserveChunks with the original
-// fragment boundaries. A fragment for a new seq abandons an unfinished
-// chunk with an ERR (counted Rejected) — fragments never interleave.
-func (c *conn) observeChunk(fr *wire.Frame) bool {
-	if c.chunkOpen && (fr.Seq != c.chunkSeq || fr.At != c.chunkAt) {
-		c.srv.n.rejected.Add(1)
-		mtr.rejected.Inc()
-		abandoned := c.chunkSeq
-		c.resetChunk()
-		if !c.reply(wire.Frame{Type: wire.Err, Seq: abandoned, Code: wire.CodeBadFrame,
-			Msg: "chunk abandoned by next observation"}) {
-			return false
-		}
-	}
-	if !c.chunkOpen {
-		c.chunkOpen = true
-		c.chunkSeq = fr.Seq
-		c.chunkAt = fr.At
-	}
-	if len(c.vals)+len(fr.Vals) > c.srv.dim {
-		c.srv.n.rejected.Add(1)
-		mtr.rejected.Inc()
-		seq := c.chunkSeq
-		c.resetChunk()
-		return c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeDim,
-			Msg: fmt.Sprintf("chunked observation exceeds dim %d", c.srv.dim)})
-	}
-	c.vals = append(c.vals, fr.Vals...)
-	c.fragLens = append(c.fragLens, len(fr.Vals))
-	if !fr.Last {
-		return true
-	}
-	seq := c.chunkSeq
-	if len(c.vals) != c.srv.dim {
-		c.srv.n.rejected.Add(1)
-		mtr.rejected.Inc()
-		n := len(c.vals)
-		c.resetChunk()
-		return c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeDim,
-			Msg: fmt.Sprintf("chunked observation dim %d, want %d", n, c.srv.dim)})
-	}
-	// Rebuild the fragment views over the flat buffer and feed them
-	// through the chunked ingest seam — equivalent to Observe of the
-	// assembled vector, but exercising the same path a streaming
-	// featurizer uses in-process.
-	chunks := make([][]float64, 0, len(c.fragLens))
-	off := 0
-	for _, n := range c.fragLens {
-		chunks = append(chunks, c.vals[off:off+n])
-		off += n
-	}
-	at := c.chunkAt
-	ok := c.dispatch(seq, c.srv.f.ObserveChunks(c.session, time.Duration(at), chunks...))
-	c.resetChunk()
-	return ok
-}
-
-func (c *conn) resetChunk() {
-	c.chunkOpen = false
-	c.vals = c.vals[:0]
-	c.fragLens = c.fragLens[:0]
+// count books one frame's observation verdicts.
+func (c *conn) count(accepted, nacked, rejected int) {
+	c.srv.n.accepted.Add(int64(accepted))
+	c.srv.n.nacked.Add(int64(nacked))
+	c.srv.n.rejected.Add(int64(rejected))
+	mtr.accepted.Add(int64(accepted))
+	mtr.nacked.Add(int64(nacked))
+	mtr.rejected.Add(int64(rejected))
 }
 
 // snapshot serves the session's versioned gob snapshot in an ACK payload.
 func (c *conn) snapshot(fr *wire.Frame) bool {
 	var buf bytes.Buffer
 	if err := c.srv.f.SnapshotSession(c.session, &buf); err != nil {
-		return c.dispatch(fr.Seq, err)
+		return c.refuse(fr.Seq, err)
 	}
 	c.srv.n.snapshotReqs.Add(1)
 	mtr.snapshotReqs.Inc()
@@ -679,33 +587,22 @@ func (c *conn) snapshot(fr *wire.Frame) bool {
 	return c.reply(wire.Frame{Type: wire.Ack, Seq: fr.Seq, Data: buf.Bytes()})
 }
 
-// dispatch maps a fleet ingest result onto the wire: nil → ACK,
-// backpressure → NACK (retryable), unknown session → ERR (connection
-// kept: the session may Reconnect), closed fleet → ERR and drop the
-// connection.
-func (c *conn) dispatch(seq uint64, err error) bool {
+// refuse maps a fleet error for frame seq onto the wire: an unknown
+// session draws CodeUnknownSession and keeps the connection (the session
+// may Reconnect); a closed fleet draws CodeClosed and anything else
+// CodeInternal, and both hang up. Backpressure never arrives here — it
+// travels as a per-item NACK bit.
+func (c *conn) refuse(seq uint64, err error) bool {
 	switch {
-	case err == nil:
-		c.srv.n.accepted.Add(1)
-		mtr.accepted.Inc()
-		return c.reply(wire.Frame{Type: wire.Ack, Seq: seq})
-	case errors.Is(err, fleet.ErrBackpressure):
-		c.srv.n.nacked.Add(1)
-		mtr.nacked.Inc()
-		return c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeBackpressure,
-			Msg: "shard ingress queue full"})
 	case errors.Is(err, fleet.ErrUnknownSession):
-		c.srv.n.rejected.Add(1)
-		mtr.rejected.Inc()
 		return c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeUnknownSession,
 			Msg: truncMsg(err.Error())})
 	case errors.Is(err, fleet.ErrClosed):
 		c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeClosed, Msg: "fleet closed"})
-		return false
 	default:
 		c.reply(wire.Frame{Type: wire.Err, Seq: seq, Code: wire.CodeInternal, Msg: truncMsg(err.Error())})
-		return false
 	}
+	return false
 }
 
 func truncMsg(s string) string {

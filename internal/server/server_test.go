@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -61,8 +63,23 @@ func testFleetConfig(sessions int) fleet.Config {
 	return fleet.Config{Sessions: sessions, Shards: 4, Seed: 42, QueueDepth: 256}
 }
 
-// TestLoopbackAccounting pins the serving invariant end to end: over a
-// full concurrent load, sent == acked + nacked on the client side,
+// observeSync queues one observation and drains the pipeline: nil once
+// the server accepted it, a *RemoteError when it refused it.
+func observeSync(cli *Client, at time.Duration, vals []float64) error {
+	if err := cli.ObserveQueued(at, vals); err != nil {
+		return err
+	}
+	return cli.Flush()
+}
+
+// oneItem is a hand-built one-observation OBSERVE_BATCH frame.
+func oneItem(seq uint64, at int64, vals []float64) *wire.Frame {
+	return &wire.Frame{Type: wire.ObserveBatch, Batch: []wire.BatchObs{{Seq: seq, At: at, Vals: vals}}}
+}
+
+// TestLoopbackAccounting pins the serving invariant end to end for
+// one-observation frames with one frame in flight: over a full concurrent
+// load, sent == acked + nacked on the client side,
 // client acks == server Accepted == fleet-applied observations, and no
 // goroutine outlives the teardown.
 func TestLoopbackAccounting(t *testing.T) {
@@ -71,7 +88,7 @@ func TestLoopbackAccounting(t *testing.T) {
 	f, srv, addr := newTestServer(t, testFleetConfig(sessions), Config{})
 	cfg := LoadConfig{
 		Addr: addr, Sessions: sessions, Obs: obs,
-		Dim: f.FeatureDim(), ChunkEvery: 7, Seed: 7,
+		Dim: f.FeatureDim(), Seed: 7,
 	}
 	res, err := RunLoad(cfg)
 	if err != nil {
@@ -89,6 +106,9 @@ func TestLoopbackAccounting(t *testing.T) {
 	if c.Accepted != res.Acked || c.Nacked != res.Nacked {
 		t.Errorf("server counters (accepted %d, nacked %d) != client (acked %d, nacked %d)",
 			c.Accepted, c.Nacked, res.Acked, res.Nacked)
+	}
+	if c.BatchesIn != c.BatchObs {
+		t.Errorf("batches_in %d != batch_obs %d: want one observation per frame", c.BatchesIn, c.BatchObs)
 	}
 	if c.Hellos != sessions || c.ConnsTotal != sessions {
 		t.Errorf("hellos %d conns_total %d, want %d", c.Hellos, c.ConnsTotal, sessions)
@@ -201,7 +221,7 @@ func TestHelloErrors(t *testing.T) {
 	})
 	t.Run("observe before hello", func(t *testing.T) {
 		_, send, recv := rawDial(t, addr)
-		send(&wire.Frame{Type: wire.Observe, Seq: 1, Vals: make([]float64, dim)})
+		send(oneItem(1, 1, make([]float64, dim)))
 		if r := recv(); r.Type != wire.Err || r.Code != wire.CodeBadFrame {
 			t.Fatalf("got %s code %d, want ERR CodeBadFrame", r.Type, r.Code)
 		}
@@ -230,15 +250,15 @@ func TestAbruptDisconnectMidFrame(t *testing.T) {
 		t.Fatalf("handshake: got %s", r.Type)
 	}
 	// One full observation, then 7 bytes of the next frame, then gone.
-	full, err := wire.Append(nil, &wire.Frame{Type: wire.Observe, Seq: 1, Vals: make([]float64, dim)})
+	full, err := wire.Append(nil, oneItem(1, 1, make([]float64, dim)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nc.Write(full); err != nil {
 		t.Fatal(err)
 	}
-	if r := recv(); r.Type != wire.Ack || r.Seq != 1 {
-		t.Fatalf("got %s seq %d, want ACK 1", r.Type, r.Seq)
+	if r := recv(); r.Type != wire.AckBatch || r.Seq != 1 {
+		t.Fatalf("got %s seq %d, want ACK_BATCH 1", r.Type, r.Seq)
 	}
 	var head [8]byte
 	binary.LittleEndian.PutUint32(head[:4], uint32(len(full))-4)
@@ -252,7 +272,7 @@ func TestAbruptDisconnectMidFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second client: %v", err)
 	}
-	if err := cli.Observe(time.Millisecond, make([]float64, dim)); err != nil {
+	if err := observeSync(cli, time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatalf("second client observe: %v", err)
 	}
 	cli.Close()
@@ -316,7 +336,7 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy client: %v", err)
 	}
-	if err := cli.Observe(time.Millisecond, make([]float64, dim)); err != nil {
+	if err := observeSync(cli, time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatalf("healthy observe: %v", err)
 	}
 	cli.Close()
@@ -337,23 +357,22 @@ func TestServerCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli.StartBatching(BatchConfig{BatchSize: 1, Window: 1})
 	vals := make([]float64, dim)
-	acked := 0
 	for i := 0; i < obs; i++ {
-		err := cli.Observe(time.Duration(i+1)*time.Millisecond, vals)
-		if err == nil {
-			acked++
-			continue
-		}
-		if !IsBackpressure(err) {
+		if err := cli.ObserveQueued(time.Duration(i+1)*time.Millisecond, vals); err != nil {
 			t.Fatalf("obs %d: %v", i, err)
 		}
 	}
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	acked, _, _ := cli.BatchStats()
 	cli.Close()
 	srv.Close()
 	f.Close()
 	st := f.Stats()
-	if st.Observations+st.LateDrops != int64(acked) {
+	if acked != obs || st.Observations+st.LateDrops != acked {
 		t.Errorf("applied %d + late %d != acked %d", st.Observations, st.LateDrops, acked)
 	}
 	if _, err := Dial(addr, 0, dim, 500*time.Millisecond); err == nil {
@@ -366,8 +385,9 @@ func TestServerCloseDrains(t *testing.T) {
 }
 
 // TestSnapshotOverTCP round-trips a session through the wire snapshot
-// path: SNAPSHOT_REQ → remove → RestoreSession(bytes) revives it, and
-// the revived session accepts traffic again over a fresh connection.
+// path: SNAPSHOT_REQ (which first drains the client's queued
+// observations) → remove → RestoreSession(bytes) revives it, and the
+// revived session accepts traffic again over a fresh connection.
 func TestSnapshotOverTCP(t *testing.T) {
 	leak := checkGoroutines(t)
 	f, srv, addr := newTestServer(t, testFleetConfig(2), Config{})
@@ -378,7 +398,7 @@ func TestSnapshotOverTCP(t *testing.T) {
 	}
 	vals := make([]float64, dim)
 	for i := 0; i < 10; i++ {
-		if err := cli.Observe(time.Duration(i+1)*time.Millisecond, vals); err != nil {
+		if err := cli.ObserveQueued(time.Duration(i+1)*time.Millisecond, vals); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
 	}
@@ -390,6 +410,9 @@ func TestSnapshotOverTCP(t *testing.T) {
 		t.Fatal("empty snapshot")
 	}
 	keep := append([]byte(nil), snap...) // reply buffer is reused
+	if acked, _, _ := cli.BatchStats(); acked != 10 {
+		t.Fatalf("snapshot taken with %d of 10 queued observations accepted", acked)
+	}
 	cli.Close()
 
 	if err := f.RemoveSession(0); err != nil {
@@ -408,7 +431,7 @@ func TestSnapshotOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial restored session: %v", err)
 	}
-	if err := cli2.Observe(20*time.Millisecond, vals); err != nil {
+	if err := observeSync(cli2, 20*time.Millisecond, vals); err != nil {
 		t.Fatalf("observe restored session: %v", err)
 	}
 	cli2.Close()
@@ -430,35 +453,69 @@ func TestObserveDimMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	err = cli.Observe(time.Millisecond, make([]float64, dim+3))
+	err = observeSync(cli, time.Millisecond, make([]float64, dim+3))
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != wire.CodeDim {
 		t.Fatalf("got %v, want RemoteError CodeDim", err)
 	}
-	if err := cli.Observe(2*time.Millisecond, make([]float64, dim)); err != nil {
+	if err := observeSync(cli, 2*time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatalf("connection dead after dim refusal: %v", err)
 	}
 }
 
-// TestChunkAbandon pins the chunk-reassembly refusal: starting a new seq
-// with a fragment outstanding abandons the old chunk with an ERR, and
-// the replacement observation still lands.
-func TestChunkAbandon(t *testing.T) {
-	f, _, addr := newTestServer(t, testFleetConfig(2), Config{})
+// expectEOF reads until the server closes the connection.
+func expectEOF(t *testing.T, nc net.Conn) {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	for {
+		if _, err := nc.Read(buf); err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("got %v, want EOF", err)
+			}
+			return
+		}
+	}
+}
+
+// TestVersion1Refusals pins how a protocol-version-1 peer is turned away:
+// its HELLO draws ERR CodeVersion, and its per-observation frame types
+// (0x02 OBSERVE, 0x03 OBSERVE_CHUNK) are unassigned since version 2, so
+// after a good HELLO either one draws ERR CodeBadFrame. Every refusal
+// closes the connection and counts as a protocol error.
+func TestVersion1Refusals(t *testing.T) {
+	f, srv, addr := newTestServer(t, testFleetConfig(4), Config{})
 	dim := f.FeatureDim()
-	_, send, recv := rawDial(t, addr)
-	send(helloFrame(0, dim))
-	if r := recv(); r.Type != wire.Ack {
-		t.Fatalf("handshake: got %s", r.Type)
+
+	t.Run("version 1 hello", func(t *testing.T) {
+		nc, send, recv := rawDial(t, addr)
+		h := helloFrame(0, dim)
+		h.Version = 1
+		send(h)
+		if r := recv(); r.Type != wire.Err || r.Code != wire.CodeVersion {
+			t.Fatalf("got %s code %d, want ERR CodeVersion", r.Type, r.Code)
+		}
+		expectEOF(t, nc)
+	})
+	for _, typ := range []byte{0x02, 0x03} {
+		t.Run(fmt.Sprintf("type 0x%02x", typ), func(t *testing.T) {
+			nc, send, recv := rawDial(t, addr)
+			send(helloFrame(1, dim))
+			if r := recv(); r.Type != wire.Ack {
+				t.Fatalf("handshake: got %s", r.Type)
+			}
+			// Type byte, then a version-1 seq/at/count header with no values.
+			body := append([]byte{typ}, make([]byte, 18)...)
+			if _, err := nc.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)); err != nil {
+				t.Fatal(err)
+			}
+			if r := recv(); r.Type != wire.Err || r.Code != wire.CodeBadFrame {
+				t.Fatalf("got %s code %d, want ERR CodeBadFrame", r.Type, r.Code)
+			}
+			expectEOF(t, nc)
+		})
 	}
-	vals := make([]float64, dim)
-	// Fragment of seq 1 (not last), then a whole chunked seq 2.
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 1, At: 1, Vals: vals[:4]})
-	send(&wire.Frame{Type: wire.ObserveChunk, Seq: 2, At: 2, Last: true, Vals: vals})
-	if r := recv(); r.Type != wire.Err || r.Seq != 1 || r.Code != wire.CodeBadFrame {
-		t.Fatalf("got %s seq %d code %d, want ERR seq 1 CodeBadFrame", r.Type, r.Seq, r.Code)
-	}
-	if r := recv(); r.Type != wire.Ack || r.Seq != 2 {
-		t.Fatalf("got %s seq %d, want ACK seq 2", r.Type, r.Seq)
+	if got := srv.Counters().ProtocolErrors; got != 3 {
+		t.Errorf("protocol_errors %d, want 3", got)
 	}
 }

@@ -19,16 +19,33 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(buf[lenSize:])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x02, 0xff, 0xff})
-	f.Add(make([]byte, observeHead+1))
+	for _, n := range []int{1, 3, 64} {
+		fr := benchBatch(n)
+		buf, err := Append(nil, &fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf[lenSize:])
+	}
+	// A one-item batch whose vcount claims one value more than it carries.
+	one := benchBatch(1)
+	buf, err := Append(nil, &one)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf[lenSize : len(buf)-8])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fr Frame
 		if err := DecodeBody(&fr, body); err != nil {
 			return
 		}
-		if len(fr.Vals) > MaxVals || len(fr.Data) > MaxData || len(fr.Msg) > MaxMsg {
-			t.Fatalf("decode exceeded payload bounds: vals=%d data=%d msg=%d",
-				len(fr.Vals), len(fr.Data), len(fr.Msg))
+		if len(fr.Data) > MaxData || len(fr.Msg) > MaxMsg {
+			t.Fatalf("decode exceeded payload bounds: data=%d msg=%d", len(fr.Data), len(fr.Msg))
+		}
+		for i := range fr.Batch {
+			if len(fr.Batch[i].Vals) > MaxVals {
+				t.Fatalf("decode exceeded item bounds: item %d has %d values", i, len(fr.Batch[i].Vals))
+			}
 		}
 		if len(fr.Batch) > MaxBatch || fr.Count > MaxBatch {
 			t.Fatalf("decode exceeded batch bounds: items=%d count=%d", len(fr.Batch), fr.Count)

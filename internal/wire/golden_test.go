@@ -10,7 +10,9 @@ import (
 // encodings and the battery sha256 below pin the wire layout: any change
 // to field order, widths, endianness, the magic, or the length prefix
 // fails this test loudly instead of silently breaking deployed peers. If
-// the format changes deliberately, bump Version and re-pin.
+// the format changes deliberately, bump Version and re-pin. The Hello pin
+// carries version 1 on purpose: it fixes the layout, which version 2 left
+// unchanged, and TestCheckHello uses it as the refused version-1 peer.
 var goldenFrames = []struct {
 	name  string
 	frame Frame
@@ -18,18 +20,8 @@ var goldenFrames = []struct {
 }{
 	{
 		"hello",
-		Frame{Type: Hello, Version: Version, Session: 0x0123456789abcdef, Dim: 24},
+		Frame{Type: Hello, Version: 1, Session: 0x0123456789abcdef, Dim: 24},
 		"1100000001414645310100efcdab89674523011800",
-	},
-	{
-		"observe",
-		Frame{Type: Observe, Seq: 2, At: 1000000000, Vals: []float64{1.5, -0.25}},
-		"2300000002020000000000000000ca9a3b000000000200000000000000f83f000000000000d0bf",
-	},
-	{
-		"observe_chunk",
-		Frame{Type: ObserveChunk, Seq: 3, At: 2000000000, Last: true, Vals: []float64{0.5}},
-		"1c0000000303000000000000000094357700000000010100000000000000e03f",
 	},
 	{
 		"snapshot_req",
@@ -62,9 +54,9 @@ var goldenFrames = []struct {
 }
 
 // goldenBatterySHA256 is the sha256 of the concatenated encodings above.
-// Re-pinned when PR 10 added the ObserveBatch/AckBatch frame types (pure
-// addition: every pre-existing frame's hex above is unchanged).
-const goldenBatterySHA256 = "3c6c2fd5f645c5ec4f23af71118befad21b3b1e2cde70fbcb3945008c9ba7528"
+// Re-pinned when protocol version 2 retired the OBSERVE and OBSERVE_CHUNK
+// frames (pure removal: every remaining frame's hex above is unchanged).
+const goldenBatterySHA256 = "8b4ff2557807062f0591f306929b5973413aa4f3ae3bc756c70b226d628a6568"
 
 func TestGoldenWireFormat(t *testing.T) {
 	h := sha256.New()

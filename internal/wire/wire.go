@@ -15,8 +15,6 @@
 // layout per type (all integers little-endian, floats as IEEE-754 bits):
 //
 //	Hello        magic u32 | version u16 | session u64 | dim u16
-//	Observe      seq u64 | at i64 | count u16 | count × f64
-//	ObserveChunk seq u64 | at i64 | flags u8 | count u16 | count × f64
 //	SnapshotReq  seq u64
 //	Ack          seq u64 | dlen u32 | dlen bytes
 //	Err          seq u64 | code u16 | mlen u16 | mlen bytes
@@ -26,20 +24,21 @@
 // Hello opens a connection and authenticates exactly one session id; every
 // later frame belongs to that session, so observations carry only a
 // sequence number, a virtual timestamp, and the feature values.
-// ObserveChunk streams one observation in fragments (the shape a streaming
-// featurizer emits): fragments with the same seq concatenate in arrival
-// order and FlagLast marks the final one. Ack confirms the frame with the
-// matching seq (Data carries the reply payload for SnapshotReq); Err
-// rejects it with a Code — CodeBackpressure is the protocol image of
-// fleet.ErrBackpressure, the server-side NACK for a full shard queue.
 //
-// ObserveBatch amortizes the per-frame cost across many observations: one
-// frame carries count complete observations, each with its own seq, and is
-// answered by one AckBatch whose base seq names the batch's first item and
-// whose bitmap carries one bit per item (LSB-first within each byte; bit i
-// set means item i was NACKed with backpressure and should be retried).
-// Per-item bits keep one full shard from failing a whole connection's
-// frame; any non-retryable condition still answers with a plain Err.
+// ObserveBatch is the one observation frame: it carries count complete
+// observations, each with its own seq (a single observation is a one-item
+// batch), and is answered by one AckBatch whose base seq names the batch's
+// first item and whose bitmap carries one bit per item (LSB-first within
+// each byte; bit i set means item i was NACKed with backpressure and
+// should be retried). Per-item bits keep one full shard from failing a
+// whole connection's frame; any non-retryable condition answers with a
+// plain Err. Ack confirms a SnapshotReq (Data carries the snapshot) or a
+// Hello; Err rejects a frame with a Code — CodeBackpressure is the
+// protocol image of fleet.ErrBackpressure.
+//
+// Version 2 retired the per-observation OBSERVE (0x02) and OBSERVE_CHUNK
+// (0x03) frames. Their type bytes stay unassigned, so a version-1 peer's
+// observation frames fail decode with ErrBadType.
 //
 // Framing for partial reads lives in Splitter: feed arbitrary byte chunks
 // and complete frames come out, carry-buffered across chunk boundaries
@@ -61,7 +60,7 @@ const (
 	Magic uint32 = 0x31454641
 	// Version is the protocol version spoken by this package. A Hello
 	// carrying any other version fails CheckHello with *VersionError.
-	Version uint16 = 1
+	Version uint16 = 2
 	// MaxFrame bounds the frame body (type byte + payload). Frames
 	// declaring more fail to encode and poison the Splitter on decode, so
 	// per-connection buffering is bounded regardless of peer behavior.
@@ -76,8 +75,6 @@ type Type uint8
 // Frame types.
 const (
 	Hello        Type = 0x01 // client → server: open + authenticate a session
-	Observe      Type = 0x02 // client → server: one whole observation
-	ObserveChunk Type = 0x03 // client → server: one observation fragment
 	SnapshotReq  Type = 0x04 // client → server: request the session's snapshot
 	Ack          Type = 0x05 // server → client: frame seq accepted (+ reply data)
 	Err          Type = 0x06 // server → client: frame seq rejected with a code
@@ -90,10 +87,6 @@ func (t Type) String() string {
 	switch t {
 	case Hello:
 		return "HELLO"
-	case Observe:
-		return "OBSERVE"
-	case ObserveChunk:
-		return "OBSERVE_CHUNK"
 	case SnapshotReq:
 		return "SNAPSHOT_REQ"
 	case Ack:
@@ -122,14 +115,11 @@ const (
 	CodeInternal       Code = 7 // server-side failure
 )
 
-// FlagLast marks the final fragment of a chunked observation.
-const FlagLast uint8 = 1 << 0
-
 // Derived payload bounds, all implied by MaxFrame.
 const (
-	// MaxVals caps the float64 count of one Observe/ObserveChunk frame:
-	// the count field is a u16, which already sits inside the MaxFrame
-	// budget (19 + 8×65535 < MaxFrame).
+	// MaxVals caps the float64 count of one batch item: the vcount field
+	// is a u16, so any feature vector a Hello's u16 dim admits fits one
+	// item (21 + 8×65535 < MaxFrame).
 	MaxVals = 1<<16 - 1
 	// MaxData caps an Ack's reply payload.
 	MaxData = MaxFrame - 1 - ackHeadLen
@@ -143,8 +133,6 @@ const (
 	MaxBatch = 1<<16 - 1
 
 	helloLen      = 16 // magic u32 + version u16 + session u64 + dim u16
-	observeHead   = 18 // seq u64 + at i64 + count u16
-	chunkHeadLen  = 19 // seq u64 + at i64 + flags u8 + count u16
 	snapshotLen   = 8  // seq u64
 	ackHeadLen    = 12 // seq u64 + dlen u32
 	errHeadLen    = 12 // seq u64 + code u16 + mlen u16
@@ -168,17 +156,13 @@ var (
 	ErrTrailing = errors.New("wire: trailing bytes in frame")
 	// ErrBadType reports an unknown frame type byte.
 	ErrBadType = errors.New("wire: unknown frame type")
-	// ErrBadFlags reports reserved ObserveChunk flag bits set — rejected
-	// so every accepted byte stream has exactly one decoding (found by
-	// FuzzWireDecode: lossy flag decode broke decode∘encode identity).
-	ErrBadFlags = errors.New("wire: unknown chunk flags")
 	// ErrEmptyBatch reports an ObserveBatch or AckBatch with zero items.
 	// A batch frame that carries nothing has no meaning, so it is
 	// rejected structurally rather than special-cased by every handler.
 	ErrEmptyBatch = errors.New("wire: empty batch")
 	// ErrBadBitmap reports an AckBatch bitmap whose length does not match
 	// ceil(count/8) or whose padding bits past count are set — rejected
-	// for the same one-stream-one-decoding reason as ErrBadFlags.
+	// so every accepted byte stream has exactly one decoding.
 	ErrBadBitmap = errors.New("wire: bad ack bitmap")
 )
 
@@ -195,8 +179,8 @@ func (e *VersionError) Error() string {
 
 // Frame is one decoded protocol frame. A single struct covers every type;
 // the per-type layouts above say which fields are live. Decode reuses the
-// Vals and Data backing arrays, so a Frame can be recycled across a whole
-// connection without steady-state allocation.
+// Batch, Data, and Bitmap backing arrays, so a Frame can be recycled across
+// a whole connection without steady-state allocation.
 type Frame struct {
 	Type Type
 
@@ -205,13 +189,8 @@ type Frame struct {
 	Session uint64 // session id this connection authenticates as
 	Dim     uint16 // feature dimensionality the client will send
 
-	// Sequencing (every type except Hello).
+	// Sequencing (SnapshotReq, Ack, Err; AckBatch's base seq).
 	Seq uint64
-
-	// Observe / ObserveChunk fields.
-	At   int64     // virtual timestamp, nanoseconds
-	Last bool      // ObserveChunk: final fragment (FlagLast)
-	Vals []float64 // feature values
 
 	// Ack field.
 	Data []byte // reply payload (snapshot bytes); empty for plain acks
@@ -221,9 +200,10 @@ type Frame struct {
 	Msg  string
 
 	// ObserveBatch field. Decode sub-slices every item's Vals out of one
-	// flat backing (f.Vals doubles as that backing), so a recycled Frame
-	// decodes batches without per-item allocation.
+	// flat backing (vals), so a recycled Frame decodes batches without
+	// per-item allocation.
 	Batch []BatchObs
+	vals  []float64
 
 	// AckBatch fields: Seq is the base (first item's) seq, Count the
 	// number of items covered, and Bitmap holds ceil(Count/8) bytes with
@@ -265,21 +245,6 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint16(dst, f.Version)
 		dst = binary.LittleEndian.AppendUint64(dst, f.Session)
 		dst = binary.LittleEndian.AppendUint16(dst, f.Dim)
-	case Observe:
-		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.At))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Vals)))
-		dst = appendVals(dst, f.Vals)
-	case ObserveChunk:
-		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.At))
-		var flags uint8
-		if f.Last {
-			flags |= FlagLast
-		}
-		dst = append(dst, flags)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Vals)))
-		dst = appendVals(dst, f.Vals)
 	case SnapshotReq:
 		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	case Ack:
@@ -298,7 +263,9 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, it.Seq)
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(it.At))
 			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(it.Vals)))
-			dst = appendVals(dst, it.Vals)
+			for _, v := range it.Vals {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			}
 		}
 	case AckBatch:
 		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
@@ -313,16 +280,6 @@ func (f *Frame) bodyLen() (int, error) {
 	switch f.Type {
 	case Hello:
 		return 1 + helloLen, nil
-	case Observe:
-		if len(f.Vals) > MaxVals {
-			return 0, fmt.Errorf("%w: %d values", ErrFrameTooBig, len(f.Vals))
-		}
-		return 1 + observeHead + 8*len(f.Vals), nil
-	case ObserveChunk:
-		if len(f.Vals) > MaxVals {
-			return 0, fmt.Errorf("%w: %d values", ErrFrameTooBig, len(f.Vals))
-		}
-		return 1 + chunkHeadLen + 8*len(f.Vals), nil
 	case SnapshotReq:
 		return 1 + snapshotLen, nil
 	case Ack:
@@ -372,15 +329,8 @@ func (f *Frame) bodyLen() (int, error) {
 	return 0, fmt.Errorf("%w: 0x%02x", ErrBadType, uint8(f.Type))
 }
 
-func appendVals(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
 // DecodeBody parses one frame body (the bytes the length prefix counts:
-// type byte plus payload) into f, reusing f's Vals and Data capacity.
+// type byte plus payload) into f, reusing f's slice capacity.
 // Layouts are strict: short bodies fail ErrTruncated, extra bytes fail
 // ErrTrailing, a Hello with the wrong magic fails ErrBadMagic, and value
 // counts are checked against the body before anything is allocated, so a
@@ -405,30 +355,6 @@ func DecodeBody(f *Frame, body []byte) error {
 		f.Version = binary.LittleEndian.Uint16(p[4:])
 		f.Session = binary.LittleEndian.Uint64(p[6:])
 		f.Dim = binary.LittleEndian.Uint16(p[14:])
-	case Observe:
-		if len(p) < observeHead {
-			return lenErr(f.Type, len(p), observeHead)
-		}
-		f.Seq = binary.LittleEndian.Uint64(p)
-		f.At = int64(binary.LittleEndian.Uint64(p[8:]))
-		count := int(binary.LittleEndian.Uint16(p[16:]))
-		if err := decodeVals(f, p[observeHead:], count); err != nil {
-			return err
-		}
-	case ObserveChunk:
-		if len(p) < chunkHeadLen {
-			return lenErr(f.Type, len(p), chunkHeadLen)
-		}
-		f.Seq = binary.LittleEndian.Uint64(p)
-		f.At = int64(binary.LittleEndian.Uint64(p[8:]))
-		if p[16]&^FlagLast != 0 {
-			return fmt.Errorf("%w: 0x%02x", ErrBadFlags, p[16])
-		}
-		f.Last = p[16]&FlagLast != 0
-		count := int(binary.LittleEndian.Uint16(p[17:]))
-		if err := decodeVals(f, p[chunkHeadLen:], count); err != nil {
-			return err
-		}
 	case SnapshotReq:
 		if len(p) != snapshotLen {
 			return lenErr(f.Type, len(p), snapshotLen)
@@ -491,7 +417,7 @@ func DecodeBody(f *Frame, body []byte) error {
 // decodeBatch parses an ObserveBatch payload in two passes: the first
 // validates every item's layout against the body and sums the value counts,
 // the second fills f.Batch with Vals views sub-sliced from one flat backing
-// (f.Vals). Growing the backing between items would invalidate earlier
+// (f.vals). Growing the backing between items would invalidate earlier
 // views, hence validate-then-fill.
 func decodeBatch(f *Frame, p []byte) error {
 	if len(p) < batchHeadLen {
@@ -518,10 +444,10 @@ func decodeBatch(f *Frame, p []byte) error {
 		return fmt.Errorf("%w: OBSERVE_BATCH declares %d items in %d bytes, body carries %d",
 			ErrTrailing, n, off, len(items))
 	}
-	if cap(f.Vals) < total {
-		f.Vals = make([]float64, total)
+	if cap(f.vals) < total {
+		f.vals = make([]float64, total)
 	}
-	f.Vals = f.Vals[:total]
+	f.vals = f.vals[:total]
 	if cap(f.Batch) < n {
 		f.Batch = make([]BatchObs, n)
 	}
@@ -533,32 +459,12 @@ func decodeBatch(f *Frame, p []byte) error {
 		it.At = int64(binary.LittleEndian.Uint64(items[off+8:]))
 		vc := int(binary.LittleEndian.Uint16(items[off+16:]))
 		off += batchItemHead
-		it.Vals = f.Vals[total : total+vc : total+vc]
+		it.Vals = f.vals[total : total+vc : total+vc]
 		for k := range it.Vals {
 			it.Vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(items[off+8*k:]))
 		}
 		off += 8 * vc
 		total += vc
-	}
-	return nil
-}
-
-// decodeVals validates count against the remaining payload and fills
-// f.Vals, reusing its capacity.
-func decodeVals(f *Frame, p []byte, count int) error {
-	if count > MaxVals {
-		return fmt.Errorf("%w: %d values", ErrFrameTooBig, count)
-	}
-	if len(p) != 8*count {
-		return fmt.Errorf("%w: %s declares %d values, body carries %d bytes",
-			ErrTrailing, f.Type, count, len(p))
-	}
-	if cap(f.Vals) < count {
-		f.Vals = make([]float64, count)
-	}
-	f.Vals = f.Vals[:count]
-	for i := range f.Vals {
-		f.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"strings"
@@ -12,9 +13,10 @@ import (
 func sampleFrames() []Frame {
 	return []Frame{
 		{Type: Hello, Version: Version, Session: 0x0123456789abcdef, Dim: 24},
-		{Type: Observe, Seq: 7, At: -1500000000, Vals: []float64{0, 1.5, -2.25, math.Inf(1), math.Float64frombits(0x7ff8000000000001)}},
-		{Type: ObserveChunk, Seq: 8, At: 1 << 40, Last: true, Vals: []float64{3.14159, -0.0}},
-		{Type: ObserveChunk, Seq: 8, At: 1 << 40, Last: false, Vals: nil},
+		{Type: ObserveBatch, Batch: []BatchObs{
+			{Seq: 7, At: -1500000000, Vals: []float64{0, 1.5, -2.25, math.Inf(1), math.Float64frombits(0x7ff8000000000001)}},
+		}},
+		{Type: ObserveBatch, Batch: []BatchObs{{Seq: 8, At: 1 << 40, Vals: []float64{3.14159, math.Copysign(0, -1)}}}},
 		{Type: SnapshotReq, Seq: 9},
 		{Type: Ack, Seq: 10, Data: []byte{0xde, 0xad, 0xbe, 0xef}},
 		{Type: Ack, Seq: 11},
@@ -35,7 +37,7 @@ func sampleFrames() []Frame {
 // backing that the next decode overwrites.
 func cloneFrame(fr *Frame) Frame {
 	cp := *fr
-	cp.Vals = append([]float64(nil), fr.Vals...)
+	cp.vals = nil
 	cp.Data = append([]byte(nil), fr.Data...)
 	cp.Bitmap = append([]byte(nil), fr.Bitmap...)
 	if fr.Batch != nil {
@@ -67,10 +69,6 @@ func frameEq(a, b *Frame) bool {
 	switch a.Type {
 	case Hello:
 		return a.Version == b.Version && a.Session == b.Session && a.Dim == b.Dim
-	case Observe:
-		return a.Seq == b.Seq && a.At == b.At && valsEq(a.Vals, b.Vals)
-	case ObserveChunk:
-		return a.Seq == b.Seq && a.At == b.At && a.Last == b.Last && valsEq(a.Vals, b.Vals)
 	case SnapshotReq:
 		return a.Seq == b.Seq
 	case Ack:
@@ -114,8 +112,11 @@ func TestRoundTrip(t *testing.T) {
 // decode must not see residue from the first (slices resized, fields
 // overwritten).
 func TestDecodeReuse(t *testing.T) {
-	big := Frame{Type: Observe, Seq: 1, At: 2, Vals: []float64{1, 2, 3, 4, 5, 6}}
-	small := Frame{Type: ObserveChunk, Seq: 3, At: 4, Last: true, Vals: []float64{9}}
+	big := Frame{Type: ObserveBatch, Batch: []BatchObs{
+		{Seq: 1, At: 2, Vals: []float64{1, 2, 3, 4, 5, 6}},
+		{Seq: 2, At: 3, Vals: []float64{7, 8}},
+	}}
+	small := Frame{Type: ObserveBatch, Batch: []BatchObs{{Seq: 3, At: 4, Vals: []float64{9}}}}
 	bufBig, _ := Append(nil, &big)
 	bufSmall, _ := Append(nil, &small)
 	var f Frame
@@ -132,8 +133,6 @@ func TestDecodeReuse(t *testing.T) {
 
 func TestEncodeBounds(t *testing.T) {
 	cases := []Frame{
-		{Type: Observe, Vals: make([]float64, MaxVals+1)},
-		{Type: ObserveChunk, Vals: make([]float64, MaxVals+1)},
 		{Type: Ack, Data: make([]byte, MaxData+1)},
 		{Type: Err, Msg: strings.Repeat("x", MaxMsg+1)},
 		{Type: ObserveBatch, Batch: make([]BatchObs, MaxBatch+1)},
@@ -168,7 +167,7 @@ func TestEncodeBounds(t *testing.T) {
 	}
 	// The largest legal frames must encode and round-trip.
 	for _, f := range []Frame{
-		{Type: Observe, Vals: make([]float64, MaxVals)},
+		{Type: ObserveBatch, Batch: []BatchObs{{Vals: make([]float64, MaxVals)}}},
 		{Type: Ack, Data: make([]byte, MaxData)},
 	} {
 		buf, err := Append(nil, &f)
@@ -196,7 +195,6 @@ func TestDecodeErrors(t *testing.T) {
 	hello := enc(Frame{Type: Hello, Version: Version, Session: 1, Dim: 8})
 	badMagic := append([]byte(nil), hello...)
 	badMagic[1] ^= 0xff
-	observe := enc(Frame{Type: Observe, Seq: 1, Vals: []float64{1, 2}})
 	batch := enc(Frame{Type: ObserveBatch, Batch: []BatchObs{
 		{Seq: 1, At: 2, Vals: []float64{1}},
 		{Seq: 2, At: 3, Vals: []float64{2}},
@@ -209,6 +207,10 @@ func TestDecodeErrors(t *testing.T) {
 	ackBatchPad[len(ackBatchPad)-1] |= 0b1000 // bit 3 of a 3-item batch
 	emptyBatch := []byte{byte(ObserveBatch), 0, 0}
 	emptyAckBatch := []byte{byte(AckBatch), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	// Version-1 OBSERVE and OBSERVE_CHUNK bodies, byte for byte: their
+	// type bytes are unassigned since version 2.
+	retiredObserve, _ := hex.DecodeString("02020000000000000000ca9a3b000000000200000000000000f83f000000000000d0bf")
+	retiredObserveChunk, _ := hex.DecodeString("0303000000000000000094357700000000010100000000000000e03f")
 
 	cases := []struct {
 		name string
@@ -220,8 +222,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad magic", badMagic, ErrBadMagic},
 		{"short hello", hello[:10], ErrTruncated},
 		{"long hello", append(append([]byte(nil), hello...), 0), ErrTrailing},
-		{"short observe head", observe[:10], ErrTruncated},
-		{"observe count lies", observe[:len(observe)-8], ErrTrailing},
+		{"retired OBSERVE", retiredObserve, ErrBadType},
+		{"retired OBSERVE_CHUNK", retiredObserveChunk, ErrBadType},
 		{"oversized body", make([]byte, MaxFrame+1), ErrFrameTooBig},
 		{"short batch head", batch[:2], ErrTruncated},
 		{"short batch item", batch[:12], ErrTruncated},
@@ -267,8 +269,13 @@ func TestCheckHello(t *testing.T) {
 	if ve.Got != Version+1 || ve.Want != Version {
 		t.Fatalf("VersionError = %+v, want Got=%d Want=%d", ve, Version+1, Version)
 	}
-	if err := CheckHello(&Frame{Type: Observe}); err == nil {
+	if err := CheckHello(&Frame{Type: ObserveBatch}); err == nil {
 		t.Fatal("non-hello first frame accepted")
+	}
+	// A version-1 peer's Hello still decodes but is refused by version.
+	v1 := goldenFrames[0].frame
+	if err := CheckHello(&v1); !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
+		t.Fatalf("version-1 hello: got %v, want *VersionError{Got: 1, Want: 2}", err)
 	}
 }
 
