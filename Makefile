@@ -107,10 +107,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable micro-benchmark snapshot: writes BENCH_<n>.json for the
-# first free n, so the perf trajectory accumulates across PRs.
+# first free n, so the perf trajectory accumulates across PRs. Every
+# benchmark runs three times and benchjson stores the per-metric median,
+# so one noisy sample cannot move a recorded figure.
 bench-json:
 	n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	$(GO) test -run '^$$' -bench=. -benchmem ./internal/dsp/ ./internal/nn/ ./internal/affect/ ./internal/fleet/ ./internal/h264/ ./internal/stream/ ./internal/wire/ ./internal/server/ \
+	$(GO) test -run '^$$' -bench=. -benchmem -count 3 ./internal/dsp/ ./internal/nn/ ./internal/affect/ ./internal/fleet/ ./internal/h264/ ./internal/stream/ ./internal/wire/ ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_$$n.json; \
 	echo "wrote BENCH_$$n.json"
 
@@ -122,12 +124,13 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare $$1 $$2
 
 # Perf regression gate over the two most recent snapshots: the named
-# hot-path set (wire codec, fleet submission, loopback serving, MFCC
-# chain, bit packing) may not slow down more than BENCH_MAX_REGRESS
-# percent, or the target exits nonzero. End-to-end aggregates stay out of
-# the set — they are load-dependent and would make the gate flaky.
+# hot-path set (wire codec, fleet submission, loopback serving, int8
+# inference, MFCC chain, bit packing) may not slow down more than
+# BENCH_MAX_REGRESS percent nor allocate more per op, or the target exits
+# nonzero. End-to-end aggregates stay out of the set — they are
+# load-dependent and would make the gate flaky.
 BENCH_MAX_REGRESS := 25
-BENCH_GUARD_SET := ^Benchmark(EncodeObserve|DecodeObserve|SplitObserve|FleetObserve|LoopbackObserve|MFCC|PowerSpectrum|MelFilterBank|WriteUE|WriteBits)
+BENCH_GUARD_SET := ^Benchmark(EncodeObserve|DecodeObserve|SplitObserve|FleetObserve|LoopbackObserve|QMLPInferBatch|MFCC|PowerSpectrum|MelFilterBank|WriteUE|WriteBits)
 bench-guard:
 	files=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2); \
 	set -- $$files; \

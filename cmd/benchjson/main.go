@@ -10,13 +10,16 @@
 //
 // Every benchmark result line is captured: iterations, ns/op, B/op,
 // allocs/op, and any custom b.ReportMetric units (the repo reports
-// paper-figure numbers that way).
+// paper-figure numbers that way). A benchmark that ran several times
+// (go test -count N) is stored once, with the median of each metric and
+// the run count.
 //
 // The -compare mode diffs two snapshots (see `make bench-compare`, which
 // feeds it the latest two BENCH_<n>.json files) and prints per-benchmark
 // ns/op and allocs/op deltas. With -max-regress P it becomes a CI gate:
-// any benchmark whose new/old ns/op ratio exceeds 1+P/100 fails the run
-// with a nonzero exit (see `make bench-guard`); -match RE restricts the
+// any benchmark whose new/old ns/op ratio exceeds 1+P/100, or whose
+// allocs/op rose at all (allocation counts are deterministic), fails the
+// run with a nonzero exit (see `make bench-guard`); -match RE restricts the
 // gate to benchmark names matching RE, so noisy end-to-end numbers don't
 // veto a hot-path guard.
 package main
@@ -30,6 +33,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 )
@@ -40,10 +44,13 @@ type Benchmark struct {
 	Name string `json:"name"`
 	// Procs is the GOMAXPROCS suffix (1 when absent).
 	Procs int `json:"procs"`
-	// Iterations is b.N for the recorded run.
+	// Iterations is b.N for the recorded run (the median over Runs).
 	Iterations int64 `json:"iterations"`
+	// Runs is how many result lines were merged (go test -count N);
+	// absent in snapshots recorded one run per benchmark.
+	Runs int `json:"runs,omitempty"`
 	// Metrics maps unit -> value ("ns/op", "B/op", "allocs/op", and any
-	// custom ReportMetric units).
+	// custom ReportMetric units), each the median over Runs.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -61,7 +68,7 @@ func main() {
 	inPath := flag.String("in", "", "bench output file (default stdin)")
 	outPath := flag.String("out", "", "JSON destination (default stdout)")
 	compare := flag.Bool("compare", false, "diff two snapshot files: benchjson -compare OLD.json NEW.json")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare: fail (exit 1) when any gated benchmark's ns/op grows more than this percentage")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare: fail (exit 1) when any gated benchmark's ns/op grows more than this percentage or its allocs/op grows at all")
 	match := flag.String("match", "", "with -max-regress: regexp restricting the regression gate to matching benchmark names (default: all)")
 	flag.Parse()
 
@@ -89,7 +96,7 @@ func main() {
 			}
 			bad := Regressions(oldSnap, newSnap, re, *maxRegress)
 			if len(bad) > 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %g%%:\n", len(bad), *maxRegress)
+				fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) past %g%% ns/op or any allocs/op rise:\n", len(bad), *maxRegress)
 				for _, line := range bad {
 					fmt.Fprintln(os.Stderr, " ", line)
 				}
@@ -196,8 +203,9 @@ func Compare(oldSnap, newSnap *Snapshot) string {
 
 // Regressions lists the benchmarks present in both snapshots (optionally
 // restricted to names matching re) whose ns/op grew by more than maxPct
-// percent. Added and removed benchmarks never trip the gate — new code
-// has no baseline, and deletions are judged in review, not by timing.
+// percent or whose allocs/op grew at all. Added and removed benchmarks
+// never trip the gate — new code has no baseline, and deletions are
+// judged in review, not by timing.
 func Regressions(oldSnap, newSnap *Snapshot, re *regexp.Regexp, maxPct float64) []string {
 	oldBy := map[string]Benchmark{}
 	for _, b := range oldSnap.Benchmarks {
@@ -224,6 +232,11 @@ func Regressions(oldSnap, newSnap *Snapshot, re *regexp.Regexp, maxPct float64) 
 		if o > 0 && n/o > limit {
 			bad = append(bad, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", nb.Name, o, n, n/o))
 		}
+		oa, ook := ob.Metrics["allocs/op"]
+		na, nok := nb.Metrics["allocs/op"]
+		if ook && nok && na > oa {
+			bad = append(bad, fmt.Sprintf("%s: %.0f -> %.0f allocs/op", nb.Name, oa, na))
+		}
 	}
 	return bad
 }
@@ -243,7 +256,8 @@ func allocsDelta(oldM, newM map[string]float64) string {
 }
 
 // Parse reads `go test -bench` output and collects every result line into
-// a snapshot.
+// a snapshot, merging repeated runs of one benchmark (go test -count N)
+// into a single entry of per-metric medians.
 func Parse(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -262,7 +276,61 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	snap.Benchmarks = mergeRuns(snap.Benchmarks)
 	return snap, nil
+}
+
+// mergeRuns folds result lines with the same name and procs into one
+// Benchmark per name, in first-seen order, holding the median iteration
+// count and the median of every metric over the lines that report it.
+func mergeRuns(lines []Benchmark) []Benchmark {
+	type key struct {
+		name  string
+		procs int
+	}
+	var order []key
+	runs := map[key][]Benchmark{}
+	for _, b := range lines {
+		k := key{b.Name, b.Procs}
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		m := Benchmark{Name: k.name, Procs: k.procs, Runs: len(rs), Metrics: map[string]float64{}}
+		iters := make([]float64, len(rs))
+		vals := map[string][]float64{}
+		for i, r := range rs {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				vals[unit] = append(vals[unit], v)
+			}
+		}
+		m.Iterations = int64(median(iters))
+		for unit, vs := range vals {
+			m.Metrics[unit] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count). It reorders xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // parseLine parses one "BenchmarkX-N  iters  v unit  v unit ..." line.

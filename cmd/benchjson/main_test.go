@@ -110,3 +110,47 @@ func TestSplitProcs(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMedian(t *testing.T) {
+	in := `BenchmarkX-2   100   300 ns/op   8 B/op   1 allocs/op   7 ns/row
+BenchmarkY-2   10   50 ns/op
+BenchmarkX-2   300   100 ns/op   8 B/op   1 allocs/op   9 ns/row
+BenchmarkX-2   200   200 ns/op   16 B/op   2 allocs/op   8 ns/row
+`
+	snap, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Benchmarks) != 2 {
+		t.Fatalf("got %d benchmarks, want X and Y merged to 2: %+v", len(snap.Benchmarks), snap.Benchmarks)
+	}
+	x := snap.Benchmarks[0]
+	if x.Name != "BenchmarkX" || x.Runs != 3 || x.Iterations != 200 {
+		t.Errorf("merged X: %+v", x)
+	}
+	for unit, want := range map[string]float64{"ns/op": 200, "B/op": 8, "allocs/op": 1, "ns/row": 8} {
+		if x.Metrics[unit] != want {
+			t.Errorf("X median %s = %v, want %v", unit, x.Metrics[unit], want)
+		}
+	}
+	if y := snap.Benchmarks[1]; y.Runs != 0 || y.Metrics["ns/op"] != 50 {
+		t.Errorf("single-run Y: %+v", y)
+	}
+}
+
+func TestRegressionsAllocs(t *testing.T) {
+	oldSnap := &Snapshot{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 0}},
+		{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 4}},
+		{Name: "BenchmarkC", Metrics: map[string]float64{"ns/op": 100}},
+	}}
+	newSnap := &Snapshot{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 90, "allocs/op": 1}},
+		{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 110, "allocs/op": 3}},
+		{Name: "BenchmarkC", Metrics: map[string]float64{"ns/op": 200}},
+	}}
+	bad := Regressions(oldSnap, newSnap, nil, 25)
+	if len(bad) != 2 || !strings.Contains(bad[0], "BenchmarkA: 0 -> 1 allocs/op") || !strings.Contains(bad[1], "BenchmarkC") {
+		t.Fatalf("regressions %q, want A's allocs rise and C's ns/op", bad)
+	}
+}

@@ -59,9 +59,8 @@ func BenchmarkDatasetParallel(b *testing.B) {
 }
 
 // BenchmarkTrainMLP measures one training epoch of the study's MLP on real
-// featurized EMOVO examples, comparing the legacy per-example path against
-// the batched kernels (which produce bit-identical results — see
-// TestRunStudyKernelBatchInvariant).
+// featurized EMOVO examples through the batched kernels (nn's
+// BenchmarkMLPFitScalar/Batched keep the per-example comparison).
 func BenchmarkTrainMLP(b *testing.B) {
 	clips := benchClips(b, 48)
 	cfg := DefaultFeatureConfig(8000)
@@ -73,28 +72,16 @@ func BenchmarkTrainMLP(b *testing.B) {
 	for _, ex := range examples {
 		classes[ex.Y] = true
 	}
-	run := func(forceScalar bool) func(*testing.B) {
-		return func(b *testing.B) {
-			net, err := Build(MLP, cfg.NumFrames, cfg.Dim(), len(classes), FastScale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tc := nn.TrainConfig{
-				Epochs:      1,
-				BatchSize:   16,
-				Optimizer:   nn.NewAdam(2e-3),
-				Seed:        1,
-				ForceScalar: forceScalar,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := net.Fit(examples, tc); err != nil {
-					b.Fatal(err)
-				}
-			}
+	net, err := Build(MLP, cfg.NumFrames, cfg.Dim(), len(classes), FastScale, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tc := nn.TrainConfig{Epochs: 1, BatchSize: 16, Optimizer: nn.NewAdam(2e-3), Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Fit(examples, tc); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("scalar", run(true))
-	b.Run("batched", run(false))
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -194,6 +195,41 @@ func TestObserveBatchStatuses(t *testing.T) {
 	}
 	if !errors.Is(statuses[0], ErrClosed) {
 		t.Fatalf("status after Close: %v, want ErrClosed", statuses[0])
+	}
+}
+
+// TestObserveBatchBadValue pins the value-domain check: an item carrying
+// a NaN or ±Inf feature fails alone with ErrBadValue, its neighbours in
+// the same run are admitted, and only those are applied.
+func TestObserveBatchBadValue(t *testing.T) {
+	f, err := New(Config{Sessions: 2, Shards: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := f.FeatureDim()
+	row := func(bad float64, at int) Obs {
+		x := make([]float64, dim)
+		x[dim-1-at%dim] = bad
+		return Obs{ID: at % 2, At: time.Duration(at) * time.Second, X: x}
+	}
+	items := []Obs{row(0.5, 1), row(math.NaN(), 2), row(math.Inf(1), 3), row(-1, 4), row(math.Inf(-1), 5), row(2, 6)}
+	statuses := make([]error, len(items))
+	if err := f.ObserveBatch(items, statuses); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range statuses {
+		if bad := i == 1 || i == 2 || i == 4; bad != errors.Is(st, ErrBadValue) || (!bad && st != nil) {
+			t.Errorf("item %d: status %v", i, st)
+		}
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Observations != 3 || st.Drops != 0 {
+		t.Errorf("observations %d drops %d, want 3 and 0", st.Observations, st.Drops)
 	}
 }
 

@@ -6,7 +6,7 @@
 // hysteresis, decoder-mode selection, and an android.Device driven by the
 // Emotional Background Manager — while the expensive part of the loop,
 // affect classification, is *shared*: all inference requests arriving at a
-// shard are coalesced into one batched int8 nn.QMLP evaluation (qgemmNT),
+// shard are coalesced into one batched int8 nn.QMLP evaluation (simd.QGEMM),
 // amortizing the quantized kernels across users exactly the way a serving
 // host amortizes an accelerator.
 //
@@ -57,6 +57,11 @@ var (
 	// Disconnect). Wrapped with the id; match with errors.Is — the ingest
 	// server maps it onto a protocol-level NACK.
 	ErrUnknownSession = errors.New("fleet: unknown session")
+	// ErrBadValue reports an observation carrying a NaN or infinite
+	// feature value. The int8 quantizer has no defined output for one,
+	// so it is refused at admission. Wrapped with the session id; match
+	// with errors.Is.
+	ErrBadValue = errors.New("fleet: non-finite feature value")
 )
 
 // Config sizes the fleet. The zero value of every field except Sessions
@@ -580,8 +585,8 @@ type Obs struct {
 // one-item batch. Verdicts come back per item in statuses, which must be
 // len(items) long: nil for accepted, ErrBackpressure for a full queue
 // (retryable — the protocol's per-item NACK bit), a wrapped
-// ErrUnknownSession or a dimension error otherwise, so one full shard or
-// one bad item never fails the rest of the batch. Feature slices are
+// ErrUnknownSession, ErrBadValue or a dimension error otherwise, so one
+// full shard or one bad item never fails the rest of the batch. Feature slices are
 // copied; the caller may reuse them immediately. The call itself only
 // fails on a statuses length mismatch or on ErrClosed (then every status
 // is ErrClosed too). Per-session observation order is preserved: items of
@@ -625,6 +630,8 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 			statuses[i] = fmt.Errorf("fleet: observation dim %d, want %d", len(items[i].X), dim)
 		case sh.sessions[items[i].ID] == nil:
 			statuses[i] = fmt.Errorf("%w %d", ErrUnknownSession, items[i].ID)
+		case !finite(items[i].X):
+			statuses[i] = fmt.Errorf("%w: session %d", ErrBadValue, items[i].ID)
 		default:
 			statuses[i] = nil
 			valid++
@@ -673,6 +680,16 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 		sh.drops.Add(nacked)
 		mtr.drops.Add(nacked)
 	}
+}
+
+// finite reports whether x holds no NaN or ±Inf.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Launch foregrounds an app on session id's device at virtual time at,

@@ -146,7 +146,7 @@ func TestFitBatchedMatchesScalar(t *testing.T) {
 	scalar := testMLP(6)
 	batched := testMLP(6)
 	lossA := mustFit(t, scalar, examples, TrainConfig{
-		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9, ForceScalar: true,
+		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9, perExample: true,
 	})
 	lossB := mustFit(t, batched, examples, TrainConfig{
 		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9, KernelBatch: 3,
@@ -188,7 +188,7 @@ func TestReplicatedFitBatchedMatchesScalar(t *testing.T) {
 		}
 		_, err = r.Fit(examples, TrainConfig{
 			Epochs: 2, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 15,
-			KernelBatch: 4, ForceScalar: force,
+			KernelBatch: 4, perExample: force,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -279,11 +279,11 @@ func TestQMLPEvaluateBatchedMatchesInfer(t *testing.T) {
 	}
 	var hit int
 	for _, ex := range examples {
-		c, err := q.PredictClass(flattenExample(ex.X))
+		logits, err := inferRef(q, flattenExample(ex.X).Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c == ex.Y {
+		if Argmax(logits) == ex.Y {
 			hit++
 		}
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -170,7 +171,7 @@ func benchmarkFit(b *testing.B, force bool) {
 	examples := benchExamples(2*benchBatch, benchIn, benchOut)
 	n := benchMLP()
 	opt := NewAdam(1e-3)
-	cfg := TrainConfig{Epochs: 1, BatchSize: benchBatch, Optimizer: opt, Seed: 1, ForceScalar: force}
+	cfg := TrainConfig{Epochs: 1, BatchSize: benchBatch, Optimizer: opt, Seed: 1, perExample: force}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -248,5 +249,44 @@ func BenchmarkQMLPEvaluateBatched(b *testing.B) {
 		if _, err := q.Evaluate(examples); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQMLPInferBatch times batched int8 inference at the served
+// classifier's shape (Dense 24→16 + ReLU + Dense 16→8) and reports ns per
+// row. Steady state must not allocate.
+func BenchmarkQMLPInferBatch(b *testing.B) {
+	const in, hid, classes = 24, 16, 8
+	rng := rand.New(rand.NewSource(105))
+	net := NewSequential(NewDense(in, hid, rng), NewReLU(), NewDense(hid, classes, rng))
+	calib := benchExamples(16, in, classes)
+	st, err := CalibrateMLP(net, calib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := BuildQMLP(net, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []int{1, 64, 256} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			x := make([]float64, m*in)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			out := make([]float64, m*classes)
+			var s QScratch
+			if err := q.InferBatch(&s, x, m, out); err != nil { // warm scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := q.InferBatch(&s, x, m, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/row")
+		})
 	}
 }

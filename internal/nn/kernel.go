@@ -303,43 +303,6 @@ func transposeInto(wt, w []float64, in, out int) {
 	}
 }
 
-// qgemmNT computes the int8 batched dense product
-// acc[r][o] = bq[o] + Σ_i int32(w[o][i])·int32(x[r][i]) with int32
-// accumulators — the arithmetic an integer NPU executes. Integer addition
-// is exact, so blocking is unconstrained; four output rows share one pass
-// over each activation row.
-func qgemmNT(acc []int32, x, w []int8, bq []int32, n, in, out int) {
-	mtr.qgemmCalls.Inc()
-	for r := 0; r < n; r++ {
-		xr := x[r*in : (r+1)*in]
-		ar := acc[r*out : (r+1)*out]
-		o := 0
-		for ; o+4 <= out; o += 4 {
-			w0 := w[(o+0)*in : (o+1)*in]
-			w1 := w[(o+1)*in : (o+2)*in]
-			w2 := w[(o+2)*in : (o+3)*in]
-			w3 := w[(o+3)*in : (o+4)*in]
-			s0, s1, s2, s3 := bq[o], bq[o+1], bq[o+2], bq[o+3]
-			for i, v := range xr {
-				xv := int32(v)
-				s0 += int32(w0[i]) * xv
-				s1 += int32(w1[i]) * xv
-				s2 += int32(w2[i]) * xv
-				s3 += int32(w3[i]) * xv
-			}
-			ar[o], ar[o+1], ar[o+2], ar[o+3] = s0, s1, s2, s3
-		}
-		for ; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			s := bq[o]
-			for i, v := range xr {
-				s += int32(wo[i]) * int32(v)
-			}
-			ar[o] = s
-		}
-	}
-}
-
 // growF64 returns buf resized to length n, reallocating only when capacity
 // is insufficient. Contents are unspecified. Reallocations are counted:
 // a steady-state training loop must not grow scratch, so a climbing

@@ -98,13 +98,14 @@ type TrainConfig struct {
 	// produces results bit-identical to the full-batch kernels and to the
 	// per-example path. 0 means one chunk per mini-batch.
 	KernelBatch int
-	// ForceScalar forces the legacy per-example forward/backward path even
-	// when every layer supports batching. The batched path is
-	// Float64bits-identical (tested); this exists for equivalence tests
-	// and per-example baseline benchmarks.
-	ForceScalar bool
 	// Verbose, when non-nil, receives one line per epoch.
 	Verbose func(epoch int, loss float64, acc float64)
+
+	// perExample forces the per-example forward/backward path even when
+	// every layer supports batching. The batched path is
+	// Float64bits-identical; only this package's equivalence tests and
+	// baseline benchmarks set it.
+	perExample bool
 }
 
 // Fit trains the network on examples with mini-batch gradient descent and
@@ -126,7 +127,7 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 		cfg.Optimizer = NewAdam(1e-3)
 	}
 	_, uniform := uniformWidth(examples)
-	useBatch := !cfg.ForceScalar && uniform && n.BatchCapable()
+	useBatch := !cfg.perExample && uniform && n.BatchCapable()
 	kb := cfg.KernelBatch
 	if kb <= 0 {
 		kb = cfg.BatchSize

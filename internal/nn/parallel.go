@@ -92,7 +92,7 @@ func (r *Replicated) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	}
 	nets := r.all()
 	_, uniform := uniformWidth(examples)
-	useBatch := !cfg.ForceScalar && uniform && r.Master.BatchCapable()
+	useBatch := !cfg.perExample && uniform && r.Master.BatchCapable()
 	kb := cfg.KernelBatch
 	if kb <= 0 {
 		kb = cfg.BatchSize

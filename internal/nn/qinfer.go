@@ -3,6 +3,9 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
+
+	"affectedge/internal/simd"
 )
 
 // True int8 inference: weights AND activations quantized to int8 with
@@ -22,6 +25,11 @@ type QDense struct {
 	InScale, OutScale float64
 	// ReLU folds the activation into the requantization.
 	ReLU bool
+
+	// packOnce builds pack, the QGEMM form of WQ/BQ, once per layer.
+	// Unexported, so gob leaves it out of a saved model.
+	packOnce sync.Once
+	pack     *simd.QPack
 }
 
 // QMLP is a quantized MLP pipeline.
@@ -151,87 +159,24 @@ func BuildQMLP(n *Sequential, st *CalibrationStats) (*QMLP, error) {
 	if len(q.Layers) == 0 {
 		return nil, fmt.Errorf("nn: nothing quantized")
 	}
+	for _, l := range q.Layers {
+		l.packed() // pack at build time, not on the first served batch
+	}
 	return q, nil
 }
 
-// quantizeActivations maps a float vector to int8 at the given scale.
-func quantizeActivations(x []float64, scale float64) []int8 {
-	out := make([]int8, len(x))
-	quantizeActivationsInto(out, x, scale)
-	return out
-}
-
-// quantizeActivationsInto is quantizeActivations into caller scratch.
-func quantizeActivationsInto(out []int8, x []float64, scale float64) {
-	for i, v := range x {
-		r := math.Round(v / scale)
-		if r > 127 {
-			r = 127
-		}
-		if r < -128 {
-			r = -128
-		}
-		out[i] = int8(r)
-	}
-}
-
 // Infer runs the integer pipeline on a float input (rank-1 or flattened
-// rank-2) and returns float logits (dequantized once at the output).
+// rank-2) and returns float logits (dequantized once at the output). It
+// is InferBatch on one row.
 func (q *QMLP) Infer(x *Tensor) ([]float64, error) {
 	if len(q.Layers) == 0 {
 		return nil, fmt.Errorf("nn: empty quantized network")
 	}
-	data := x.Data
-	if q.Layers[0].In != len(data) {
-		return nil, fmt.Errorf("nn: quantized input size %d, want %d", len(data), q.Layers[0].In)
+	logits := make([]float64, q.Layers[len(q.Layers)-1].Out)
+	if err := q.InferBatch(nil, x.Data, 1, logits); err != nil {
+		return nil, err
 	}
-	acts := quantizeActivations(data, q.InputScale)
-	for li, l := range q.Layers {
-		if len(acts) != l.In {
-			return nil, fmt.Errorf("nn: layer %d input %d, want %d", li, len(acts), l.In)
-		}
-		next := make([]int8, l.Out)
-		// Requantization multiplier: accumulator scale -> out scale.
-		m := l.InScale * l.WScale / l.OutScale
-		last := li == len(q.Layers)-1
-		var logits []float64
-		if last {
-			logits = make([]float64, l.Out)
-		}
-		for o := 0; o < l.Out; o++ {
-			var acc int32
-			row := l.WQ[o*l.In : (o+1)*l.In]
-			for i, a := range acts {
-				acc += int32(row[i]) * int32(a)
-			}
-			acc += l.BQ[o]
-			if last {
-				// Dequantize the final logits exactly once.
-				v := float64(acc) * l.InScale * l.WScale
-				if l.ReLU && v < 0 {
-					v = 0
-				}
-				logits[o] = v
-				continue
-			}
-			r := math.Round(float64(acc) * m)
-			if l.ReLU && r < 0 {
-				r = 0
-			}
-			if r > 127 {
-				r = 127
-			}
-			if r < -128 {
-				r = -128
-			}
-			next[o] = int8(r)
-		}
-		if last {
-			return logits, nil
-		}
-		acts = next
-	}
-	return nil, fmt.Errorf("nn: unreachable")
+	return logits, nil
 }
 
 // PredictClass returns the argmax class of the integer pipeline.
@@ -243,37 +188,11 @@ func (q *QMLP) PredictClass(x *Tensor) (int, error) {
 	return Argmax(logits), nil
 }
 
-// dequantLogitsInto dequantizes m rows of final-layer accumulators into
-// float logits — the single float conversion of the integer pipeline.
-func (l *QDense) dequantLogitsInto(out []float64, acc []int32, m int) {
-	for p, a := range acc[:m*l.Out] {
-		// Dequantize the final logits exactly once.
-		v := float64(a) * l.InScale * l.WScale
-		if l.ReLU && v < 0 {
-			v = 0
-		}
-		out[p] = v
-	}
-}
-
-// requantInto requantizes m rows of int32 accumulators to the next layer's
-// int8 activation scale, folding in the layer's ReLU.
-func (l *QDense) requantInto(next []int8, acc []int32, m int) {
-	// Requantization multiplier: accumulator scale -> out scale.
-	mult := l.InScale * l.WScale / l.OutScale
-	for p, a := range acc[:m*l.Out] {
-		r := math.Round(float64(a) * mult)
-		if l.ReLU && r < 0 {
-			r = 0
-		}
-		if r > 127 {
-			r = 127
-		}
-		if r < -128 {
-			r = -128
-		}
-		next[p] = int8(r)
-	}
+// packed returns the layer's weights in the simd.QGEMM form. BuildQMLP
+// builds it; a QMLP assembled or decoded elsewhere gets it on first use.
+func (l *QDense) packed() *simd.QPack {
+	l.packOnce.Do(func() { l.pack = simd.PackQ(l.WQ, l.BQ, l.In, l.Out) })
+	return l.pack
 }
 
 // QScratch holds the reusable buffers of batched integer inference. Buffers
@@ -287,10 +206,12 @@ type QScratch struct {
 
 // InferBatch runs the integer pipeline on m input rows packed row-major in
 // x (each row Layers[0].In floats) and writes m×classes float logits into
-// out. One qgemmNT call per layer amortizes the weight traversal across
-// all rows; integer arithmetic is exact and the dequantization applies the
-// same float expressions as Infer, so results are bit-identical to calling
-// Infer once per row. s may be nil (a temporary scratch is allocated).
+// out. Each stage is one internal/simd kernel call over all m rows:
+// quantize the inputs, then per layer one int8 GEMM followed by either a
+// requantize into the next layer's int8 activations (ReLU folded in) or,
+// after the last layer, the single dequantization to float logits. Rows
+// never interact, so row r's logits do not depend on m. s may be nil (a
+// temporary scratch is allocated).
 func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error {
 	if len(q.Layers) == 0 {
 		return fmt.Errorf("nn: empty quantized network")
@@ -310,32 +231,31 @@ func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error 
 		s = &QScratch{}
 	}
 	s.cur = growI8(s.cur, m*in0)
-	for k := 0; k < m; k++ {
-		quantizeActivationsInto(s.cur[k*in0:(k+1)*in0], x[k*in0:(k+1)*in0], q.InputScale)
-	}
+	simd.QuantizeI8(s.cur, x, q.InputScale)
 	width := in0
 	for li, l := range q.Layers {
 		if width != l.In {
 			return fmt.Errorf("nn: layer %d input %d, want %d", li, width, l.In)
 		}
 		s.acc = growI32(s.acc, m*l.Out)
-		qgemmNT(s.acc, s.cur, l.WQ, l.BQ, m, l.In, l.Out)
+		mtr.qgemmCalls.Inc()
+		simd.QGEMM(s.acc, s.cur, l.packed(), m)
 		if li == len(q.Layers)-1 {
-			l.dequantLogitsInto(out, s.acc, m)
+			// Dequantize the final logits exactly once.
+			simd.DequantizeI32(out[:m*l.Out], s.acc, l.InScale, l.WScale, l.ReLU)
 			return nil
 		}
 		s.next = growI8(s.next, m*l.Out)
-		l.requantInto(s.next, s.acc, m)
+		// Requantization multiplier: accumulator scale -> out scale.
+		simd.RequantizeI8(s.next, s.acc, l.InScale*l.WScale/l.OutScale, l.ReLU)
 		s.cur, s.next = s.next, s.cur
 		width = l.Out
 	}
 	return fmt.Errorf("nn: unreachable")
 }
 
-// Evaluate returns integer-pipeline accuracy on examples. Examples are
-// processed in chunks of evalChunk with one int32-accumulator GEMM per
-// layer (qgemmNT) instead of per-example dot products; integer arithmetic
-// is exact, so the result is identical to calling Infer per example.
+// Evaluate returns integer-pipeline accuracy on examples, classifying them
+// with one InferBatch call per chunk of evalChunk examples.
 func (q *QMLP) Evaluate(examples []Example) (float64, error) {
 	if len(examples) == 0 {
 		return 0, fmt.Errorf("nn: no evaluation examples")
@@ -344,42 +264,25 @@ func (q *QMLP) Evaluate(examples []Example) (float64, error) {
 		return 0, fmt.Errorf("nn: empty quantized network")
 	}
 	in0 := q.Layers[0].In
-	var cur, next []int8 // double-buffered activation matrices
-	var acc []int32
-	var logits []float64
+	classes := q.Layers[len(q.Layers)-1].Out
+	var s QScratch
+	var x, logits []float64
 	var hit int
 	for start := 0; start < len(examples); start += evalChunk {
-		end := start + evalChunk
-		if end > len(examples) {
-			end = len(examples)
-		}
+		end := min(start+evalChunk, len(examples))
 		m := end - start
-		cur = growI8(cur, m*in0)
+		x = growF64(x, m*in0)
 		for k := 0; k < m; k++ {
 			data := flattenExample(examples[start+k].X).Data
 			if len(data) != in0 {
 				return 0, fmt.Errorf("nn: quantized input size %d, want %d", len(data), in0)
 			}
-			quantizeActivationsInto(cur[k*in0:(k+1)*in0], data, q.InputScale)
+			copy(x[k*in0:], data)
 		}
-		width := in0
-		for li, l := range q.Layers {
-			if width != l.In {
-				return 0, fmt.Errorf("nn: layer %d input %d, want %d", li, width, l.In)
-			}
-			acc = growI32(acc, m*l.Out)
-			qgemmNT(acc, cur, l.WQ, l.BQ, m, l.In, l.Out)
-			if li == len(q.Layers)-1 {
-				logits = growF64(logits, m*l.Out)
-				l.dequantLogitsInto(logits, acc, m)
-				break
-			}
-			next = growI8(next, m*l.Out)
-			l.requantInto(next, acc, m)
-			cur, next = next, cur
-			width = l.Out
+		logits = growF64(logits, m*classes)
+		if err := q.InferBatch(&s, x, m, logits); err != nil {
+			return 0, err
 		}
-		classes := q.Layers[len(q.Layers)-1].Out
 		for k := 0; k < m; k++ {
 			if Argmax(logits[k*classes:(k+1)*classes]) == examples[start+k].Y {
 				hit++

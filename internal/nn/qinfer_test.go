@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"affectedge/internal/simd"
 )
 
 // trainedMLP returns a float MLP trained on a small separable task plus
@@ -156,36 +158,66 @@ func TestQMLPInputValidation(t *testing.T) {
 	}
 }
 
+// TestQMLPInferBatchMatchesInfer pins InferBatch (and Infer, its m=1 form)
+// to the scalar per-row oracle inferRef, bit for bit, with the vector
+// kernels on and off, over ragged fan-in and fan-out on both sides of the
+// kernels' pair and four-output groupings and over batch sizes up to the
+// served 245. A few inputs are NaN, ±Inf, or exact rounding ties.
 func TestQMLPInferBatchMatchesInfer(t *testing.T) {
-	net, train, test := trainedMLP(t)
-	st, err := CalibrateMLP(net, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := BuildQMLP(net, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := q.Layers[0].In
-	classes := q.Layers[len(q.Layers)-1].Out
-	for _, m := range []int{1, 3, len(test)} {
-		x := make([]float64, m*in)
-		for k := 0; k < m; k++ {
-			copy(x[k*in:(k+1)*in], test[k].X.Data)
-		}
-		out := make([]float64, m*classes)
-		var s QScratch
-		if err := q.InferBatch(&s, x, m, out); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < m; k++ {
-			want, err := q.Infer(test[k].X)
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	rng := rand.New(rand.NewSource(31))
+	for _, in := range []int{1, 2, 3, 23, 24, 25, 33} {
+		for oi, out := range []int{1, 3, 4, 5, 8, 16, 17} {
+			classes := []int{1, 3, 5, 8, 2, 7, 9}[oi]
+			net := NewSequential(NewDense(in, out, rng), NewReLU(), NewDense(out, classes, rng))
+			st, err := CalibrateMLP(net, testExamples(8, in, 1, int64(in*out)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := range want {
-				if math.Float64bits(out[k*classes+c]) != math.Float64bits(want[c]) {
-					t.Fatalf("m=%d row %d logit %d: batch %v != infer %v", m, k, c, out[k*classes+c], want[c])
+			q, err := BuildQMLP(net, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, 245*in)
+			for i := range x {
+				x[i] = rng.NormFloat64() * 1.5
+			}
+			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+				2.5 * q.InputScale, -2.5 * q.InputScale, 127.5 * q.InputScale, -128.5 * q.InputScale} {
+				x[(i*37)%len(x)] = v
+			}
+			want := make([][]float64, 245)
+			for k := range want {
+				if want[k], err = inferRef(q, x[k*in:(k+1)*in]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, on := range []bool{true, false} {
+				simd.SetEnabled(on)
+				for _, m := range []int{1, 7, 64, 245} {
+					got := make([]float64, m*classes)
+					var s QScratch
+					if err := q.InferBatch(&s, x[:m*in], m, got); err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < m; k++ {
+						for c, w := range want[k] {
+							if math.Float64bits(got[k*classes+c]) != math.Float64bits(w) {
+								t.Fatalf("simd=%v in=%d out=%d m=%d row %d logit %d: batch %v != ref %v",
+									on, in, out, m, k, c, got[k*classes+c], w)
+							}
+						}
+					}
+				}
+				one, err := q.Infer(&Tensor{Data: x[:in], Cols: in})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, w := range want[0] {
+					if math.Float64bits(one[c]) != math.Float64bits(w) {
+						t.Fatalf("simd=%v in=%d out=%d: Infer logit %d %v != ref %v", on, in, out, c, one[c], w)
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -201,6 +202,69 @@ func TestObserveBatchWire(t *testing.T) {
 	}
 	if c.Accepted != 8 || c.Nacked != 2 || c.Rejected != 3 {
 		t.Errorf("accepted %d nacked %d rejected %d, want 8, 2, 3", c.Accepted, c.Nacked, c.Rejected)
+	}
+}
+
+// TestObserveBatchBadValue: one session sends an OBSERVE_BATCH with a NaN
+// feature and one with +Inf while a bystander session uploads clean
+// traffic. Each bad frame draws one kept-connection CodeBadValue ERR at
+// the offending item's seq, nothing from it is admitted, all of its items
+// count as rejected, and the fleet — the bystander included — ends with
+// the fingerprint of the same run without the bad frames.
+func TestObserveBatchBadValue(t *testing.T) {
+	run := func(attack bool) (string, Counters) {
+		f, srv, addr := newTestServer(t, VerifyConfig(2, 1, 64, 3), Config{})
+		dim := f.FeatureDim()
+		_, sendA, recvA := rawDial(t, addr)
+		_, sendB, recvB := rawDial(t, addr)
+		sendA(helloFrame(0, dim))
+		sendB(helloFrame(1, dim))
+		if ra, rb := recvA(), recvB(); ra.Type != wire.Ack || rb.Type != wire.Ack {
+			t.Fatalf("handshakes: %s, %s", ra.Type, rb.Type)
+		}
+		frame := func(base uint64, poison float64) *wire.Frame {
+			fr := &wire.Frame{Type: wire.ObserveBatch}
+			for i := 0; i < 3; i++ {
+				vals := make([]float64, dim)
+				for k := range vals {
+					vals[k] = 0.3 * float64((int(base)+i+k)%7-3)
+				}
+				if i == 1 {
+					vals[dim/2] = poison
+				}
+				fr.Batch = append(fr.Batch, wire.BatchObs{Seq: base + uint64(i), At: int64(base+uint64(i)) * 1e9, Vals: vals})
+			}
+			return fr
+		}
+		for round, poison := range []float64{math.NaN(), math.Inf(1), 0, 0} {
+			base := uint64(10 * (round + 1))
+			sendB(frame(base, 0))
+			if r := recvB(); r.Type != wire.AckBatch || r.Seq != base {
+				t.Fatalf("bystander round %d: got %s seq %d", round, r.Type, r.Seq)
+			}
+			if attack && poison != 0 {
+				sendA(frame(base, poison))
+				if r := recvA(); r.Type != wire.Err || r.Code != wire.CodeBadValue || r.Seq != base+1 {
+					t.Fatalf("poison %v: got %s code %d seq %d, want ERR CodeBadValue seq %d", poison, r.Type, r.Code, r.Seq, base+1)
+				}
+			}
+		}
+		// The refused session's connection still serves.
+		sendA(frame(100, 0))
+		if r := recvA(); r.Type != wire.AckBatch || r.Seq != 100 {
+			t.Fatalf("after refusals: got %s seq %d", r.Type, r.Seq)
+		}
+		srv.Close()
+		f.Close()
+		return f.Stats().Fingerprint(), srv.Counters()
+	}
+	clean, cc := run(false)
+	poisoned, pc := run(true)
+	if poisoned != clean {
+		t.Errorf("fingerprint %s with refused frames, %s without", poisoned, clean)
+	}
+	if pc.Accepted != cc.Accepted || pc.Rejected != cc.Rejected+6 {
+		t.Errorf("accepted %d rejected %d, want %d and %d", pc.Accepted, pc.Rejected, cc.Accepted, cc.Rejected+6)
 	}
 }
 

@@ -513,9 +513,10 @@ func (c *conn) hello(fr *wire.Frame) bool {
 // grouped submission (fleet.ObserveBatch: one lock acquisition and one
 // coalesced enqueue per same-shard run) and answers with one ACK_BATCH
 // whose bitmap NACKs exactly the backpressured items — a full shard costs
-// those items a retry, not the whole frame. A dimension mismatch is
-// refused with a frame-level CodeDim ERR before anything is submitted;
-// any other refusal goes through refuse.
+// those items a retry, not the whole frame. A dimension mismatch or a
+// NaN/±Inf feature value is refused with a frame-level CodeDim or
+// CodeBadValue ERR before anything is submitted, and the connection stays
+// open; any other refusal goes through refuse.
 func (c *conn) observeBatch(fr *wire.Frame) bool {
 	n := len(fr.Batch)
 	c.srv.n.batchesIn.Add(1)
@@ -527,6 +528,13 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 			c.count(0, 0, n)
 			return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq, Code: wire.CodeDim,
 				Msg: fmt.Sprintf("batch item %d dim %d, want %d", i, len(fr.Batch[i].Vals), c.srv.dim)})
+		}
+		for k, v := range fr.Batch[i].Vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				c.count(0, 0, n)
+				return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq, Code: wire.CodeBadValue,
+					Msg: fmt.Sprintf("batch item %d value %d is %v", i, k, v)})
+			}
 		}
 	}
 	if cap(c.bitems) < n {

@@ -28,8 +28,8 @@
 // AVX (including OS-enabled YMM state), and the AFFECTEDGE_NOSIMD
 // environment variable must be unset (the `make test-noavx` hook that
 // keeps the scalar fallback exercised on AVX machines). Tests may flip
-// dispatch at runtime with SetEnabled; like nn's TrainConfig.ForceScalar
-// it is a pure execution knob — results are identical either way.
+// dispatch at runtime with SetEnabled, a pure execution knob: results
+// are identical either way.
 package simd
 
 import (

@@ -50,3 +50,15 @@ func deblockEdge4HSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint3
 
 //go:noescape
 func deblockEdge4VSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint32
+
+//go:noescape
+func qgemmAVX(acc *int32, x *int8, wp *int16, bp *int32, m, in, out int)
+
+//go:noescape
+func quantizeI8AVX(dst *int8, x *float64, n int, scale float64)
+
+//go:noescape
+func requantizeI8AVX(dst *int8, acc *int32, n int, mult, lo float64)
+
+//go:noescape
+func dequantizeI32AVX(dst *float64, acc *int32, n int, s0, s1 float64, reluMask uint64)

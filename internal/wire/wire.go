@@ -113,6 +113,7 @@ const (
 	CodeDim            Code = 5 // observation dimensionality mismatch
 	CodeClosed         Code = 6 // fleet shut down
 	CodeInternal       Code = 7 // server-side failure
+	CodeBadValue       Code = 8 // non-finite (NaN or ±Inf) feature value (fleet.ErrBadValue)
 )
 
 // Derived payload bounds, all implied by MaxFrame.
