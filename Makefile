@@ -35,7 +35,7 @@ test-noavx:
 # progressive decoder's SPSC path. Fast enough to run on every change.
 stream-smoke:
 	$(GO) test -race ./internal/stream/
-	$(GO) test -race -run 'Stream|Chunk' ./internal/dsp/ ./internal/h264/ ./internal/fleet/
+	$(GO) test -race -run 'Stream|Chunk' ./internal/dsp/ ./internal/h264/
 
 # The fleet chaos harness under the race detector: randomized
 # disconnect/reconnect/snapshot/restore interleavings checked against a

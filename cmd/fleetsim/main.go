@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fleetsim [-sessions N] [-shards N] [-duration D] [-tick D] [-workers N]
-//	         [-seed N] [-chunk-bytes N] [-metrics path]
+//	         [-seed N] [-metrics path]
 //	         [-traffic uniform|bursty|diurnal|adversarial]
 //	         [-churn-rate R] [-snapshot-every N] [-device-classes]
 //
@@ -47,7 +47,6 @@ type options struct {
 	Tick          time.Duration
 	Workers       int
 	Seed          int64
-	ChunkBytes    int
 	Metrics       string
 	Traffic       string
 	ChurnRate     float64
@@ -60,7 +59,6 @@ type report struct {
 	fleet.Stats
 	Workers       int     `json:"workers"`
 	Seed          int64   `json:"seed"`
-	ChunkBytes    int     `json:"chunk_bytes"`
 	Traffic       string  `json:"traffic"`
 	ChurnRate     float64 `json:"churn_rate"`
 	Disconnects   int64   `json:"disconnects"`
@@ -79,7 +77,6 @@ func main() {
 	flag.DurationVar(&o.Tick, "tick", time.Second, "virtual time per observation round")
 	flag.IntVar(&o.Workers, "workers", 0, "parallel workers (0 = all cores); results are identical at any value")
 	flag.Int64Var(&o.Seed, "seed", 1, "fleet seed")
-	flag.IntVar(&o.ChunkBytes, "chunk-bytes", 0, "drive sessions with chunked streaming ingest in this byte granularity (0 = whole-buffer; fingerprints are identical either way)")
 	flag.StringVar(&o.Metrics, "metrics", "", `write a JSON metrics dump here after the run ("-" = stdout)`)
 	flag.StringVar(&o.Traffic, "traffic", "uniform", "traffic model: uniform|bursty|diurnal|adversarial")
 	flag.Float64Var(&o.ChurnRate, "churn-rate", 0, "mean sessions disconnected (and parked ones reconnected) per tick; all reconnect before the final stats")
@@ -121,13 +118,12 @@ func run(o options, out *os.File) error {
 		defer affectedge.WireMetrics(nil)
 	}
 	cfg := fleet.Config{
-		Sessions:   o.Sessions,
-		Shards:     o.Shards,
-		Ticks:      ticks,
-		TickEvery:  o.Tick,
-		Seed:       o.Seed,
-		ChunkBytes: o.ChunkBytes,
-		Traffic:    traffic,
+		Sessions:  o.Sessions,
+		Shards:    o.Shards,
+		Ticks:     ticks,
+		TickEvery: o.Tick,
+		Seed:      o.Seed,
+		Traffic:   traffic,
 	}
 	if o.DeviceClasses {
 		for _, dc := range android.DeviceClasses() {
@@ -140,7 +136,6 @@ func run(o options, out *os.File) error {
 	rep := report{
 		Workers:       o.Workers,
 		Seed:          o.Seed,
-		ChunkBytes:    o.ChunkBytes,
 		Traffic:       traffic.Name(),
 		ChurnRate:     o.ChurnRate,
 		SnapshotEvery: o.SnapshotEvery,

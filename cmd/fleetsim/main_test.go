@@ -53,7 +53,6 @@ func TestRunReportAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := baseOpts()
-	o.ChunkBytes = 16
 	o.Metrics = filepath.Join(dir, "metrics.json")
 	if err := run(o, out); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package affect
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -73,10 +72,9 @@ func TestDatasetParallelMatchesSerial(t *testing.T) {
 }
 
 // studyAt runs a miniature full study (all corpora, all model families) at
-// the given pool size and kernel batch width. Workers=1 pins the replica
-// count too, so the training arithmetic is identical across pool sizes,
-// and KernelBatch is an execution knob with no arithmetic effect.
-func studyAt(t *testing.T, workers, kernelBatch int) *StudyReport {
+// the given pool size. Workers=1 pins the replica count too, so the
+// training arithmetic is identical across pool sizes.
+func studyAt(t *testing.T, workers int) *StudyReport {
 	t.Helper()
 	var rep *StudyReport
 	withWorkers(workers, func() {
@@ -87,7 +85,6 @@ func studyAt(t *testing.T, workers, kernelBatch int) *StudyReport {
 			BatchSize:      8,
 			LearningRate:   2e-3,
 			Workers:        1,
-			KernelBatch:    kernelBatch,
 			Scale:          FastScale,
 			Seed:           3,
 			Feature:        FeatureConfig{SampleRate: 8000, NumFrames: 16, NumMFCC: 8, HistBins: 6},
@@ -143,30 +140,7 @@ func TestRunStudyParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("miniature study training skipped in -short mode")
 	}
-	serial := studyAt(t, 1, 0)
-	wide := studyAt(t, 8, 0)
+	serial := studyAt(t, 1)
+	wide := studyAt(t, 8)
 	requireEqualReports(t, serial, wide, "workers 1 vs 8")
-}
-
-// TestRunStudyKernelBatchInvariant locks down the batched-kernel contract at
-// the study level: the accuracy tables from a miniature RunStudy must be
-// identical across every combination of kernel batch width (1 = one example
-// per kernel call, 32 = whole-batch fused kernels) and worker-pool size
-// (1 vs 8). KernelBatch only changes how many examples each fused kernel
-// call covers, never the floating-point operation order of any output.
-func TestRunStudyKernelBatchInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("miniature study training skipped in -short mode")
-	}
-	baseline := studyAt(t, 1, 1)
-	for _, workers := range []int{1, 8} {
-		for _, kb := range []int{1, 32} {
-			if workers == 1 && kb == 1 {
-				continue
-			}
-			rep := studyAt(t, workers, kb)
-			label := fmt.Sprintf("workers=%d kernelBatch=%d vs workers=1 kernelBatch=1", workers, kb)
-			requireEqualReports(t, baseline, rep, label)
-		}
-	}
 }

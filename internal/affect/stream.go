@@ -75,32 +75,6 @@ func (m *StreamModel) Sample(dst []float64, label emotion.Label, noise float64, 
 	return nil
 }
 
-// SampleChunks is Sample delivered as a chunked stream, the shape a
-// hop-granular streaming front end produces: the observation is generated
-// into scratch (length Dim) and emit receives successive fragments of at
-// most chunk values, in order. The per-coordinate draw order matches
-// Sample exactly, so concatenating the fragments is bit-identical to a
-// Sample call against the same rng state — which is what lets the fleet's
-// chunked ingest path keep the golden run fingerprints unchanged.
-func (m *StreamModel) SampleChunks(label emotion.Label, noise float64, rng *rand.Rand, scratch []float64, chunk int, emit func([]float64) error) error {
-	if chunk <= 0 {
-		return fmt.Errorf("affect: stream chunk %d, want > 0", chunk)
-	}
-	if err := m.Sample(scratch, label, noise, rng); err != nil {
-		return err
-	}
-	for at := 0; at < len(scratch); at += chunk {
-		end := at + chunk
-		if end > len(scratch) {
-			end = len(scratch)
-		}
-		if err := emit(scratch[at:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // QuantizedClassifier builds the int8 inference pipeline matched to the
 // prototypes: logits_c = <x, proto_c>, computed as a Dense(d, 2C) layer
 // holding [protos; -protos] rows, a ReLU, and a Dense(2C, C) head with

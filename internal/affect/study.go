@@ -22,7 +22,6 @@ type StudyConfig struct {
 	BatchSize      int
 	LearningRate   float64
 	Workers        int // data-parallel training workers (0 = GOMAXPROCS)
-	KernelBatch    int // examples per fused kernel call (0 = BatchSize); results are identical at any value
 	Scale          ModelScale
 	Seed           int64
 	Feature        FeatureConfig
@@ -175,11 +174,10 @@ func trainOne(cfg StudyConfig, corpus string, kind ModelKind, trainEx, testEx []
 		return ModelResult{}, err
 	}
 	tc := nn.TrainConfig{
-		Epochs:      cfg.Epochs,
-		BatchSize:   cfg.BatchSize,
-		KernelBatch: cfg.KernelBatch,
-		Optimizer:   nn.NewAdam(cfg.LearningRate),
-		Seed:        cfg.Seed,
+		Epochs:    cfg.Epochs,
+		BatchSize: cfg.BatchSize,
+		Optimizer: nn.NewAdam(cfg.LearningRate),
+		Seed:      cfg.Seed,
 	}
 	var fitStart time.Time
 	if mtr.trainTime.Enabled() {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -305,4 +306,81 @@ func TestObserveBatchAdmissionAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("steady-state admission: %.2f allocs per 64-item batch, want 0", allocs)
 	}
+}
+
+// fuzzMaxRows bounds one FuzzObserveBatchValues input; with QueueDepth
+// above it no item can be NACKed, so every status is a value verdict.
+const fuzzMaxRows = 32
+
+// FuzzObserveBatchValues drives arbitrary float64 bit patterns through
+// admission and the live shard workers. Each 8 bytes of input are one
+// little-endian feature value, laid row-major into at most fuzzMaxRows
+// observations (a short last row is zero-padded) spread over the sessions
+// of a started fleet. The contract under fuzz is the one the panics in
+// shard.coalesce rely on: admission refuses exactly the rows holding a
+// NaN or ±Inf (ErrBadValue), every admitted row — ±MaxFloat64, subnormals
+// and ±0 included — is classified and applied without a worker panic,
+// and after Close the fleet reports exactly the admitted observations.
+func FuzzObserveBatchValues(fz *testing.F) {
+	const dim = 24 // Config.FeatureDim default
+	word := func(vs ...float64) []byte {
+		b := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	fz.Add([]byte{})
+	fz.Add(word(math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0, math.Copysign(0, -1)))
+	fz.Add(word(math.NaN(), math.Inf(1), math.Inf(-1)))
+	specials := make([]float64, 3*dim)
+	for i := range specials {
+		specials[i] = []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1}[i%4]
+	}
+	specials[dim+5] = math.NaN() // only the middle row is refused
+	fz.Add(word(specials...))
+	fz.Fuzz(func(t *testing.T, data []byte) {
+		words := len(data) / 8
+		rows := max(1, min((words+dim-1)/dim, fuzzMaxRows))
+		f, err := New(Config{Sessions: 4, Shards: 2, QueueDepth: 2 * fuzzMaxRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.FeatureDim() != dim {
+			t.Fatalf("feature dim %d, want %d", f.FeatureDim(), dim)
+		}
+		if err := f.Start(); err != nil {
+			t.Fatal(err)
+		}
+		xs := make([]float64, rows*dim)
+		for i := range xs {
+			if i < words {
+				xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			}
+		}
+		items := make([]Obs, rows)
+		for r := range items {
+			items[r] = Obs{ID: r % 4, At: time.Duration(r+1) * time.Second, X: xs[r*dim : (r+1)*dim]}
+		}
+		statuses := make([]error, rows)
+		if err := f.ObserveBatch(items, statuses); err != nil {
+			t.Fatal(err)
+		}
+		var accepted int64
+		for r, st := range statuses {
+			switch {
+			case finite(items[r].X) && st == nil:
+				accepted++
+			case !finite(items[r].X) && errors.Is(st, ErrBadValue):
+			default:
+				t.Errorf("row %d (finite %v): status %v", r, finite(items[r].X), st)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Stats().Observations; got != accepted {
+			t.Fatalf("observations %d, want the %d accepted", got, accepted)
+		}
+	})
 }

@@ -42,7 +42,6 @@ import (
 	"affectedge/internal/h264"
 	"affectedge/internal/nn"
 	"affectedge/internal/obs"
-	"affectedge/internal/stream"
 )
 
 // Sentinel errors of the serving API.
@@ -115,15 +114,6 @@ type Config struct {
 	// is generated and encoded once at New, the per-mode Input Selector
 	// passes are pre-applied, and every shard decodes the shared streams.
 	VideoFrames int
-	// ChunkBytes, when positive, switches the deterministic path to chunked
-	// streaming ingest: session observations are synthesized as fragments
-	// (ChunkBytes/8 float64 values each) routed through a bounded per-shard
-	// stream.FIFO, and video probes feed their bitstreams to a progressive
-	// h264.StreamDecoder in ChunkBytes slices instead of one DecodeStream
-	// call. Both reuse the bit-exact streaming kernels, so every run
-	// fingerprint is identical to the whole-buffer feed (golden tests pin
-	// this); only peak ingest memory changes. 0 keeps whole-buffer ingest.
-	ChunkBytes int
 	// Traffic shapes every session's app-launch schedule on the
 	// deterministic path (nil: UniformTraffic, the historical behavior —
 	// runs under it are bit-identical to runs before traffic models
@@ -206,9 +196,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.VideoFrames <= 0 {
 		c.VideoFrames = 6
-	}
-	if c.ChunkBytes < 0 {
-		return c, fmt.Errorf("fleet: chunk bytes %d", c.ChunkBytes)
 	}
 	if c.Traffic == nil {
 		c.Traffic = UniformTraffic{}
@@ -310,13 +297,6 @@ type shard struct {
 	vdec    *h264.Decoder
 	vpool   *h264.FramePool
 	vframes []*h264.Frame
-	sdec    *h264.StreamDecoder // progressive probe front end (ChunkBytes > 0)
-
-	// Chunked-ingest scratch (deterministic path, ChunkBytes > 0): each
-	// session's observation is synthesized as fragments and routed through
-	// this bounded FIFO before landing in the batch matrix.
-	obsFIFO *stream.FIFO[float64]
-	rowBuf  []float64
 
 	// Deterministic-path aggregation.
 	batches        int64
@@ -788,13 +768,21 @@ full:
 			n = maxB
 		}
 		if err := sh.infer(lo, n); err != nil {
-			// The model and dimensions are fixed at New; an inference error
-			// here is a programming error, not load-dependent.
+			// Unreachable by construction: the model, its InputScale and
+			// layer scales, and the row shape are fixed at New, and
+			// submitRun admits only FeatureDim-long rows; InferBatch fails
+			// on nothing else. FuzzObserveBatchValues pins it.
 			panic(fmt.Sprintf("fleet: live inference: %v", err))
 		}
 		sh.countBatch(n, n)
 		for k := 0; k < n; k++ {
 			if err := sh.applyRow(sh.batch[lo+k], sh.ats[lo+k], sh.logits[k*classes:(k+1)*classes]); err != nil {
+				// Unreachable by construction: admission refuses every
+				// non-finite row (ErrBadValue), and the clamped int8
+				// pipeline maps finite rows to finite logits, so confidence
+				// lies in [0,1) and Argmax yields a valid label — the only
+				// inputs Manager.Observe and Device.SetMood reject.
+				// FuzzObserveBatchValues pins it.
 				panic(fmt.Sprintf("fleet: apply: %v", err))
 			}
 		}

@@ -11,7 +11,6 @@ import (
 
 	"affectedge/internal/emotion"
 	"affectedge/internal/parallel"
-	"affectedge/internal/stream"
 )
 
 // Stats aggregates a fleet over every session: the manager-side control
@@ -193,62 +192,9 @@ func (sh *shard) tick(t int) error {
 	return nil
 }
 
-// ingestRow lands one synthesized observation for s in dst. Whole-buffer
-// mode (ChunkBytes == 0) samples straight into dst. Chunked mode streams
-// the observation as ChunkBytes/8-value fragments through the shard's
-// bounded FIFO — the deterministic twin of a network ingest hop — draining
-// into dst whenever the ring refuses a value. The FIFO only copies, so the
-// landed row is bit-identical either way and run fingerprints match the
-// whole-buffer feed exactly.
+// ingestRow synthesizes s's next observation into dst.
 func (sh *shard) ingestRow(dst []float64, s *session) error {
-	f := sh.f
-	if f.cfg.ChunkBytes <= 0 {
-		return f.stream.Sample(dst, s.latent, f.cfg.Noise, s.rng)
-	}
-	chunk := f.cfg.ChunkBytes / 8
-	if chunk <= 0 {
-		chunk = 1
-	}
-	if sh.obsFIFO == nil {
-		q, err := stream.New[float64](chunk)
-		if err != nil {
-			return err
-		}
-		sh.obsFIFO = q
-	}
-	sh.rowBuf = growFloats(sh.rowBuf, len(dst))
-	fill := 0
-	err := f.stream.SampleChunks(s.latent, f.cfg.Noise, s.rng, sh.rowBuf, chunk, func(frag []float64) error {
-		for len(frag) > 0 {
-			n, werr := sh.obsFIFO.TryWrite(frag)
-			if werr != nil && !errors.Is(werr, stream.ErrBackpressure) {
-				return werr
-			}
-			frag = frag[n:]
-			if len(frag) > 0 { // ring full: drain into the batch row
-				r, rerr := sh.obsFIFO.TryRead(dst[fill:])
-				if rerr != nil {
-					return rerr
-				}
-				fill += r
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for fill < len(dst) {
-		r, rerr := sh.obsFIFO.TryRead(dst[fill:])
-		if rerr != nil {
-			return rerr
-		}
-		if r == 0 {
-			return fmt.Errorf("fleet: chunked ingest underflow at %d/%d", fill, len(dst))
-		}
-		fill += r
-	}
-	return nil
+	return sh.f.stream.Sample(dst, s.latent, sh.f.cfg.Noise, s.rng)
 }
 
 // stepLatent advances the session's hidden emotional state: at the

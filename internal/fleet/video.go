@@ -1,12 +1,6 @@
 package fleet
 
-import (
-	"errors"
-	"fmt"
-
-	"affectedge/internal/h264"
-	"affectedge/internal/stream"
-)
+import "affectedge/internal/h264"
 
 // The fleet's video workload: every session periodically decodes a shared
 // probe clip in whatever operating mode its manager currently selects,
@@ -75,14 +69,8 @@ func (sh *shard) probeVideo() error {
 		mode := s.mgr.DecoderMode()
 		sh.vdec.SetDeblock(mode.DeblockEnabled())
 		before := sh.vdec.Activity()
-		var frames []*h264.Frame
-		var err error
-		if sh.f.cfg.ChunkBytes > 0 {
-			frames, err = sh.probeChunked(sh.f.videoStreams[mode])
-		} else {
-			sh.vdec.Reset()
-			frames, err = sh.vdec.DecodeStreamInto(sh.f.videoStreams[mode], sh.vframes[:0])
-		}
+		sh.vdec.Reset()
+		frames, err := sh.vdec.DecodeStreamInto(sh.f.videoStreams[mode], sh.vframes[:0])
 		if err != nil {
 			return err
 		}
@@ -96,65 +84,4 @@ func (sh *shard) probeVideo() error {
 		mtr.videoDecodes.Inc()
 	}
 	return nil
-}
-
-// probeChunked decodes one probe bitstream progressively: the stream is
-// fed to the shard's h264.StreamDecoder in Config.ChunkBytes slices, and
-// the bounded frame FIFO is drained on backpressure — the single-threaded
-// drain-retry shape. The decode path (decodeNALInto, pool, activity) is
-// the one DecodeStreamInto uses, so frames and activity accounting are
-// identical to the whole-buffer probe; only peak buffered bytes change.
-func (sh *shard) probeChunked(data []byte) ([]*h264.Frame, error) {
-	if sh.sdec == nil {
-		sd, err := h264.NewStreamDecoder(sh.vdec, 4)
-		if err != nil {
-			return nil, err
-		}
-		sh.sdec = sd
-	}
-	sh.sdec.Reset() // also resets the wrapped decoder's stream state
-	frames := sh.vframes[:0]
-	drain := func() error {
-		for {
-			f, ok, err := sh.sdec.Frames().TryPop()
-			if err != nil || !ok {
-				return err
-			}
-			frames = append(frames, f)
-		}
-	}
-	chunk := sh.f.cfg.ChunkBytes
-	for at := 0; at < len(data); {
-		end := at + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		n, err := sh.sdec.Feed(data[at:end])
-		if errors.Is(err, stream.ErrBackpressure) {
-			if derr := drain(); derr != nil {
-				return nil, derr
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		at += n
-	}
-	for {
-		err := sh.sdec.Finish()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, stream.ErrBackpressure) {
-			return nil, err
-		}
-		if derr := drain(); derr != nil {
-			return nil, derr
-		}
-	}
-	if err := drain(); err != nil && !errors.Is(err, stream.ErrClosed) {
-		return nil, fmt.Errorf("fleet: probe drain: %w", err)
-	}
-	return frames, nil
 }

@@ -142,41 +142,19 @@ func requireSameParams(t *testing.T, a, b *Sequential, label string) {
 }
 
 func TestFitBatchedMatchesScalar(t *testing.T) {
-	examples := testExamples(37, 12, 4, 5) // not a multiple of batch or chunk size
+	examples := testExamples(37, 12, 4, 5) // not a multiple of the batch size
 	scalar := testMLP(6)
 	batched := testMLP(6)
 	lossA := mustFit(t, scalar, examples, TrainConfig{
 		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9, perExample: true,
 	})
 	lossB := mustFit(t, batched, examples, TrainConfig{
-		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9, KernelBatch: 3,
+		Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 9,
 	})
 	if !bitsEq(lossA, lossB) {
 		t.Fatalf("final loss differs: scalar %v vs batched %v", lossA, lossB)
 	}
 	requireSameParams(t, scalar, batched, "Fit scalar vs batched")
-}
-
-// TestFitKernelBatchInvariance: KernelBatch is an execution knob — any
-// chunk size must give bit-identical training.
-func TestFitKernelBatchInvariance(t *testing.T) {
-	examples := testExamples(29, 12, 4, 7)
-	var ref *Sequential
-	var refLoss float64
-	for _, kb := range []int{0, 1, 5, 32} {
-		n := testMLP(8)
-		loss := mustFit(t, n, examples, TrainConfig{
-			Epochs: 2, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 11, KernelBatch: kb,
-		})
-		if ref == nil {
-			ref, refLoss = n, loss
-			continue
-		}
-		if !bitsEq(loss, refLoss) {
-			t.Fatalf("KernelBatch=%d loss %v differs from reference %v", kb, loss, refLoss)
-		}
-		requireSameParams(t, ref, n, "KernelBatch invariance")
-	}
 }
 
 func TestReplicatedFitBatchedMatchesScalar(t *testing.T) {
@@ -188,7 +166,7 @@ func TestReplicatedFitBatchedMatchesScalar(t *testing.T) {
 		}
 		_, err = r.Fit(examples, TrainConfig{
 			Epochs: 2, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 15,
-			KernelBatch: 4, perExample: force,
+			perExample: force,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -92,12 +92,6 @@ type TrainConfig struct {
 	BatchSize int
 	Optimizer Optimizer
 	Seed      int64
-	// KernelBatch caps how many examples the batched kernels process per
-	// GEMM chunk. It is an execution knob, not a semantic one: gradient
-	// accumulation stays in example order, so any value (including 1)
-	// produces results bit-identical to the full-batch kernels and to the
-	// per-example path. 0 means one chunk per mini-batch.
-	KernelBatch int
 	// Verbose, when non-nil, receives one line per epoch.
 	Verbose func(epoch int, loss float64, acc float64)
 
@@ -111,8 +105,8 @@ type TrainConfig struct {
 // Fit trains the network on examples with mini-batch gradient descent and
 // returns the final epoch's mean loss. When every layer supports the
 // batched path (BatchCapable) each mini-batch runs through the GEMM
-// kernels in KernelBatch-sized chunks; results are bit-identical to the
-// per-example path at any chunk size.
+// kernels in one call; gradient accumulation stays in example order, so
+// results are bit-identical to the per-example path.
 func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	if len(examples) == 0 {
 		return 0, fmt.Errorf("nn: no training examples")
@@ -128,10 +122,6 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	}
 	_, uniform := uniformWidth(examples)
 	useBatch := !cfg.perExample && uniform && n.BatchCapable()
-	kb := cfg.KernelBatch
-	if kb <= 0 {
-		kb = cfg.BatchSize
-	}
 	var bw batchWorker
 	if useBatch {
 		bw.net = n
@@ -157,14 +147,8 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 				end = len(order)
 			}
 			if useBatch {
-				for ks := start; ks < end; ks += kb {
-					ke := ks + kb
-					if ke > end {
-						ke = end
-					}
-					if err := bw.step(examples, order[ks:ke], &epochLoss, &correct); err != nil {
-						return 0, err
-					}
+				if err := bw.step(examples, order[start:end], &epochLoss, &correct); err != nil {
+					return 0, err
 				}
 			} else {
 				for _, idx := range order[start:end] {
@@ -213,7 +197,7 @@ type batchWorker struct {
 // idx order), accumulating gradients into the network parameters. Loss
 // and correct-prediction tallies add into *lossAcc/*hitAcc one example at
 // a time in idx order — the same summation tree as the per-example path,
-// so running totals match it bit for bit at any chunk size.
+// so running totals match it bit for bit.
 func (bw *batchWorker) step(examples []Example, idx []int, lossAcc *float64, hitAcc *int) error {
 	m := len(idx)
 	mtr.trainSteps.Inc()

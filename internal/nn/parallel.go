@@ -93,10 +93,6 @@ func (r *Replicated) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	nets := r.all()
 	_, uniform := uniformWidth(examples)
 	useBatch := !cfg.perExample && uniform && r.Master.BatchCapable()
-	kb := cfg.KernelBatch
-	if kb <= 0 {
-		kb = cfg.BatchSize
-	}
 	workers := make([]batchWorker, len(nets))
 	subsets := make([][]int, len(nets))
 	for w := range nets {
@@ -137,15 +133,8 @@ func (r *Replicated) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 							idx = append(idx, batch[bi])
 						}
 						subsets[w] = idx
-						for ks := 0; ks < len(idx); ks += kb {
-							ke := ks + kb
-							if ke > len(idx) {
-								ke = len(idx)
-							}
-							if err := workers[w].step(examples, idx[ks:ke], &losses[w], &hits[w]); err != nil {
-								errs[w] = err
-								return
-							}
+						if err := workers[w].step(examples, idx, &losses[w], &hits[w]); err != nil {
+							errs[w] = err
 						}
 						return
 					}

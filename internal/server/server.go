@@ -54,31 +54,30 @@ type Config struct {
 	// WriteQueue bounds each connection's outgoing reply queue in frames
 	// (default 256). Overflow kills the connection (slow reader).
 	WriteQueue int
-	// ReadBuf is the per-connection read buffer in bytes (default 32KiB).
-	ReadBuf int
 	// ReadTimeout is the idle read deadline (default 30s): a connection
 	// that sends nothing for this long is dropped.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each reply write (default 10s).
 	WriteTimeout time.Duration
-	// FlushBytes bounds how many encoded reply bytes one vectored flush
-	// accumulates before it is forced out (default 32KiB). The writer
-	// always flushes the moment its queue is momentarily empty, so a
-	// client with one frame in flight still sees single-frame latency; the
-	// threshold only bites under pipelined load, where it caps flush
-	// latency by size.
-	FlushBytes int
-	// FlushFrames caps the frames per vectored flush (default 64) — the
-	// net.Buffers length handed to one writev.
-	FlushFrames int
 }
+
+const (
+	// readBuf is the per-connection read buffer in bytes.
+	readBuf = 32 << 10
+	// flushBytes bounds how many encoded reply bytes one vectored flush
+	// accumulates before it is forced out. The writer always flushes the
+	// moment its queue is momentarily empty, so a client with one frame in
+	// flight still sees single-frame latency; the threshold only bites
+	// under pipelined load, where it caps flush latency by size.
+	flushBytes = 32 << 10
+	// flushFrames caps the frames per vectored flush — the net.Buffers
+	// length handed to one writev.
+	flushFrames = 64
+)
 
 func (c Config) normalize() Config {
 	if c.WriteQueue <= 0 {
 		c.WriteQueue = 256
-	}
-	if c.ReadBuf <= 0 {
-		c.ReadBuf = 32 << 10
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 30 * time.Second
@@ -86,20 +85,16 @@ func (c Config) normalize() Config {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 32 << 10
-	}
-	if c.FlushFrames <= 0 {
-		c.FlushFrames = 64
-	}
 	return c
 }
 
 // Counters is a snapshot of the server's accounting. The serving
-// invariant the loopback suite pins: every observation frame read is
-// exactly one of Accepted (ACKed, in a shard queue), Nacked
-// (backpressure NACK bit), or Rejected (unknown session / bad dimension
-// ERR).
+// invariant the loopback suite pins is per observation, not per frame:
+// while the fleet is open, every observation an OBSERVE_BATCH frame
+// carries (BatchObs) is exactly one of Accepted (ACK bit clear, in a
+// shard queue), Nacked (backpressure NACK bit), or Rejected (an ERR for
+// an unknown session, a bad dimension or a non-finite value, with
+// CodeUnknownSession, CodeDim or CodeBadValue).
 type Counters struct {
 	Conns          int64 `json:"conns"`            // currently open
 	ConnsTotal     int64 `json:"conns_total"`      // ever accepted
@@ -313,7 +308,7 @@ func (c *conn) wake() { c.nc.SetReadDeadline(time.Now()) }
 
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
-	buf := make([]byte, c.srv.cfg.ReadBuf)
+	buf := make([]byte, readBuf)
 	var sp wire.Splitter
 	var fr wire.Frame
 	defer func() {
@@ -369,14 +364,14 @@ func (c *conn) readLoop() {
 // for one frame, then gather every frame already queued — each encoded
 // into its own recycled buffer — and hand the lot to one vectored write
 // (net.Buffers → writev), flushing when the queue is momentarily empty or
-// when the FlushFrames/FlushBytes threshold is hit. Queue-empty flushing
+// when the flushFrames/flushBytes threshold is hit. Queue-empty flushing
 // keeps a client with one frame in flight at single-frame latency; under
 // pipelined load the per-frame syscall cost amortizes across the whole
 // flush.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	defer c.nc.Close()
-	bufs := make([][]byte, 0, c.srv.cfg.FlushFrames)
+	bufs := make([][]byte, 0, flushFrames)
 	var nb net.Buffers
 	for {
 		f, err := c.out.Pop() // blocks; ErrClosed once closed and drained
@@ -395,7 +390,7 @@ func (c *conn) writeLoop() {
 			bufs[n] = b
 			n++
 			total += len(b)
-			if n >= c.srv.cfg.FlushFrames || total >= c.srv.cfg.FlushBytes {
+			if n >= flushFrames || total >= flushBytes {
 				break
 			}
 			next, ok, _ := c.out.TryPop()
