@@ -7,15 +7,20 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: all build vet test test-short test-noavx test-race stream-smoke chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard repro figures fleet-smoke clean
+.PHONY: all build vet fmt-check test test-short test-noavx test-race stream-smoke chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard repro figures fleet-smoke clean
 
-all: build vet test
+all: build vet fmt-check test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -125,12 +130,12 @@ bench-compare:
 
 # Perf regression gate over the two most recent snapshots: the named
 # hot-path set (wire codec, fleet submission, loopback serving, int8
-# inference, MFCC chain, bit packing) may not slow down more than
+# inference, MFCC chain, bit packing, h264 decode and deblocking) may not slow down more than
 # BENCH_MAX_REGRESS percent nor allocate more per op, or the target exits
 # nonzero. End-to-end aggregates stay out of the set — they are
 # load-dependent and would make the gate flaky.
 BENCH_MAX_REGRESS := 25
-BENCH_GUARD_SET := ^Benchmark(EncodeObserve|DecodeObserve|SplitObserve|FleetObserve|LoopbackObserve|QMLPInferBatch|MFCC|PowerSpectrum|MelFilterBank|WriteUE|WriteBits)
+BENCH_GUARD_SET := ^Benchmark(EncodeObserve|DecodeObserve|SplitObserve|FleetObserve|LoopbackObserve|QMLPInferBatch|MFCC|PowerSpectrum|MelFilterBank|WriteUE|WriteBits|DecodeStreamPooled|DeblockFrame|ProbeDecode)
 bench-guard:
 	files=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2); \
 	set -- $$files; \

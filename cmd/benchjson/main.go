@@ -11,12 +11,13 @@
 // Every benchmark result line is captured: iterations, ns/op, B/op,
 // allocs/op, and any custom b.ReportMetric units (the repo reports
 // paper-figure numbers that way). A benchmark that ran several times
-// (go test -count N) is stored once, with the median of each metric and
-// the run count.
+// (go test -count N) is stored once, with the median of each metric, its
+// min and max over the runs, and the run count; the snapshot records the
+// GOMAXPROCS the benchmarks ran at.
 //
 // The -compare mode diffs two snapshots (see `make bench-compare`, which
 // feeds it the latest two BENCH_<n>.json files) and prints per-benchmark
-// ns/op and allocs/op deltas. With -max-regress P it becomes a CI gate:
+// ns/op medians with their min-max ranges, and allocs/op deltas. With -max-regress P it becomes a CI gate:
 // any benchmark whose new/old ns/op ratio exceeds 1+P/100, or whose
 // allocs/op rose at all (allocation counts are deterministic), fails the
 // run with a nonzero exit (see `make bench-guard`); -match RE restricts the
@@ -52,16 +53,24 @@ type Benchmark struct {
 	// Metrics maps unit -> value ("ns/op", "B/op", "allocs/op", and any
 	// custom ReportMetric units), each the median over Runs.
 	Metrics map[string]float64 `json:"metrics"`
+	// Min and Max map each unit to its smallest and largest value over
+	// Runs; absent for a single run.
+	Min map[string]float64 `json:"min,omitempty"`
+	Max map[string]float64 `json:"max,omitempty"`
 }
 
 // Snapshot is the file-level JSON document.
 type Snapshot struct {
-	GeneratedAt string      `json:"generated_at"`
-	GoVersion   string      `json:"go_version"`
-	GOOS        string      `json:"goos"`
-	GOARCH      string      `json:"goarch"`
-	NumCPU      int         `json:"num_cpu"`
-	Benchmarks  []Benchmark `json:"benchmarks"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	NumCPU      int    `json:"num_cpu"`
+	// GOMAXPROCS is the -N suffix every benchmark line carries (go
+	// test's -cpu setting, GOMAXPROCS by default); 0 when the lines
+	// disagree.
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
@@ -160,8 +169,10 @@ func loadSnapshot(path string) (*Snapshot, error) {
 
 // Compare renders a per-benchmark diff of two snapshots. Benchmarks are
 // matched by name (first occurrence wins on duplicates); ones present in
-// only one snapshot are listed as added or removed. The delta column is
-// new/old ns/op, so values below 1.00x are speedups.
+// only one snapshot are listed as added or removed. Each side shows its
+// ns/op median and, when it merged several runs, their min-max range, so
+// a ratio can be read against the run-to-run spread. The ratio column is
+// new/old median ns/op, so values below 1.00x are speedups.
 func Compare(oldSnap, newSnap *Snapshot) string {
 	oldBy := map[string]Benchmark{}
 	for _, b := range oldSnap.Benchmarks {
@@ -170,8 +181,8 @@ func Compare(oldSnap, newSnap *Snapshot) string {
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-52s %14s %14s %8s %11s\n",
-		"benchmark", "old ns/op", "new ns/op", "ratio", "allocs/op")
+	fmt.Fprintf(&sb, "%-52s %14s %23s %14s %23s %8s %11s\n",
+		"benchmark", "old ns/op", "old range", "new ns/op", "new range", "ratio", "allocs/op")
 	seen := map[string]bool{}
 	for _, nb := range newSnap.Benchmarks {
 		if seen[nb.Name] {
@@ -180,23 +191,23 @@ func Compare(oldSnap, newSnap *Snapshot) string {
 		seen[nb.Name] = true
 		ob, ok := oldBy[nb.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-52s %14s %14.0f %8s %11s\n",
-				nb.Name, "(added)", nb.Metrics["ns/op"], "", allocsDelta(nb.Metrics, nb.Metrics))
+			fmt.Fprintf(&sb, "%-52s %14s %23s %14.0f %23s %8s %11s\n",
+				nb.Name, "(added)", "", nb.Metrics["ns/op"], nsRange(nb), "", allocsDelta(nb.Metrics, nb.Metrics))
 			continue
 		}
 		ratio := "n/a"
 		if o := ob.Metrics["ns/op"]; o > 0 {
 			ratio = fmt.Sprintf("%.2fx", nb.Metrics["ns/op"]/o)
 		}
-		fmt.Fprintf(&sb, "%-52s %14.0f %14.0f %8s %11s\n",
-			nb.Name, ob.Metrics["ns/op"], nb.Metrics["ns/op"], ratio, allocsDelta(ob.Metrics, nb.Metrics))
+		fmt.Fprintf(&sb, "%-52s %14.0f %23s %14.0f %23s %8s %11s\n",
+			nb.Name, ob.Metrics["ns/op"], nsRange(ob), nb.Metrics["ns/op"], nsRange(nb), ratio, allocsDelta(ob.Metrics, nb.Metrics))
 	}
 	for _, ob := range oldSnap.Benchmarks {
 		if seen[ob.Name] {
 			continue
 		}
 		seen[ob.Name] = true
-		fmt.Fprintf(&sb, "%-52s %14.0f %14s\n", ob.Name, ob.Metrics["ns/op"], "(removed)")
+		fmt.Fprintf(&sb, "%-52s %14.0f %23s %14s\n", ob.Name, ob.Metrics["ns/op"], nsRange(ob), "(removed)")
 	}
 	return sb.String()
 }
@@ -241,6 +252,17 @@ func Regressions(oldSnap, newSnap *Snapshot, re *regexp.Regexp, maxPct float64) 
 	return bad
 }
 
+// nsRange formats a benchmark's ns/op min-max over its runs, or "-" for
+// a single run (or a snapshot recorded before ranges were stored).
+func nsRange(b Benchmark) string {
+	lo, lok := b.Min["ns/op"]
+	hi, hok := b.Max["ns/op"]
+	if !lok || !hok {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f-%.0f", lo, hi)
+}
+
 // allocsDelta formats the allocs/op transition, or blank when the metric is
 // absent from both snapshots (benchmarks without -benchmem).
 func allocsDelta(oldM, newM map[string]float64) string {
@@ -276,13 +298,28 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	snap.GOMAXPROCS = commonProcs(snap.Benchmarks)
 	snap.Benchmarks = mergeRuns(snap.Benchmarks)
 	return snap, nil
 }
 
+// commonProcs returns the procs value every line shares, or 0 when they
+// disagree (or there are none).
+func commonProcs(lines []Benchmark) int {
+	procs := 0
+	for i, b := range lines {
+		if i > 0 && b.Procs != procs {
+			return 0
+		}
+		procs = b.Procs
+	}
+	return procs
+}
+
 // mergeRuns folds result lines with the same name and procs into one
 // Benchmark per name, in first-seen order, holding the median iteration
-// count and the median of every metric over the lines that report it.
+// count and the median, min and max of every metric over the lines that
+// report it.
 func mergeRuns(lines []Benchmark) []Benchmark {
 	type key struct {
 		name  string
@@ -304,7 +341,8 @@ func mergeRuns(lines []Benchmark) []Benchmark {
 			out = append(out, rs[0])
 			continue
 		}
-		m := Benchmark{Name: k.name, Procs: k.procs, Runs: len(rs), Metrics: map[string]float64{}}
+		m := Benchmark{Name: k.name, Procs: k.procs, Runs: len(rs), Metrics: map[string]float64{},
+			Min: map[string]float64{}, Max: map[string]float64{}}
 		iters := make([]float64, len(rs))
 		vals := map[string][]float64{}
 		for i, r := range rs {
@@ -316,6 +354,7 @@ func mergeRuns(lines []Benchmark) []Benchmark {
 		m.Iterations = int64(median(iters))
 		for unit, vs := range vals {
 			m.Metrics[unit] = median(vs)
+			m.Min[unit], m.Max[unit] = vs[0], vs[len(vs)-1] // median sorted vs
 		}
 		out = append(out, m)
 	}

@@ -138,6 +138,62 @@ BenchmarkX-2   200   200 ns/op   16 B/op   2 allocs/op   8 ns/row
 	}
 }
 
+func TestParseSpread(t *testing.T) {
+	in := `BenchmarkX-2   100   300 ns/op   7 ns/row
+BenchmarkX-2   300   100 ns/op   9 ns/row
+BenchmarkX-2   200   250 ns/op   8 ns/row
+BenchmarkY-2   10   50 ns/op
+`
+	snap, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.GOMAXPROCS != 2 {
+		t.Errorf("gomaxprocs %d, want 2", snap.GOMAXPROCS)
+	}
+	x := snap.Benchmarks[0]
+	for unit, want := range map[string][3]float64{"ns/op": {100, 250, 300}, "ns/row": {7, 8, 9}} {
+		if got := [3]float64{x.Min[unit], x.Metrics[unit], x.Max[unit]}; got != want {
+			t.Errorf("X %s min/median/max = %v, want %v", unit, got, want)
+		}
+	}
+	if y := snap.Benchmarks[1]; y.Min != nil || y.Max != nil {
+		t.Errorf("single-run Y carries a range: %+v", y)
+	}
+	mixed, err := Parse(strings.NewReader("BenchmarkX-2 1 5 ns/op\nBenchmarkX-4 1 5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mixed.GOMAXPROCS != 0 {
+		t.Errorf("mixed -cpu lines: gomaxprocs %d, want 0", mixed.GOMAXPROCS)
+	}
+}
+
+func TestCompareRanges(t *testing.T) {
+	oldSnap := &Snapshot{Benchmarks: []Benchmark{{Name: "BenchmarkA", Runs: 3,
+		Metrics: map[string]float64{"ns/op": 190},
+		Min:     map[string]float64{"ns/op": 182}, Max: map[string]float64{"ns/op": 201}}}}
+	newSnap := &Snapshot{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Runs: 3, Metrics: map[string]float64{"ns/op": 130},
+			Min: map[string]float64{"ns/op": 123}, Max: map[string]float64{"ns/op": 144}},
+		{Name: "BenchmarkOne", Metrics: map[string]float64{"ns/op": 9}},
+	}}
+	out := Compare(oldSnap, newSnap)
+	for _, want := range []string{"182-201", "123-144", "0.68x"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output missing %q:\n%s", want, out)
+		}
+	}
+	// A single-run benchmark has no range: "-".
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "BenchmarkOne" {
+			if strings.Join(f, " ") != "BenchmarkOne (added) 9 -" {
+				t.Errorf("single-run line %q, want range \"-\"", line)
+			}
+		}
+	}
+}
+
 func TestRegressionsAllocs(t *testing.T) {
 	oldSnap := &Snapshot{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 0}},

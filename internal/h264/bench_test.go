@@ -338,3 +338,35 @@ func benchmarkSAD(b *testing.B, sad func(orig, ref *Frame, bx, by int, mv MV) in
 
 func BenchmarkSADBlock(b *testing.B)       { benchmarkSAD(b, sadBlock) }
 func BenchmarkSADBlockScalar(b *testing.B) { benchmarkSAD(b, sadBlockRef) }
+
+// BenchmarkProbeDecode decodes the fleet's 6-frame probe clip per
+// operating mode exactly as a shard's video probe does: one pooled
+// decoder, the output slice recycled, trailing deleted units concealed,
+// every frame returned to the pool. Allocations must be zero per op.
+func BenchmarkProbeDecode(b *testing.B) {
+	streams, total := probeClip(b, 6, false)
+	for _, mode := range Modes() {
+		b.Run("mode="+mode.String(), func(b *testing.B) {
+			dec := NewDecoder()
+			pool := NewFramePool()
+			dec.SetPool(pool)
+			out, err := probeDecode(dec, mode, streams[mode], total, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool.PutAll(out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err = probeDecode(dec, mode, streams[mode], total, out[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out) != total {
+					b.Fatalf("%d frames, want %d", len(out), total)
+				}
+				pool.PutAll(out)
+			}
+		})
+	}
+}

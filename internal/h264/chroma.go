@@ -177,14 +177,18 @@ func (d *Decoder) decodeChromaMB(r *BitReader, recon *Frame, mx, my int, intra b
 			pred = predictChromaInter(d.lastRef, plane, bx, by, mv)
 		}
 		var scan [16]int32
-		bits, _, err := decodeResidualScan(r, &scan)
+		bits, nz, err := decodeResidualScan(r, &scan)
 		if err != nil {
 			return err
 		}
 		d.activity.ResidualBits += bits
+		// An all-zero residual reconstructs to the prediction itself; the
+		// block still counts as IQIT work, which the power model charges.
 		var res Block4
-		if err := iqitScanInto(&scan, cqp, &res); err != nil {
-			return err
+		if nz > 0 {
+			if err := iqitScanInto(&scan, cqp, &res); err != nil {
+				return err
+			}
 		}
 		d.activity.BlocksIQIT++
 		reconstructChroma(recon, plane, bx, by, pred, res)

@@ -76,36 +76,35 @@ func abs(v int) int {
 
 // filterStats counts deblocking activity for the power model.
 type filterStats struct {
-	edgesConsidered int // every 4-sample edge segment: bS computation
-	edgesExamined   int // segments with bS > 0: threshold evaluation
+	edgesConsidered int // every 4-sample edge: bS computation
+	edgesExamined   int // segments (sample lines) with bS > 0: threshold evaluation
 	edgesFiltered   int // segments that passed thresholds and were filtered
 	samplesTouch    int // samples written
 }
 
-// filterEdgeLuma filters one 4-sample luma edge. For vertical edges the
-// samples run horizontally across the boundary at (x, y+i); for horizontal
-// edges vertically. bS > 0 and thresholds decide whether filtering occurs.
+// filterEdge16 filters one 16-sample luma macroblock edge: the vertical
+// edge at column x covering rows y..y+15, or the horizontal edge at row y
+// covering columns x..x+15. mbInfo is per macroblock, so one bS holds
+// along the whole edge; bS > 0 and the thresholds decide, segment by
+// segment (a sample row of a vertical edge, a column of a horizontal
+// one), whether filtering occurs.
 //
-// Every sample this touches is in-frame by construction: DeblockFrame only
-// emits vertical edges with 4 <= x <= width-4 and horizontal edges with
-// 4 <= y <= height-4, so the four samples on each side sit at offsets
-// p0-3*step .. q0+3*step inside the plane. That lets the filter index the
-// plane directly instead of going through clamping accessors — same
-// arithmetic, same write order.
+// Every sample this touches is in-frame by construction: DeblockFrame
+// only emits vertical edges with 4 <= x <= width-4 and horizontal edges
+// with 4 <= y <= height-4, so the four samples on each side sit inside
+// the plane, and the frame width (a multiple of 16) is the stride.
 //
-// The whole edge — threshold decisions and tap arithmetic for all four
-// segments — is evaluated by one simd.DeblockEdge4 call, which is
-// bit-identical to the spec's sequential per-segment filter: integer
+// The whole edge — threshold decisions and tap arithmetic for all
+// sixteen segments — is evaluated by one simd.DeblockEdge16 call, which
+// is bit-identical to the spec's sequential per-segment filter: integer
 // taps are exact, and a segment's writes stay on its own row (vertical)
-// or column (horizontal), never feeding a later segment's reads. The
+// or column (horizontal), never feeding another segment's reads. The
 // returned write masks reproduce the per-segment filter statistics.
-func filterEdgeLuma(f *Frame, x, y int, vertical bool, bS, qp int, st *filterStats) {
-	if bS <= 0 {
-		return
-	}
+// The caller skips edges with bS == 0.
+func filterEdge16(f *Frame, x, y int, vertical bool, bS, qp int, st *filterStats) {
 	alpha := alphaTable[clampQP(qp)]
 	beta := betaTable[clampQP(qp)]
-	st.edgesExamined += 4
+	st.edgesExamined += 16
 	if alpha == 0 || beta == 0 {
 		// |d| >= 0 always fails a zero threshold: nothing can filter.
 		return
@@ -122,8 +121,8 @@ func filterEdgeLuma(f *Frame, x, y int, vertical bool, bS, qp int, st *filterSta
 	} else {
 		base = (y-4)*w + x
 	}
-	m0, mP, mQ := simd.DeblockEdge4(f.Y, base, w, vertical, alpha, beta, tc0, strong)
-	n := bits.OnesCount8(m0)
+	m0, mP, mQ := simd.DeblockEdge16(f.Y, base, w, vertical, alpha, beta, tc0, strong)
+	n := bits.OnesCount16(m0)
 	if n == 0 {
 		return
 	}
@@ -134,24 +133,7 @@ func filterEdgeLuma(f *Frame, x, y int, vertical bool, bS, qp int, st *filterSta
 	if strong {
 		extra = 2
 	}
-	st.samplesTouch += 2*n + extra*(bits.OnesCount8(mP)+bits.OnesCount8(mQ))
-}
-
-func absI32(v int32) int32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func clip3(lo, hi, v int32) int32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	st.samplesTouch += 2*n + extra*(bits.OnesCount16(mP)+bits.OnesCount16(mQ))
 }
 
 func clampQP(qp int) int {
@@ -174,7 +156,9 @@ func DeblockFrame(f *Frame, mbs []mbInfo, qp int) filterStats {
 		return st
 	}
 	// Vertical edges then horizontal edges, per spec order; edges every 4
-	// samples, macroblock-boundary edges get mbEdge treatment.
+	// samples, macroblock-boundary edges get mbEdge treatment. Each edge
+	// spans the macroblock: one filterEdge16 call, counted as four
+	// 4-sample edges.
 	for my := 0; my < mbh; my++ {
 		for mx := 0; mx < mbw; mx++ {
 			cur := mbs[my*mbw+mx]
@@ -188,10 +172,9 @@ func DeblockFrame(f *Frame, mbs []mbInfo, qp int) filterStats {
 				if mbEdge {
 					nb = mbs[my*mbw+mx-1]
 				}
-				bS := BoundaryStrength(nb, cur, mbEdge)
-				for ey := 0; ey < 16; ey += 4 {
-					st.edgesConsidered++
-					filterEdgeLuma(f, x, my*16+ey, true, bS, qp, &st)
+				st.edgesConsidered += 4
+				if bS := BoundaryStrength(nb, cur, mbEdge); bS > 0 {
+					filterEdge16(f, x, my*16, true, bS, qp, &st)
 				}
 			}
 			for ey := 0; ey < 16; ey += 4 {
@@ -204,10 +187,9 @@ func DeblockFrame(f *Frame, mbs []mbInfo, qp int) filterStats {
 				if mbEdge {
 					nb = mbs[(my-1)*mbw+mx]
 				}
-				bS := BoundaryStrength(nb, cur, mbEdge)
-				for ex := 0; ex < 16; ex += 4 {
-					st.edgesConsidered++
-					filterEdgeLuma(f, mx*16+ex, y, false, bS, qp, &st)
+				st.edgesConsidered += 4
+				if bS := BoundaryStrength(nb, cur, mbEdge); bS > 0 {
+					filterEdge16(f, mx*16, y, false, bS, qp, &st)
 				}
 			}
 		}

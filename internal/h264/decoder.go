@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -59,6 +60,15 @@ type Decoder struct {
 	pool        *FramePool // optional frame recycling; nil means plain allocation
 	mbScratch   []mbInfo   // per-slice macroblock info, reused across slices
 	unitScratch []NAL      // split-stream scratch, reused across streams
+	mb          mbResidual // the current macroblock's parsed luma residual
+}
+
+// mbResidual is one macroblock's parsed luma residual: the zig-zag
+// levels of its sixteen 4x4 blocks in raster block order, and each
+// block's nonzero-level count.
+type mbResidual struct {
+	scan [16][16]int32
+	nz   [16]int
 }
 
 // maxConcealGap bounds how many consecutive missing frame numbers the
@@ -302,38 +312,40 @@ func (d *Decoder) ConcealTo(n int) []*Frame {
 	return out
 }
 
-// decodeIntraMB mirrors Encoder.encodeIntraMB.
+// decodeIntraMB mirrors Encoder.encodeIntraMB. Each 4x4 block is
+// predicted straight into the plane (its neighbours are the blocks
+// reconstructed before it), and the residual is added in place only
+// where the block has nonzero levels.
 func (d *Decoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info *mbInfo) error {
 	info.intra = true
-	for by := 0; by < 16; by += 4 {
-		for bx := 0; bx < 16; bx += 4 {
-			x, y := mx*16+bx, my*16+by
-			before := r.BitsRead()
-			modeVal, err := r.ReadUE()
-			if err != nil {
-				return err
-			}
-			d.activity.HeaderBits += r.BitsRead() - before
-			pred, err := PredictIntra4(recon, x, y, IntraMode(modeVal))
-			if err != nil {
-				return err
-			}
-			d.activity.IntraBlocks++
-			var scan [16]int32
-			bits, nz, err := decodeResidualScan(r, &scan)
-			if err != nil {
-				return err
-			}
-			d.activity.ResidualBits += bits
-			if nz > 0 {
-				info.coded = true
-			}
+	w := recon.Width
+	scan := &d.mb.scan[0]
+	for blk := 0; blk < 16; blk++ {
+		x, y := mx*16+blk%4*4, my*16+blk/4*4
+		before := r.BitsRead()
+		modeVal, err := r.ReadUE()
+		if err != nil {
+			return err
+		}
+		d.activity.HeaderBits += r.BitsRead() - before
+		off := y*w + x
+		if err := predictIntraInto(recon.Y, off, w, x > 0, y > 0, IntraMode(modeVal)); err != nil {
+			return err
+		}
+		d.activity.IntraBlocks++
+		bits, nz, err := decodeResidualScan(r, scan)
+		if err != nil {
+			return err
+		}
+		d.activity.ResidualBits += bits
+		d.activity.BlocksIQIT++
+		if nz > 0 {
+			info.coded = true
 			var res Block4
-			if err := iqitScanInto(&scan, d.qp, &res); err != nil {
+			if err := iqitScanInto(scan, d.qp, &res); err != nil {
 				return err
 			}
-			d.activity.BlocksIQIT++
-			reconstructBlock(recon, x, y, pred, res)
+			addResidual4(recon.Y[off:], recon.Y[off:], w, w, &res)
 		}
 	}
 	if d.chroma {
@@ -345,7 +357,11 @@ func (d *Decoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	return nil
 }
 
-// decodeInterMB mirrors Encoder.encodeInterMB.
+// decodeInterMB mirrors Encoder.encodeInterMB. All sixteen residual
+// blocks are parsed before any sample is written: motion-compensated
+// prediction reads only the reference frame, never this macroblock's
+// own reconstruction, so the order of parsing and reconstruction is
+// free.
 func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mbInfo) error {
 	before := r.BitsRead()
 	skip, err := r.ReadBit()
@@ -355,17 +371,11 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	if skip == 1 {
 		d.activity.HeaderBits += r.BitsRead() - before
 		d.activity.SkipMBs++
-		// Zero-MV prediction plus zero residual of uint8-sourced samples is
-		// clamp(ref) == ref, so a skip MB is exactly a 16x16 co-located copy:
-		// sixteen row copies replace 256 clamped per-sample round trips. The
-		// sixteen 4x4 motion-compensated predictions it stands for still
-		// count toward InterBlocks.
-		w := recon.Width
-		top := my * 16 * w
-		left := mx * 16
-		for row := 0; row < 16; row++ {
-			off := top + row*w + left
-			copy(recon.Y[off:off+16], d.lastRef.Y[off:off+16])
+		// A skip MB is zero-MV prediction plus zero residual; the sixteen
+		// 4x4 motion-compensated predictions it stands for still count
+		// toward InterBlocks.
+		if err := d.reconInterMB(recon, mx, my, MV{}, false); err != nil {
+			return err
 		}
 		d.activity.InterBlocks += 16
 		if d.chroma {
@@ -384,27 +394,21 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	d.activity.HeaderBits += r.BitsRead() - before
 	mv := MV{int(mvx), int(mvy)}
 	info.mv = mv
-	for by := 0; by < 16; by += 4 {
-		for bx := 0; bx < 16; bx += 4 {
-			x, y := mx*16+bx, my*16+by
-			pred := PredictInter4(d.lastRef, x, y, mv)
-			d.activity.InterBlocks++
-			var scan [16]int32
-			bits, nz, err := decodeResidualScan(r, &scan)
-			if err != nil {
-				return err
-			}
-			d.activity.ResidualBits += bits
-			if nz > 0 {
-				info.coded = true
-			}
-			var res Block4
-			if err := iqitScanInto(&scan, d.qp, &res); err != nil {
-				return err
-			}
-			d.activity.BlocksIQIT++
-			reconstructBlock(recon, x, y, pred, res)
+	for blk := range d.mb.scan {
+		d.activity.InterBlocks++
+		bits, nz, err := decodeResidualScan(r, &d.mb.scan[blk])
+		if err != nil {
+			return err
 		}
+		d.activity.ResidualBits += bits
+		d.activity.BlocksIQIT++
+		d.mb.nz[blk] = nz
+		if nz > 0 {
+			info.coded = true
+		}
+	}
+	if err := d.reconInterMB(recon, mx, my, mv, info.coded); err != nil {
+		return err
 	}
 	if d.chroma {
 		if err := d.decodeChromaMB(r, recon, mx, my, false, mv); err != nil {
@@ -413,4 +417,63 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	}
 	d.activity.CodedMBs++
 	return nil
+}
+
+// reconInterMB writes the luma of inter macroblock (mx, my): prediction
+// from the reference displaced by mv plus the parsed residual in d.mb,
+// or no residual at all when coded is false. Residual-free blocks are
+// exact copies of their prediction (clamp(pred+0) == pred for uint8
+// samples), so they skip the inverse transform; an uncoded macroblock
+// whose whole 16x16 prediction lies inside the reference is sixteen row
+// copies. Only blocks whose prediction reaches past the reference's edge
+// go through PredictInter4's edge extension.
+func (d *Decoder) reconInterMB(recon *Frame, mx, my int, mv MV, coded bool) error {
+	ref := d.lastRef
+	dw, sw := recon.Width, ref.Width
+	x0, y0 := mx*16+mv.X, my*16+mv.Y
+	if !coded && x0 >= 0 && y0 >= 0 && x0+16 <= ref.Width && y0+16 <= ref.Height {
+		dst := recon.Y[my*16*dw+mx*16:]
+		src := ref.Y[y0*sw+x0:]
+		for row := 0; row < 16; row++ {
+			copy16(dst[row*dw:], src[row*sw:])
+		}
+		return nil
+	}
+	for blk := 0; blk < 16; blk++ {
+		bx, by := blk%4*4, blk/4*4
+		x, y := mx*16+bx, my*16+by
+		var res Block4
+		hasRes := coded && d.mb.nz[blk] > 0
+		if hasRes {
+			if err := iqitScanInto(&d.mb.scan[blk], d.qp, &res); err != nil {
+				return err
+			}
+		}
+		sx, sy := x0+bx, y0+by
+		if sx < 0 || sy < 0 || sx+4 > ref.Width || sy+4 > ref.Height {
+			reconstructBlock(recon, x, y, PredictInter4(ref, x, y, mv), res)
+			continue
+		}
+		bd, bs := recon.Y[y*dw+x:], ref.Y[sy*sw+sx:]
+		if hasRes {
+			addResidual4(bd, bs, dw, sw, &res)
+			continue
+		}
+		for row := 0; row < 4; row++ {
+			copy4(bd[row*dw:], bs[row*sw:])
+		}
+	}
+	return nil
+}
+
+// copy4 and copy16 copy one 4- or 16-sample row segment as word moves
+// (a slice copy this short costs more in the memmove call than in the
+// move).
+func copy4(dst, src []uint8) {
+	binary.LittleEndian.PutUint32(dst, binary.LittleEndian.Uint32(src))
+}
+
+func copy16(dst, src []uint8) {
+	binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
 }

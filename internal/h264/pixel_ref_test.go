@@ -109,6 +109,23 @@ func filterEdgeLumaRef(f *Frame, x, y int, vertical bool, bS, qp int, st *filter
 	}
 }
 
+func absI32(v int32) int32 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+func clip3(lo, hi, v int32) int32 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
+
 // deblockFrameRef is DeblockFrame driving the reference edge filter.
 func deblockFrameRef(f *Frame, mbs []mbInfo, qp int) filterStats {
 	var st filterStats

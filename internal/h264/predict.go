@@ -33,57 +33,85 @@ func (m IntraMode) String() string {
 // PredictIntra4 fills a 4x4 luma prediction for the block whose top-left
 // corner is (bx, by) in frame f, from already-reconstructed neighbors.
 // Unavailable neighbors (frame edge) fall back per spec: DC averages the
-// available sides or uses 128; directional modes replicate 128.
+// available sides or uses 128; directional modes replicate 128. It runs
+// predictIntraInto on a 5x5 patch holding the block's top row and left
+// column of neighbours.
 func PredictIntra4(f *Frame, bx, by int, mode IntraMode) (Block4, error) {
+	var patch [25]uint8
+	hasTop, hasLeft := by > 0, bx > 0
+	if hasTop {
+		copy4(patch[1:], f.Y[(by-1)*f.Width+bx:])
+	}
+	if hasLeft {
+		for r := 0; r < 4; r++ {
+			patch[(r+1)*5] = f.Y[(by+r)*f.Width+bx-1]
+		}
+	}
 	var pred Block4
-	hasTop := by > 0
-	hasLeft := bx > 0
+	if err := predictIntraInto(patch[:], 6, 5, hasLeft, hasTop, mode); err != nil {
+		return pred, err
+	}
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			pred[r*4+c] = int32(patch[(r+1)*5+1+c])
+		}
+	}
+	return pred, nil
+}
+
+// gray4 is the 128-valued top row vertical prediction falls back to.
+var gray4 = [4]uint8{128, 128, 128, 128}
+
+// predictIntraInto writes the 4x4 intra prediction of the block whose
+// top-left sample is y[off] (rows stride apart) straight into the plane,
+// reading its already-reconstructed neighbours there. hasLeft and hasTop
+// say whether the block has a left column and a top row to predict from;
+// an unavailable side falls back per spec (DC averages the available
+// sides or uses 128, directional modes replicate 128).
+func predictIntraInto(y []uint8, off, stride int, hasLeft, hasTop bool, mode IntraMode) error {
 	switch mode {
 	case IntraVertical:
-		for c := 0; c < 4; c++ {
-			var v uint8 = 128
-			if hasTop {
-				v = f.YAt(bx+c, by-1)
-			}
-			for r := 0; r < 4; r++ {
-				pred[r*4+c] = int32(v)
-			}
+		top := gray4[:]
+		if hasTop {
+			top = y[off-stride:]
+		}
+		for r := 0; r < 4; r++ {
+			copy4(y[off+r*stride:], top)
 		}
 	case IntraHorizontal:
 		for r := 0; r < 4; r++ {
-			var v uint8 = 128
+			row := y[off+r*stride : off+r*stride+4]
+			v := uint8(128)
 			if hasLeft {
-				v = f.YAt(bx-1, by+r)
+				v = y[off+r*stride-1]
 			}
-			for c := 0; c < 4; c++ {
-				pred[r*4+c] = int32(v)
-			}
+			row[0], row[1], row[2], row[3] = v, v, v, v
 		}
 	case IntraDC:
 		var sum, n int32
 		if hasTop {
-			for c := 0; c < 4; c++ {
-				sum += int32(f.YAt(bx+c, by-1))
-			}
+			t := y[off-stride : off-stride+4]
+			sum += int32(t[0]) + int32(t[1]) + int32(t[2]) + int32(t[3])
 			n += 4
 		}
 		if hasLeft {
 			for r := 0; r < 4; r++ {
-				sum += int32(f.YAt(bx-1, by+r))
+				sum += int32(y[off+r*stride-1])
 			}
 			n += 4
 		}
-		dc := int32(128)
+		dc := uint8(128)
 		if n > 0 {
-			dc = (sum + n/2) / n
+			dc = uint8((sum + n/2) / n)
 		}
-		for i := range pred {
-			pred[i] = dc
+		for r := 0; r < 4; r++ {
+			row := y[off+r*stride : off+r*stride+4]
+			row[0], row[1], row[2], row[3] = dc, dc, dc, dc
 		}
 	default:
-		return pred, fmt.Errorf("h264: unknown intra mode %d", int(mode))
+		return fmt.Errorf("h264: unknown intra mode %d", int(mode))
 	}
-	return pred, nil
+	return nil
 }
 
 // MV is a full-pel motion vector.
@@ -144,6 +172,21 @@ func reconstructBlock(f *Frame, bx, by int, pred, residual Block4) {
 		for c := 0; c < 4; c++ {
 			f.SetY(bx+c, by+r, clampU8(pred[r*4+c]+residual[r*4+c]))
 		}
+	}
+}
+
+// addResidual4 writes clamp(src + res) for one 4x4 block: src and dst
+// start at the block's top-left sample, rows srcStride and dstStride
+// apart. dst may alias src (the intra case, prediction already in the
+// plane).
+func addResidual4(dst, src []uint8, dstStride, srcStride int, res *Block4) {
+	for r := 0; r < 4; r++ {
+		s := src[r*srcStride : r*srcStride+4]
+		d := dst[r*dstStride : r*dstStride+4]
+		d[0] = clampU8(int32(s[0]) + res[r*4])
+		d[1] = clampU8(int32(s[1]) + res[r*4+1])
+		d[2] = clampU8(int32(s[2]) + res[r*4+2])
+		d[3] = clampU8(int32(s[3]) + res[r*4+3])
 	}
 }
 

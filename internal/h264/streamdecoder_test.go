@@ -315,7 +315,7 @@ func TestStreamDecoderBackpressure(t *testing.T) {
 // result must be frame-for-frame identical, and batch failure must imply
 // progressive failure (and vice versa), at both SIMD settings.
 func FuzzChunkSplitDiff(f *testing.F) {
-	f.Add(0, byte(0), 1 << 20, []byte{64})
+	f.Add(0, byte(0), 1<<20, []byte{64})
 	f.Add(100, byte(0x80), 512, []byte{1, 3, 250})
 	f.Add(3, byte(1), 40, []byte{1})
 	f.Add(9999, byte(255), 4096, []byte{7, 255, 0, 2})

@@ -189,6 +189,42 @@ func TestObserveClosedFleet(t *testing.T) {
 	}
 }
 
+// TestClosedFleetAccounting closes the fleet under an open connection
+// and sends a multi-item batch: the refused items must land in Rejected,
+// so every observation a batch carried is still exactly one of
+// Accepted, Nacked or Rejected.
+func TestClosedFleetAccounting(t *testing.T) {
+	f, srv, addr := newTestServer(t, testFleetConfig(2), Config{})
+	dim := f.FeatureDim()
+	_, send, recv := rawDial(t, addr)
+	send(helloFrame(0, dim))
+	if r := recv(); r.Type != wire.Ack {
+		t.Fatalf("handshake: got %s", r.Type)
+	}
+	send(oneItem(1, 1, make([]float64, dim)))
+	if r := recv(); r.Type != wire.AckBatch {
+		t.Fatalf("open fleet: got %s, want ACK_BATCH", r.Type)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch := &wire.Frame{Type: wire.ObserveBatch}
+	for i := 0; i < 5; i++ {
+		batch.Batch = append(batch.Batch, wire.BatchObs{Seq: uint64(2 + i), At: int64(2 + i), Vals: make([]float64, dim)})
+	}
+	send(batch)
+	if r := recv(); r.Type != wire.Err || r.Code != wire.CodeClosed {
+		t.Fatalf("got %s code %d, want ERR CodeClosed", r.Type, r.Code)
+	}
+	c := srv.Counters()
+	if c.BatchObs != 6 || c.Accepted != 1 || c.Rejected != 5 {
+		t.Fatalf("batch_obs %d accepted %d rejected %d, want 6, 1, 5", c.BatchObs, c.Accepted, c.Rejected)
+	}
+	if sum := c.Accepted + c.Nacked + c.Rejected; sum != c.BatchObs {
+		t.Fatalf("accepted+nacked+rejected = %d, batch_obs %d", sum, c.BatchObs)
+	}
+}
+
 // TestHelloSessionOutOfRange covers the id guard: a session id beyond
 // int64 can never name a fleet session, so it refuses as unknown.
 func TestHelloSessionOutOfRange(t *testing.T) {

@@ -90,11 +90,11 @@ func (c Config) normalize() Config {
 
 // Counters is a snapshot of the server's accounting. The serving
 // invariant the loopback suite pins is per observation, not per frame:
-// while the fleet is open, every observation an OBSERVE_BATCH frame
-// carries (BatchObs) is exactly one of Accepted (ACK bit clear, in a
-// shard queue), Nacked (backpressure NACK bit), or Rejected (an ERR for
-// an unknown session, a bad dimension or a non-finite value, with
-// CodeUnknownSession, CodeDim or CodeBadValue).
+// every observation an OBSERVE_BATCH frame carries (BatchObs) is exactly
+// one of Accepted (ACK bit clear, in a shard queue), Nacked
+// (backpressure NACK bit), or Rejected (an ERR for an unknown session, a
+// bad dimension, a non-finite value or a closed fleet, with
+// CodeUnknownSession, CodeDim, CodeBadValue or CodeClosed).
 type Counters struct {
 	Conns          int64 `json:"conns"`            // currently open
 	ConnsTotal     int64 `json:"conns_total"`      // ever accepted
@@ -103,7 +103,7 @@ type Counters struct {
 	FramesOut      int64 `json:"frames_out"`       // replies written
 	Accepted       int64 `json:"accepted"`         // observations the fleet accepted
 	Nacked         int64 `json:"nacked"`           // backpressure NACKs (frames or batch items)
-	Rejected       int64 `json:"rejected"`         // refused observations (ERR, connection kept)
+	Rejected       int64 `json:"rejected"`         // refused observations (ERR)
 	BatchesIn      int64 `json:"batches_in"`       // OBSERVE_BATCH frames dispatched
 	BatchObs       int64 `json:"batch_obs"`        // observations carried by OBSERVE_BATCH frames
 	Flushes        int64 `json:"flushes"`          // vectored reply flushes (one writev each)
@@ -541,7 +541,9 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 		items[i] = fleet.Obs{ID: c.session, At: time.Duration(fr.Batch[i].At), X: fr.Batch[i].Vals}
 	}
 	if err := c.srv.f.ObserveBatch(items, statuses); err != nil {
-		return c.refuse(fr.Batch[0].Seq, err) // ErrClosed
+		// ErrClosed: the fleet admitted none of the frame's items.
+		c.count(0, 0, n)
+		return c.refuse(fr.Batch[0].Seq, err)
 	}
 	// Fresh bitmap per reply: the frame travels through the FIFO to the
 	// writer, so the reader must not reuse its backing.

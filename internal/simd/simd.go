@@ -390,14 +390,16 @@ func SAD4x4Ref(a []byte, astride int, b []byte, bstride int) int32 {
 	return sad
 }
 
-// DeblockEdge4 applies the H.264 in-loop luma deblocking filter to all
-// four segments of one 4-sample edge in y, in place. The sample layout
-// is fixed by the caller-supplied base:
+// DeblockEdge16 applies the H.264 in-loop luma deblocking filter to all
+// sixteen segments of one macroblock edge in y, in place. The sample
+// layout is fixed by the caller-supplied base:
 //
 //   - vertical edge: segment i reads the eight contiguous bytes
-//     [p3 p2 p1 p0 q0 q1 q2 q3] at y[base+i·stride .. base+i·stride+8)
-//   - horizontal edge: row k = y[base+k·stride .. base+k·stride+4)
-//     holds p3..q3 for k = 0..7, and segment i is column i
+//     [p3 p2 p1 p0 q0 q1 q2 q3] at y[base+i·stride .. base+i·stride+8),
+//     i = 0..15; stride must be at least 8
+//   - horizontal edge: row k = y[base+k·stride .. base+k·stride+16)
+//     holds p3..q3 for k = 0..7, and segment i is column i; stride must
+//     be at least 16
 //
 // alpha and beta must be in [1, 255] (the caller screens the zero
 // thresholds, under which nothing can filter). For bS < 4, strong is
@@ -407,34 +409,33 @@ func SAD4x4Ref(a []byte, astride int, b []byte, bstride int) int32 {
 // and q0 written), and mP/mQ flag the extra p-side/q-side writes (one
 // sample each for the normal filter, two for the strong one).
 //
-// Every tap is integer arithmetic, so the packed kernel is
-// bit-identical to the scalar reference; segments write only their own
-// row (vertical) or column (horizontal) and never feed another
-// segment's reads, so evaluating all four at once matches the
-// reference's sequential order exactly.
-func DeblockEdge4(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint8) {
+// Every tap is integer arithmetic that fits int16 lanes, so the packed
+// kernel is bit-identical to the scalar reference; segments write only
+// their own row (vertical) or column (horizontal) and never feed
+// another segment's reads, so evaluating all sixteen at once matches
+// the reference's sequential order exactly.
+func DeblockEdge16(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint16) {
 	if enabled {
-		s := int32(0)
+		var s, v int32
 		if strong {
 			s = 1
 		}
-		var m uint32
 		if vertical {
-			_ = y[base+3*stride+7]
-			m = deblockEdge4VSSE(&y[base], stride, alpha, beta, tc0, s)
+			v = 1
+			_ = y[base+15*stride+7]
 		} else {
-			_ = y[base+7*stride+3]
-			m = deblockEdge4HSSE(&y[base], stride, alpha, beta, tc0, s)
+			_ = y[base+7*stride+15]
 		}
-		return uint8(m), uint8(m >> 8), uint8(m >> 16)
+		m := deblockEdge16AVX(&y[base], stride, alpha, beta, tc0, s, v)
+		return uint16(m), uint16(m >> 16), uint16(m >> 32)
 	}
-	return DeblockEdge4Ref(y, base, stride, vertical, alpha, beta, tc0, strong)
+	return DeblockEdge16Ref(y, base, stride, vertical, alpha, beta, tc0, strong)
 }
 
-// DeblockEdge4Ref is the portable DeblockEdge4 body: the spec's
-// per-segment filter, verbatim.
-func DeblockEdge4Ref(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint8) {
-	for i := 0; i < 4; i++ {
+// DeblockEdge16Ref is the portable DeblockEdge16 body: the spec's
+// per-segment filter, applied to the sixteen segments in order.
+func DeblockEdge16Ref(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint16) {
+	for i := 0; i < 16; i++ {
 		var p0idx, step int
 		if vertical {
 			p0idx = base + i*stride + 3
@@ -443,65 +444,77 @@ func DeblockEdge4Ref(y []byte, base, stride int, vertical bool, alpha, beta, tc0
 			p0idx = base + 3*stride + i
 			step = stride
 		}
-		q0idx := p0idx + step
-		var p, q [4]int32
-		for d := 0; d < 4; d++ {
-			p[d] = int32(y[p0idx-d*step])
-			q[d] = int32(y[q0idx+d*step])
+		f0, fP, fQ := deblockSegment(y, p0idx, step, alpha, beta, tc0, strong)
+		if f0 {
+			m0 |= 1 << i
 		}
-		if absI32(p[0]-q[0]) >= alpha || absI32(p[1]-p[0]) >= beta || absI32(q[1]-q[0]) >= beta {
-			continue
+		if fP {
+			mP |= 1 << i
 		}
-		m0 |= 1 << i
-		ap := absI32(p[2]-p[0]) < beta
-		aq := absI32(q[2]-q[0]) < beta
-		if !strong {
-			tc := tc0
-			if ap {
-				tc++
-			}
-			if aq {
-				tc++
-			}
-			delta := clip3i(-tc, tc, ((q[0]-p[0])<<2+(p[1]-q[1])+4)>>3)
-			y[p0idx] = clampByte(p[0] + delta)
-			y[q0idx] = clampByte(q[0] - delta)
-			if ap {
-				dp := clip3i(-tc0, tc0, (p[2]+((p[0]+q[0]+1)>>1)-(p[1]<<1))>>1)
-				y[p0idx-step] = clampByte(p[1] + dp)
-				mP |= 1 << i
-			}
-			if aq {
-				dq := clip3i(-tc0, tc0, (q[2]+((p[0]+q[0]+1)>>1)-(q[1]<<1))>>1)
-				y[q0idx+step] = clampByte(q[1] + dq)
-				mQ |= 1 << i
-			}
-			continue
-		}
-		// Strong filter (bS == 4).
-		if absI32(p[0]-q[0]) < (alpha>>2)+2 {
-			if ap {
-				y[p0idx] = clampByte((p[2] + 2*p[1] + 2*p[0] + 2*q[0] + q[1] + 4) >> 3)
-				y[p0idx-step] = clampByte((p[2] + p[1] + p[0] + q[0] + 2) >> 2)
-				y[p0idx-2*step] = clampByte((2*p[3] + 3*p[2] + p[1] + p[0] + q[0] + 4) >> 3)
-				mP |= 1 << i
-			} else {
-				y[p0idx] = clampByte((2*p[1] + p[0] + q[1] + 2) >> 2)
-			}
-			if aq {
-				y[q0idx] = clampByte((q[2] + 2*q[1] + 2*q[0] + 2*p[0] + p[1] + 4) >> 3)
-				y[q0idx+step] = clampByte((q[2] + q[1] + q[0] + p[0] + 2) >> 2)
-				y[q0idx+2*step] = clampByte((2*q[3] + 3*q[2] + q[1] + q[0] + p[0] + 4) >> 3)
-				mQ |= 1 << i
-			} else {
-				y[q0idx] = clampByte((2*q[1] + q[0] + p[1] + 2) >> 2)
-			}
-		} else {
-			y[p0idx] = clampByte((2*p[1] + p[0] + q[1] + 2) >> 2)
-			y[q0idx] = clampByte((2*q[1] + q[0] + p[1] + 2) >> 2)
+		if fQ {
+			mQ |= 1 << i
 		}
 	}
 	return
+}
+
+// deblockSegment is the spec's filter for one segment whose p0 sits at
+// y[p0idx], with p1..p3 at p0idx-step.. and q0..q3 at p0idx+step..; it
+// reports filterSamplesFlag and the extra p-side/q-side writes.
+func deblockSegment(y []byte, p0idx, step int, alpha, beta, tc0 int32, strong bool) (f0, fP, fQ bool) {
+	q0idx := p0idx + step
+	var p, q [4]int32
+	for d := 0; d < 4; d++ {
+		p[d] = int32(y[p0idx-d*step])
+		q[d] = int32(y[q0idx+d*step])
+	}
+	if absI32(p[0]-q[0]) >= alpha || absI32(p[1]-p[0]) >= beta || absI32(q[1]-q[0]) >= beta {
+		return false, false, false
+	}
+	ap := absI32(p[2]-p[0]) < beta
+	aq := absI32(q[2]-q[0]) < beta
+	if !strong {
+		tc := tc0
+		if ap {
+			tc++
+		}
+		if aq {
+			tc++
+		}
+		delta := clip3i(-tc, tc, ((q[0]-p[0])<<2+(p[1]-q[1])+4)>>3)
+		y[p0idx] = clampByte(p[0] + delta)
+		y[q0idx] = clampByte(q[0] - delta)
+		if ap {
+			dp := clip3i(-tc0, tc0, (p[2]+((p[0]+q[0]+1)>>1)-(p[1]<<1))>>1)
+			y[p0idx-step] = clampByte(p[1] + dp)
+		}
+		if aq {
+			dq := clip3i(-tc0, tc0, (q[2]+((p[0]+q[0]+1)>>1)-(q[1]<<1))>>1)
+			y[q0idx+step] = clampByte(q[1] + dq)
+		}
+		return true, ap, aq
+	}
+	// Strong filter (bS == 4).
+	if absI32(p[0]-q[0]) < (alpha>>2)+2 {
+		if ap {
+			y[p0idx] = clampByte((p[2] + 2*p[1] + 2*p[0] + 2*q[0] + q[1] + 4) >> 3)
+			y[p0idx-step] = clampByte((p[2] + p[1] + p[0] + q[0] + 2) >> 2)
+			y[p0idx-2*step] = clampByte((2*p[3] + 3*p[2] + p[1] + p[0] + q[0] + 4) >> 3)
+		} else {
+			y[p0idx] = clampByte((2*p[1] + p[0] + q[1] + 2) >> 2)
+		}
+		if aq {
+			y[q0idx] = clampByte((q[2] + 2*q[1] + 2*q[0] + 2*p[0] + p[1] + 4) >> 3)
+			y[q0idx+step] = clampByte((q[2] + q[1] + q[0] + p[0] + 2) >> 2)
+			y[q0idx+2*step] = clampByte((2*q[3] + 3*q[2] + q[1] + q[0] + p[0] + 4) >> 3)
+		} else {
+			y[q0idx] = clampByte((2*q[1] + q[0] + p[1] + 2) >> 2)
+		}
+		return true, ap, aq
+	}
+	y[p0idx] = clampByte((2*p[1] + p[0] + q[1] + 2) >> 2)
+	y[q0idx] = clampByte((2*q[1] + q[0] + p[1] + 2) >> 2)
+	return true, false, false
 }
 
 func absI32(v int32) int32 {

@@ -2,458 +2,315 @@
 
 #include "textflag.h"
 
-// H.264 luma deblocking edge kernels. Dword-lane layout throughout:
-// X0..X7 hold p3 p2 p1 p0 q0 q1 q2 q3 with lane l = segment l (row l of
-// a vertical edge, column l of a horizontal one). Every tap is integer
-// arithmetic on widened bytes, so results are bit-identical to the
-// scalar reference; PACKSSLW+PACKUSWB performs the final clampU8
-// exactly. SSE4.1 ops (PMOVZXBD, PMINSD/PMAXSD, PBLENDVB) are safe
-// here: the dispatch gate requires AVX, which implies SSE4.1.
-
-// Broadcast a 32-bit stack argument into all four lanes of xr.
-#define DBK_BCAST(arg, xr) \
-	MOVL   arg, xr        \
-	PSHUFD $0x00, xr, xr
-
-// filterSamplesFlag per lane: X12 = (|p0-q0| < alpha) & (|p1-p0| < beta)
-// & (|q1-q0| < beta), lane bits mirrored into AX for the early exit.
-// Needs alpha in X8, beta in X9; clobbers X10, X11.
-#define DBK_M0 \
-	MOVOA    X3, X10   \
-	PSUBL    X4, X10   \
-	PABSD    X10, X10  \
-	MOVOA    X8, X12   \
-	PCMPGTL  X10, X12  \
-	MOVOA    X2, X10   \
-	PSUBL    X3, X10   \
-	PABSD    X10, X10  \
-	MOVOA    X9, X11   \
-	PCMPGTL  X10, X11  \
-	PAND     X11, X12  \
-	MOVOA    X5, X10   \
-	PSUBL    X4, X10   \
-	PABSD    X10, X10  \
-	MOVOA    X9, X11   \
-	PCMPGTL  X10, X11  \
-	PAND     X11, X12  \
-	MOVMSKPS X12, AX
-
-// X13 = ap = |p2-p0| < beta, X14 = aq = |q2-q0| < beta; clobbers X10.
-#define DBK_APAQ \
-	MOVOA   X1, X10  \
-	PSUBL   X3, X10  \
-	PABSD   X10, X10 \
-	MOVOA   X9, X13  \
-	PCMPGTL X10, X13 \
-	MOVOA   X6, X10  \
-	PSUBL   X4, X10  \
-	PABSD   X10, X10 \
-	MOVOA   X9, X14  \
-	PCMPGTL X10, X14
-
-// Normal (bS < 4) filter: delta/dp/dq with tc clipping, exactly the
-// scalar tap order. Leaves byte-packed new values p1n=X1, p0n=X11,
-// q0n=X7, q1n=X3; byte-packed write masks m0=X12, mP=X13, mQ=X14; and
-// their lane bits in R8/R9/R10. p3 (X0) and q3 (X7) are dead on entry.
-#define DBK_NORMAL \
-	PCMPEQL  X0, X0          \ // all ones
-	PSRLL    $31, X0         \ // lane 1
-	PSLLL    $2, X0          \ // lane 4
-	MOVOA    X4, X10         \
-	PSUBL    X3, X10         \ // q0-p0
-	PSLLL    $2, X10         \
-	MOVOA    X2, X7          \
-	PSUBL    X5, X7          \ // p1-q1
-	PADDL    X7, X10         \
-	PADDL    X0, X10         \
-	PSRAL    $3, X10         \ // raw delta
-	MOVL     tc0+24(FP), X11 \
-	PSHUFD   $0x00, X11, X11 \
-	MOVOA    X11, X15        \ // tc0 kept for dp/dq clips
-	PSUBL    X13, X11        \ // tc += 1 where ap
-	PSUBL    X14, X11        \ // tc += 1 where aq
-	PMINSD   X11, X10        \
-	PXOR     X7, X7          \
-	PSUBL    X11, X7         \ // -tc
-	PMAXSD   X7, X10         \ // delta = clip3(-tc, tc, raw)
-	MOVOA    X3, X11         \
-	PADDL    X10, X11        \ // p0n
-	MOVOA    X4, X7          \
-	PSUBL    X10, X7         \ // q0n
-	MOVOA    X3, X10         \
-	PADDL    X4, X10         \
-	PSRLL    $2, X0          \ // lane 1
-	PADDL    X0, X10         \
-	PSRAL    $1, X10         \ // avg = (p0+q0+1)>>1
-	MOVOA    X1, X3          \
-	PADDL    X10, X3         \
-	MOVOA    X2, X4          \
-	PSLLL    $1, X4          \
-	PSUBL    X4, X3          \
-	PSRAL    $1, X3          \ // raw dp
-	PMINSD   X15, X3         \
-	PXOR     X4, X4          \
-	PSUBL    X15, X4         \ // -tc0
-	PMAXSD   X4, X3          \ // dp = clip3(-tc0, tc0, raw)
-	MOVOA    X2, X1          \
-	PADDL    X3, X1          \ // p1n
-	MOVOA    X6, X2          \
-	PADDL    X10, X2         \
-	MOVOA    X5, X3          \
-	PSLLL    $1, X3          \
-	PSUBL    X3, X2          \
-	PSRAL    $1, X2          \ // raw dq
-	PMINSD   X15, X2         \
-	PXOR     X3, X3          \
-	PSUBL    X15, X3         \
-	PMAXSD   X3, X2          \ // dq
-	MOVOA    X5, X3          \
-	PADDL    X2, X3          \ // q1n
-	PAND     X12, X13        \ // mP = m0 & ap
-	PAND     X12, X14        \ // mQ = m0 & aq
-	MOVMSKPS X12, R8         \
-	MOVMSKPS X13, R9         \
-	MOVMSKPS X14, R10        \
-	PACKSSLW X1, X1          \
-	PACKUSWB X1, X1          \
-	PACKSSLW X11, X11        \
-	PACKUSWB X11, X11        \
-	PACKSSLW X7, X7          \
-	PACKUSWB X7, X7          \
-	PACKSSLW X3, X3          \
-	PACKUSWB X3, X3          \
-	PACKSSLW X12, X12        \
-	PACKSSWB X12, X12        \
-	PACKSSLW X13, X13        \
-	PACKSSWB X13, X13        \
-	PACKSSLW X14, X14        \
-	PACKSSWB X14, X14
-
-// Strong (bS == 4) filter. Leaves byte-packed p2n=X2, p1n=X1, p0n=X8,
-// q0n=X9, q1n=X6, q2n=X5; byte-packed masks m0=X12, mP=X13, mQ=X14
-// (mP/mQ pre-ANDed with m0 and the |p0-q0| < (alpha>>2)+2 gate); lane
-// bits in R8/R9/R10. Spills p3/q3 to the 32-byte frame.
-#define DBK_STRONG \
-	MOVOU    X0, 0(SP)   \
-	MOVOU    X7, 16(SP)  \
-	PCMPEQL  X15, X15    \
-	PSRLL    $31, X15    \
-	PSLLL    $1, X15     \ // lane 2
-	MOVOA    X8, X10     \
-	PSRLL    $2, X10     \
-	PADDL    X15, X10    \ // (alpha>>2)+2
-	MOVOA    X3, X11     \
-	PSUBL    X4, X11     \
-	PABSD    X11, X11    \
-	PCMPGTL  X11, X10    \ // aStrong
-	PAND     X12, X13    \
-	PAND     X10, X13    \ // mP = m0 & aStrong & ap
-	PAND     X12, X14    \
-	PAND     X10, X14    \ // mQ = m0 & aStrong & aq
-	MOVOA    X3, X10     \
-	PADDL    X4, X10     \ // A = p0+q0
-	MOVOA    X2, X8      \
-	PSLLL    $1, X8      \
-	PADDL    X3, X8      \
-	PADDL    X5, X8      \
-	PADDL    X15, X8     \
-	PSRAL    $2, X8      \ // weak p0 = (2p1+p0+q1+2)>>2
-	MOVOA    X5, X9      \
-	PSLLL    $1, X9      \
-	PADDL    X4, X9      \
-	PADDL    X2, X9      \
-	PADDL    X15, X9     \
-	PSRAL    $2, X9      \ // weak q0
-	MOVOA    X2, X11     \
-	PSLLL    $1, X11     \
-	PADDL    X1, X11     \
-	PADDL    X10, X11    \
-	PADDL    X10, X11    \
-	PADDL    X5, X11     \
-	PADDL    X15, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $3, X11     \ // strong p0 = (p2+2p1+2A+q1+4)>>3
-	MOVOA    X13, X0     \
-	PBLENDVB X0, X11, X8     \ // p0n: strong where mP
-	MOVOA    X5, X11     \
-	PSLLL    $1, X11     \
-	PADDL    X6, X11     \
-	PADDL    X10, X11    \
-	PADDL    X10, X11    \
-	PADDL    X2, X11     \
-	PADDL    X15, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $3, X11     \ // strong q0
-	MOVOA    X14, X0     \
-	PBLENDVB X0, X11, X9     \ // q0n
-	MOVOU    0(SP), X11  \
-	PSLLL    $1, X11     \
-	PADDL    X1, X11     \
-	PADDL    X1, X11     \
-	PADDL    X1, X11     \
-	PADDL    X2, X11     \
-	PADDL    X10, X11    \
-	PADDL    X15, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $3, X11     \ // p2n = (2p3+3p2+p1+A+4)>>3
-	MOVOU    X11, 0(SP)  \
-	MOVOU    16(SP), X11 \
-	PSLLL    $1, X11     \
-	PADDL    X6, X11     \
-	PADDL    X6, X11     \
-	PADDL    X6, X11     \
-	PADDL    X5, X11     \
-	PADDL    X10, X11    \
-	PADDL    X15, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $3, X11     \ // q2n
-	MOVOU    X11, 16(SP) \
-	MOVOA    X1, X11     \
-	PADDL    X2, X11     \
-	PADDL    X10, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $2, X11     \
-	MOVOA    X11, X1     \ // p1n = (p2+p1+A+2)>>2
-	MOVOA    X6, X11     \
-	PADDL    X5, X11     \
-	PADDL    X10, X11    \
-	PADDL    X15, X11    \
-	PSRAL    $2, X11     \
-	MOVOA    X11, X6     \ // q1n = (q2+q1+A+2)>>2
-	MOVMSKPS X12, R8     \
-	MOVMSKPS X13, R9     \
-	MOVMSKPS X14, R10    \
-	MOVOU    0(SP), X2   \
-	MOVOU    16(SP), X5  \
-	PACKSSLW X2, X2      \
-	PACKUSWB X2, X2      \
-	PACKSSLW X1, X1      \
-	PACKUSWB X1, X1      \
-	PACKSSLW X8, X8      \
-	PACKUSWB X8, X8      \
-	PACKSSLW X9, X9      \
-	PACKUSWB X9, X9      \
-	PACKSSLW X6, X6      \
-	PACKUSWB X6, X6      \
-	PACKSSLW X5, X5      \
-	PACKUSWB X5, X5      \
-	PACKSSLW X12, X12    \
-	PACKSSWB X12, X12    \
-	PACKSSLW X13, X13    \
-	PACKSSWB X13, X13    \
-	PACKSSLW X14, X14    \
-	PACKSSWB X14, X14
-
-// Transpose eight byte-packed 4-byte columns (byte j of column c = row
-// j) into full rows: r01 = rows 0,1 (8 bytes each in low/high qwords),
-// r23 = rows 2,3. t0/t1/r01/r23 must be distinct from every c input.
-#define DBK_TRANS(c0, c1, c2, c3, c4, c5, c6, c7, t0, t1, r01, r23) \
-	MOVOA     c0, r01  \
-	PUNPCKLBW c1, r01  \
-	MOVOA     c2, t0   \
-	PUNPCKLBW c3, t0   \
-	PUNPCKLWL t0, r01  \ // cols 0-3 by row
-	MOVOA     c4, t1   \
-	PUNPCKLBW c5, t1   \
-	MOVOA     c6, r23  \
-	PUNPCKLBW c7, r23  \
-	PUNPCKLWL r23, t1  \ // cols 4-7 by row
-	MOVOA     r01, r23 \
-	PUNPCKLLQ t1, r01  \ // rows 0,1
-	PUNPCKHLQ t1, r23  \ // rows 2,3
-
-// Masked store of four 8-byte rows at DI + i*stride: v01/v23 hold the
-// transposed replacement rows, m01/m23 the transposed byte masks
-// (zero mask bytes keep the original sample). Clobbers X0, X1, X3, R11.
-#define DBK_VSTORE(v01, v23, m01, m23) \
-	MOVQ     (DI), X3          \
-	MOVOA    m01, X0           \
-	PBLENDVB X0, v01, X3           \
-	MOVQ     X3, (DI)          \
-	PSHUFD   $0x4E, m01, X0    \
-	PSHUFD   $0x4E, v01, X1    \
-	MOVQ     (DI)(DX*1), X3    \
-	PBLENDVB X0, X1, X3            \
-	MOVQ     X3, (DI)(DX*1)    \
-	LEAQ     (DI)(DX*2), R11   \
-	MOVQ     (R11), X3         \
-	MOVOA    m23, X0           \
-	PBLENDVB X0, v23, X3           \
-	MOVQ     X3, (R11)         \
-	PSHUFD   $0x4E, m23, X0    \
-	PSHUFD   $0x4E, v23, X1    \
-	MOVQ     (R11)(DX*1), X3   \
-	PBLENDVB X0, X1, X3            \
-	MOVQ     X3, (R11)(DX*1)
-
-// Pack the three lane-bit groups into the uint32 result.
-#define DBK_RET \
-	SHLL $8, R9          \
-	SHLL $16, R10        \
-	ORL  R9, R8          \
-	ORL  R10, R8         \
-	MOVL R8, ret+32(FP)  \
-	RET
-
-// func deblockEdge4HSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint32
+// H.264 luma deblocking of one whole macroblock edge: 16 segments,
+// evaluated as two halves of eight. Word-lane layout throughout: X0..X7
+// hold p3 p2 p1 p0 q0 q1 q2 q3 zero-extended to int16, lane l = segment
+// 8h+l (a row of a vertical edge, a column of a horizontal one). Every
+// tap is integer arithmetic that stays inside int16 (the widest sum,
+// 2p3+3p2+p1+p0+q0+4, is at most 2044), so results are bit-identical to
+// the scalar reference; VPACKUSWB performs the final clampByte exactly.
+// VEX-128 forms only (VPABSW, VPBLENDVB, VPMINSW, VPMOVZXBW are AVX
+// encodings of SSSE3/SSE4.1 ops), so the AVX gate covers them all.
 //
-// Horizontal edge: rows p + k*stride (k = 0..7) hold p3..q3, 4 bytes
-// wide; lane l = column l. New samples are blended into the 4-byte rows
-// under the per-column write masks, so unfiltered columns keep their
-// original bytes and the write set matches the scalar filter exactly.
-TEXT ·deblockEdge4HSSE(SB), NOSPLIT, $32-36
-	MOVQ     p+0(FP), DI
-	MOVQ     stride+8(FP), DX
-	MOVQ     DI, SI
-	PMOVZXBD (SI), X0
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X1
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X2
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X3
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X4
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X5
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X6
-	ADDQ     DX, SI
-	PMOVZXBD (SI), X7
-	DBK_BCAST(alpha+16(FP), X8)
-	DBK_BCAST(beta+20(FP), X9)
-	DBK_M0
-	TESTL    AX, AX
-	JZ       hzero
-	DBK_APAQ
-	MOVL     strong+28(FP), BX
-	TESTL    BX, BX
-	JNZ      hstrong
-	DBK_NORMAL
+// Stack frame: 0 alpha, 16 beta, 32 tc0 (each broadcast to eight words),
+// 48 p3, 64 q3 (the current half's outer samples, spilled to free
+// registers for the taps).
 
-	// Rows p1 p0 q0 q1 = p + (2..5)*stride.
-	LEAQ     (DI)(DX*2), DI
-	MOVL     (DI), X2
-	MOVOA    X13, X0
-	PBLENDVB X0, X1, X2
-	MOVL     X2, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X2
-	MOVOA    X12, X0
-	PBLENDVB X0, X11, X2
-	MOVL     X2, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X2
-	PBLENDVB X0, X7, X2
-	MOVL     X2, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X2
-	MOVOA    X14, X0
-	PBLENDVB X0, X3, X2
-	MOVL     X2, (DI)
-	DBK_RET
+// 8x8 byte transpose: the low qwords of X0..X7 are rows r0..r7; leaves
+// X8 = [col0 | col1], X9 = [col2 | col3], X10 = [col4 | col5],
+// X11 = [col6 | col7] (column c = byte c of every row, as one qword).
+// Clobbers X12..X15. Its own inverse: columns in, row pairs out.
+#define DBK_T8X8 \
+	VPUNPCKLBW X1, X0, X8    \
+	VPUNPCKLBW X3, X2, X9    \
+	VPUNPCKLBW X5, X4, X10   \
+	VPUNPCKLBW X7, X6, X11   \
+	VPUNPCKLWD X9, X8, X12   \
+	VPUNPCKHWD X9, X8, X13   \
+	VPUNPCKLWD X11, X10, X14 \
+	VPUNPCKHWD X11, X10, X15 \
+	VPUNPCKLDQ X14, X12, X8  \
+	VPUNPCKHDQ X14, X12, X9  \
+	VPUNPCKLDQ X15, X13, X10 \
+	VPUNPCKHDQ X15, X13, X11
 
-hstrong:
-	DBK_STRONG
+// Broadcast the int32 argument arg to eight words stored at slot(SP).
+#define DBK_BCAST(arg, slot) \
+	VMOVD    arg, X8          \
+	VPSHUFLW $0x00, X8, X8    \
+	VPSHUFD  $0x00, X8, X8    \
+	VMOVDQU  X8, slot(SP)
 
-	// Rows p2 p1 p0 q0 q1 q2 = p + (1..6)*stride.
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	MOVOA    X13, X0
-	PBLENDVB X0, X2, X3
-	MOVL     X3, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	PBLENDVB X0, X1, X3
-	MOVL     X3, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	MOVOA    X12, X0
-	PBLENDVB X0, X8, X3
-	MOVL     X3, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	PBLENDVB X0, X9, X3
-	MOVL     X3, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	MOVOA    X14, X0
-	PBLENDVB X0, X6, X3
-	MOVL     X3, (DI)
-	ADDQ     DX, DI
-	MOVL     (DI), X3
-	PBLENDVB X0, X5, X3
-	MOVL     X3, (DI)
-	DBK_RET
-
-hzero:
-	MOVL $0, ret+32(FP)
-	RET
-
-// func deblockEdge4VSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint32
+// func deblockEdge16AVX(p *byte, stride int, alpha, beta, tc0, strong, vertical int32) uint64
 //
-// Vertical edge: row i = p + i*stride holds the eight contiguous bytes
-// p3..q3 of segment i. The rows are transposed to the dword-lane
-// layout, filtered by the shared macros, and the new samples are
-// transposed back and blended into 8-byte row stores (mask columns for
-// p3/q3 are zero, so those bytes always keep their original values).
-TEXT ·deblockEdge4VSSE(SB), NOSPLIT, $32-36
-	MOVQ      p+0(FP), DI
-	MOVQ      stride+8(FP), DX
-	MOVQ      (DI), X0
-	MOVQ      (DI)(DX*1), X1
-	LEAQ      (DI)(DX*2), R11
-	MOVQ      (R11), X2
-	MOVQ      (R11)(DX*1), X3
-	PUNPCKLBW X1, X0          // rows 0,1 interleaved
-	PUNPCKLBW X3, X2          // rows 2,3 interleaved
-	MOVOA     X0, X4
-	PUNPCKLWL X2, X0          // cols 0-3, 4 bytes each
-	PUNPCKHWL X2, X4          // cols 4-7
-	MOVOA     X0, X11
-	MOVOA     X4, X10
-	PMOVZXBD  X11, X0         // p3
-	PSRLDQ    $4, X11
-	PMOVZXBD  X11, X1         // p2
-	PSRLDQ    $4, X11
-	PMOVZXBD  X11, X2         // p1
-	PSRLDQ    $4, X11
-	PMOVZXBD  X11, X3         // p0
-	PMOVZXBD  X10, X4         // q0
-	PSRLDQ    $4, X10
-	PMOVZXBD  X10, X5         // q1
-	PSRLDQ    $4, X10
-	PMOVZXBD  X10, X6         // q2
-	PSRLDQ    $4, X10
-	PMOVZXBD  X10, X7         // q3
-	DBK_BCAST(alpha+16(FP), X8)
-	DBK_BCAST(beta+20(FP), X9)
-	DBK_M0
+// Horizontal edge (vertical == 0): row k = p + k*stride (k = 0..7) holds
+// p3..q3 of the 16 columns. Vertical edge: row i = p + i*stride
+// (i = 0..15) holds the eight contiguous samples p3..q3 of segment i;
+// each half's 8x8 block is transposed into the word-lane layout and
+// back. Results are blended per lane under the write masks, so every
+// sample a segment does not write keeps its original value, and stores
+// write back whole rows. Returns m0 | mP<<16 | mQ<<32, bit i = segment i.
+TEXT ·deblockEdge16AVX(SB), NOSPLIT, $80-48
+	MOVQ  p+0(FP), DI
+	MOVQ  stride+8(FP), DX
+	LEAQ  (DX)(DX*2), R11 // 3*stride
+	DBK_BCAST(alpha+16(FP), 0)
+	DBK_BCAST(beta+20(FP), 16)
+	DBK_BCAST(tc0+24(FP), 32)
+	MOVL  vertical+32(FP), BX
+	XORQ  CX, CX          // lane offset of the current half: 0, then 8
+	XORQ  R8, R8          // m0
+	XORQ  R9, R9          // mP
+	XORQ  R10, R10        // mQ
+
+half:
+	LEAQ  (DI)(DX*4), SI  // row 4 of this half
+	TESTL BX, BX
+	JNZ   vload
+	VPMOVZXBW (DI), X0
+	VPMOVZXBW (DI)(DX*1), X1
+	VPMOVZXBW (DI)(DX*2), X2
+	VPMOVZXBW (DI)(R11*1), X3
+	VPMOVZXBW (SI), X4
+	VPMOVZXBW (SI)(DX*1), X5
+	VPMOVZXBW (SI)(DX*2), X6
+	VPMOVZXBW (SI)(R11*1), X7
+	JMP   filter
+
+vload:
+	VMOVQ (DI), X0
+	VMOVQ (DI)(DX*1), X1
+	VMOVQ (DI)(DX*2), X2
+	VMOVQ (DI)(R11*1), X3
+	VMOVQ (SI), X4
+	VMOVQ (SI)(DX*1), X5
+	VMOVQ (SI)(DX*2), X6
+	VMOVQ (SI)(R11*1), X7
+	DBK_T8X8
+	VPXOR      X15, X15, X15
+	VPUNPCKLBW X15, X8, X0
+	VPUNPCKHBW X15, X8, X1
+	VPUNPCKLBW X15, X9, X2
+	VPUNPCKHBW X15, X9, X3
+	VPUNPCKLBW X15, X10, X4
+	VPUNPCKHBW X15, X10, X5
+	VPUNPCKLBW X15, X11, X6
+	VPUNPCKHBW X15, X11, X7
+
+filter:
+	VMOVDQU  X0, 48(SP)
+	VMOVDQU  X7, 64(SP)
+	VMOVDQU  0(SP), X8    // alpha
+	VMOVDQU  16(SP), X9   // beta
+
+	// m0 = |p0-q0| < alpha && |p1-p0| < beta && |q1-q0| < beta
+	VPSUBW    X4, X3, X10
+	VPABSW    X10, X10
+	VPCMPGTW  X10, X8, X12
+	VPSUBW    X3, X2, X10
+	VPABSW    X10, X10
+	VPCMPGTW  X10, X9, X11
+	VPAND     X11, X12, X12
+	VPSUBW    X4, X5, X10
+	VPABSW    X10, X10
+	VPCMPGTW  X10, X9, X11
+	VPAND     X11, X12, X12
+	VPMOVMSKB X12, AX
 	TESTL     AX, AX
-	JZ        vzero
-	DBK_APAQ
-	MOVL      strong+28(FP), BX
+	JZ        next
+
+	// ap = |p2-p0| < beta, aq = |q2-q0| < beta, both within m0.
+	VPSUBW   X3, X1, X10
+	VPABSW   X10, X10
+	VPCMPGTW X10, X9, X13
+	VPAND    X12, X13, X13
+	VPSUBW   X4, X6, X10
+	VPABSW   X10, X10
+	VPCMPGTW X10, X9, X14
+	VPAND    X12, X14, X14
+	CMPL     strong+28(FP), $0
+	JNE      strong
+
+	// Normal filter (bS < 4). tc = tc0 + ap + aq (the masks are -1).
+	VMOVDQU  32(SP), X15  // tc0
+	VPCMPEQW X11, X11, X11
+	VPSRLW   $15, X11, X11
+	VPSLLW   $2, X11, X11 // 4
+	VPSUBW   X3, X4, X10  // q0-p0
+	VPSLLW   $2, X10, X10
+	VPADDW   X11, X10, X10
+	VPSUBW   X5, X2, X11  // p1-q1
+	VPADDW   X11, X10, X10
+	VPSRAW   $3, X10, X10 // raw delta
+	VPSUBW   X13, X15, X11
+	VPSUBW   X14, X11, X11 // tc
+	VPMINSW  X11, X10, X10
+	VPXOR    X0, X0, X0
+	VPSUBW   X11, X0, X11  // -tc
+	VPMAXSW  X11, X10, X10 // delta = clip3(-tc, tc, raw)
+	VPADDW   X10, X3, X0   // p0 + delta
+	VPSUBW   X10, X4, X7   // q0 - delta
+	VPAVGW   X4, X3, X10   // (p0+q0+1)>>1
+	VPXOR    X8, X8, X8
+	VPSUBW   X15, X8, X8   // -tc0
+	VPADDW   X10, X1, X11
+	VPSUBW   X2, X11, X11
+	VPSUBW   X2, X11, X11
+	VPSRAW   $1, X11, X11  // raw dp
+	VPMINSW  X15, X11, X11
+	VPMAXSW  X8, X11, X11
+	VPADDW   X11, X2, X11  // p1 + dp
+	VPADDW   X10, X6, X10
+	VPSUBW   X5, X10, X10
+	VPSUBW   X5, X10, X10
+	VPSRAW   $1, X10, X10  // raw dq
+	VPMINSW  X15, X10, X10
+	VPMAXSW  X8, X10, X10
+	VPADDW   X10, X5, X10  // q1 + dq
+	VPBLENDVB X13, X11, X2, X2
+	VPBLENDVB X12, X0, X3, X3
+	VPBLENDVB X12, X7, X4, X4
+	VPBLENDVB X14, X10, X5, X5
+	JMP      store
+
+strong:
+	// Strong filter (bS == 4). The p1/p2 (q1/q2) taps need
+	// |p0-q0| < (alpha>>2)+2 as well as ap (aq).
+	VPCMPEQW X15, X15, X15
+	VPSRLW   $15, X15, X15
+	VPSLLW   $1, X15, X15  // 2
+	VPSRLW   $2, X8, X10
+	VPADDW   X15, X10, X10
+	VPSUBW   X4, X3, X11
+	VPABSW   X11, X11
+	VPCMPGTW X11, X10, X10
+	VPAND    X10, X13, X13 // mP
+	VPAND    X10, X14, X14 // mQ
+	VPADDW   X4, X3, X8    // A = p0+q0
+	VPADDW   X2, X2, X0
+	VPADDW   X3, X0, X0
+	VPADDW   X5, X0, X0
+	VPADDW   X15, X0, X0
+	VPSRAW   $2, X0, X0    // (2p1+p0+q1+2)>>2
+	VPADDW   X2, X8, X7
+	VPADDW   X7, X7, X7
+	VPADDW   X1, X7, X7
+	VPADDW   X5, X7, X7
+	VPADDW   X15, X7, X7
+	VPADDW   X15, X7, X7
+	VPSRAW   $3, X7, X7    // (p2+2p1+2A+q1+4)>>3
+	VPBLENDVB X13, X7, X0, X0 // new p0
+	VPADDW   X5, X5, X7
+	VPADDW   X4, X7, X7
+	VPADDW   X2, X7, X7
+	VPADDW   X15, X7, X7
+	VPSRAW   $2, X7, X7    // (2q1+q0+p1+2)>>2
+	VPADDW   X5, X8, X9
+	VPADDW   X9, X9, X9
+	VPADDW   X6, X9, X9
+	VPADDW   X2, X9, X9
+	VPADDW   X15, X9, X9
+	VPADDW   X15, X9, X9
+	VPSRAW   $3, X9, X9    // (q2+2q1+2A+p1+4)>>3
+	VPBLENDVB X14, X9, X7, X7 // new q0
+	VPBLENDVB X12, X0, X3, X3
+	VPBLENDVB X12, X7, X4, X4
+	VPADDW   X1, X2, X0
+	VPADDW   X8, X0, X0
+	VPADDW   X15, X0, X0
+	VPSRAW   $2, X0, X0    // (p2+p1+A+2)>>2
+	VMOVDQU  48(SP), X7
+	VPADDW   X7, X7, X7
+	VPADDW   X1, X7, X7
+	VPADDW   X1, X7, X7
+	VPADDW   X1, X7, X7
+	VPADDW   X2, X7, X7
+	VPADDW   X8, X7, X7
+	VPADDW   X15, X7, X7
+	VPADDW   X15, X7, X7
+	VPSRAW   $3, X7, X7    // (2p3+3p2+p1+A+4)>>3
+	VPBLENDVB X13, X0, X2, X2
+	VPBLENDVB X13, X7, X1, X1
+	VPADDW   X6, X5, X0
+	VPADDW   X8, X0, X0
+	VPADDW   X15, X0, X0
+	VPSRAW   $2, X0, X0    // (q2+q1+A+2)>>2
+	VMOVDQU  64(SP), X7
+	VPADDW   X7, X7, X7
+	VPADDW   X6, X7, X7
+	VPADDW   X6, X7, X7
+	VPADDW   X6, X7, X7
+	VPADDW   X5, X7, X7
+	VPADDW   X8, X7, X7
+	VPADDW   X15, X7, X7
+	VPADDW   X15, X7, X7
+	VPSRAW   $3, X7, X7    // (2q3+3q2+q1+A+4)>>3
+	VPBLENDVB X14, X0, X5, X5
+	VPBLENDVB X14, X7, X6, X6
+
+store:
+	// Lane bits: m0 and mP from one pack, mQ from another.
+	VPACKSSWB X13, X12, X10
+	VPMOVMSKB X10, AX
+	VPACKSSWB X14, X14, X11
+	VPMOVMSKB X11, R13
+	MOVBQZX   AX, R12
+	SHLQ      CX, R12
+	ORQ       R12, R8
+	SHRL      $8, AX
+	SHLQ      CX, AX
+	ORQ       AX, R9
+	MOVBQZX   R13, R13
+	SHLQ      CX, R13
+	ORQ       R13, R10
+	VPACKUSWB X1, X1, X1
+	VPACKUSWB X2, X2, X2
+	VPACKUSWB X3, X3, X3
+	VPACKUSWB X4, X4, X4
+	VPACKUSWB X5, X5, X5
+	VPACKUSWB X6, X6, X6
 	TESTL     BX, BX
-	JNZ       vstrong
-	DBK_NORMAL
+	JNZ       vstore
+	VMOVQ     X1, (DI)(DX*1)
+	VMOVQ     X2, (DI)(DX*2)
+	VMOVQ     X3, (DI)(R11*1)
+	VMOVQ     X4, (SI)
+	VMOVQ     X5, (SI)(DX*1)
+	VMOVQ     X6, (SI)(DX*2)
+	JMP       next
 
-	// Columns [0 0 p1n p0n q0n q1n 0 0], masks [0 0 mP m0 m0 mQ 0 0].
-	PXOR      X15, X15
-	DBK_TRANS(X15, X15, X1, X11, X7, X3, X15, X15, X2, X4, X5, X6)
-	DBK_TRANS(X15, X15, X13, X12, X12, X14, X15, X15, X2, X4, X8, X9)
-	DBK_VSTORE(X5, X6, X8, X9)
-	DBK_RET
+vstore:
+	VMOVDQU   48(SP), X0
+	VMOVDQU   64(SP), X7
+	VPACKUSWB X0, X0, X0
+	VPACKUSWB X7, X7, X7
+	DBK_T8X8
+	VMOVQ     X8, (DI)
+	VPEXTRQ   $1, X8, (DI)(DX*1)
+	VMOVQ     X9, (DI)(DX*2)
+	VPEXTRQ   $1, X9, (DI)(R11*1)
+	VMOVQ     X10, (SI)
+	VPEXTRQ   $1, X10, (SI)(DX*1)
+	VMOVQ     X11, (SI)(DX*2)
+	VPEXTRQ   $1, X11, (SI)(R11*1)
 
-vstrong:
-	DBK_STRONG
+next:
+	TESTL CX, CX
+	JNZ   done
+	MOVL  $8, CX
+	TESTL BX, BX
+	JNZ   vnext
+	ADDQ  $8, DI
+	JMP   half
 
-	// Columns [0 p2n p1n p0n q0n q1n q2n 0], masks [0 mP mP m0 m0 mQ mQ 0].
-	PXOR      X15, X15
-	DBK_TRANS(X15, X2, X1, X8, X9, X6, X5, X15, X3, X4, X7, X10)
-	DBK_TRANS(X15, X13, X13, X12, X12, X14, X14, X15, X3, X4, X11, X2)
-	DBK_VSTORE(X7, X10, X11, X2)
-	DBK_RET
+vnext:
+	LEAQ  (DI)(DX*8), DI
+	JMP   half
 
-vzero:
-	MOVL $0, ret+32(FP)
+done:
+	SHLQ  $16, R9
+	SHLQ  $32, R10
+	ORQ   R9, R8
+	ORQ   R10, R8
+	MOVQ  R8, ret+40(FP)
 	RET

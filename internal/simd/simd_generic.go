@@ -39,11 +39,7 @@ func sad4x4SSE(a *byte, astride int, b *byte, bstride int) int32 {
 	panic("simd: no vector backend")
 }
 
-func deblockEdge4HSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint32 {
-	panic("simd: no vector backend")
-}
-
-func deblockEdge4VSSE(p *byte, stride int, alpha, beta, tc0, strong int32) uint32 {
+func deblockEdge16AVX(p *byte, stride int, alpha, beta, tc0, strong, vertical int32) uint64 {
 	panic("simd: no vector backend")
 }
 

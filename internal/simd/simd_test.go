@@ -332,52 +332,101 @@ func TestSAD4x4Diff(t *testing.T) {
 	})
 }
 
-func TestDeblockEdge4Diff(t *testing.T) {
+// deblockBuf returns a random edge buffer for DeblockEdge16: stride is
+// at least 16, so a horizontal edge's 16-byte rows and a vertical
+// edge's 8-byte segments never alias, as in a frame of width >= 16.
+func deblockBuf(rng *rand.Rand, trial int) (y []byte, stride int) {
+	stride = 16 + rng.Intn(16)
+	y = make([]byte, 16*stride+16)
+	rng.Read(y)
+	switch trial % 3 {
+	case 0:
+		// Flat-ish data so thresholds pass and taps actually run.
+		base := byte(rng.Intn(256))
+		for i := range y {
+			y[i] = base + byte(rng.Intn(5))
+		}
+	case 1:
+		// Step edge: large p/q gap exercises the clips.
+		for i := range y {
+			y[i] = byte(40 + rng.Intn(3))
+			if i%stride >= 4 {
+				y[i] = byte(200 + rng.Intn(3))
+			}
+		}
+	}
+	return y, stride
+}
+
+// checkDeblockEdge16 runs the kernel and the reference on copies of y
+// and fails on any difference in the masks or the bytes.
+func checkDeblockEdge16(t *testing.T, y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) {
+	t.Helper()
+	got := append([]byte(nil), y...)
+	want := append([]byte(nil), y...)
+	g0, gP, gQ := DeblockEdge16(got, base, stride, vertical, alpha, beta, tc0, strong)
+	w0, wP, wQ := DeblockEdge16Ref(want, base, stride, vertical, alpha, beta, tc0, strong)
+	if g0 != w0 || gP != wP || gQ != wQ {
+		t.Fatalf("enabled=%v v=%v strong=%v a=%d b=%d tc0=%d: masks got %016b/%016b/%016b want %016b/%016b/%016b",
+			Enabled(), vertical, strong, alpha, beta, tc0, g0, gP, gQ, w0, wP, wQ)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("enabled=%v v=%v strong=%v a=%d b=%d tc0=%d: byte %d (row %d col %d) got %d want %d (orig %d)",
+				Enabled(), vertical, strong, alpha, beta, tc0, i, i/stride, i%stride, got[i], want[i], y[i])
+		}
+	}
+}
+
+func TestDeblockEdge16Diff(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	thresholds := []int32{1, 2, 4, 17, 100, 254, 255}
 	withBothDispatch(t, func(t *testing.T, on bool) {
 		for trial := 0; trial < 600; trial++ {
-			// stride >= 8 mirrors the caller (frame width >= 16) and keeps a
-			// vertical segment's 8-byte row from aliasing its neighbours.
-			stride := 8 + rng.Intn(16)
-			y := make([]byte, 8*stride+16)
-			rng.Read(y)
-			switch trial % 3 {
-			case 0:
-				// Flat-ish data so thresholds pass and taps actually run.
-				base := byte(rng.Intn(256))
-				for i := range y {
-					y[i] = base + byte(rng.Intn(5))
-				}
-			case 1:
-				// Step edge: large p/q gap exercises the clips.
-				for i := range y {
-					y[i] = byte(40 + rng.Intn(3))
-					if i%stride >= 4 {
-						y[i] = byte(200 + rng.Intn(3))
-					}
-				}
-			}
+			y, stride := deblockBuf(rng, trial)
 			base := rng.Intn(4)
 			alpha := thresholds[rng.Intn(len(thresholds))]
 			beta := thresholds[rng.Intn(len(thresholds))]
 			tc0 := int32(rng.Intn(26))
 			strong := trial%2 == 1
 			vertical := trial%4 < 2
-			got := append([]byte(nil), y...)
-			want := append([]byte(nil), y...)
-			g0, gP, gQ := DeblockEdge4(got, base, stride, vertical, alpha, beta, tc0, strong)
-			w0, wP, wQ := DeblockEdge4Ref(want, base, stride, vertical, alpha, beta, tc0, strong)
-			if g0 != w0 || gP != wP || gQ != wQ {
-				t.Fatalf("enabled=%v trial=%d v=%v strong=%v a=%d b=%d tc0=%d: masks got %04b/%04b/%04b want %04b/%04b/%04b",
-					on, trial, vertical, strong, alpha, beta, tc0, g0, gP, gQ, w0, wP, wQ)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("enabled=%v trial=%d v=%v strong=%v a=%d b=%d tc0=%d: byte %d (row %d col %d) got %d want %d (orig %d)",
-						on, trial, vertical, strong, alpha, beta, tc0, i, i/stride, i%stride, got[i], want[i], y[i])
-				}
-			}
+			checkDeblockEdge16(t, y, base, stride, vertical, alpha, beta, tc0, strong)
+		}
+	})
+}
+
+// FuzzDeblockEdge16Diff drives the packed kernel against
+// DeblockEdge16Ref over fuzz-chosen samples, thresholds, clipping bound,
+// filter strength and edge direction, at both dispatch settings.
+func FuzzDeblockEdge16Diff(f *testing.F) {
+	f.Add([]byte{100, 101, 103, 99, 100, 102}, uint8(0), uint8(40), uint8(6), uint8(4), false, false)
+	f.Add([]byte{100, 101, 103, 99, 100, 102}, uint8(3), uint8(40), uint8(6), uint8(4), true, true)
+	f.Add([]byte{0, 255, 0, 255}, uint8(1), uint8(255), uint8(18), uint8(25), false, true)
+	f.Add([]byte{40, 41, 42, 200, 201, 202}, uint8(2), uint8(255), uint8(255), uint8(0), true, false)
+	f.Fuzz(func(t *testing.T, data []byte, baser, alphar, betar, tc0r uint8, strong, vertical bool) {
+		if len(data) == 0 {
+			return
+		}
+		const stride = 24
+		y := make([]byte, 16*stride+16)
+		for i := range y {
+			y[i] = data[i%len(data)]
+		}
+		base := int(baser % 4)
+		alpha := int32(alphar)
+		if alpha == 0 {
+			alpha = 1
+		}
+		beta := int32(betar)
+		if beta == 0 {
+			beta = 1
+		}
+		tc0 := int32(tc0r % 26)
+		prev := Enabled()
+		defer SetEnabled(prev)
+		for _, on := range []bool{true, false} {
+			SetEnabled(on)
+			checkDeblockEdge16(t, y, base, stride, vertical, alpha, beta, tc0, strong)
 		}
 	})
 }
