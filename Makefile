@@ -131,8 +131,9 @@ bench-compare:
 # Perf regression gate over the two most recent snapshots: the named
 # hot-path set (wire codec, fleet submission, loopback serving, int8
 # inference, MFCC chain, bit packing, h264 decode and deblocking) may not slow down more than
-# BENCH_MAX_REGRESS percent nor allocate more per op, or the target exits
-# nonzero. End-to-end aggregates stay out of the set — they are
+# BENCH_MAX_REGRESS percent past the older snapshot's slowest run (its
+# median, for a snapshot stored without ranges) nor allocate more per op,
+# or the target exits nonzero. End-to-end aggregates stay out of the set — they are
 # load-dependent and would make the gate flaky.
 BENCH_MAX_REGRESS := 25
 BENCH_GUARD_SET := ^Benchmark(EncodeObserve|DecodeObserve|SplitObserve|FleetObserve|LoopbackObserve|QMLPInferBatch|MFCC|PowerSpectrum|MelFilterBank|WriteUE|WriteBits|DecodeStreamPooled|DeblockFrame|ProbeDecode)

@@ -17,12 +17,15 @@
 //
 // The -compare mode diffs two snapshots (see `make bench-compare`, which
 // feeds it the latest two BENCH_<n>.json files) and prints per-benchmark
-// ns/op medians with their min-max ranges, and allocs/op deltas. With -max-regress P it becomes a CI gate:
-// any benchmark whose new/old ns/op ratio exceeds 1+P/100, or whose
-// allocs/op rose at all (allocation counts are deterministic), fails the
-// run with a nonzero exit (see `make bench-guard`); -match RE restricts the
-// gate to benchmark names matching RE, so noisy end-to-end numbers don't
-// veto a hot-path guard.
+// ns/op medians with their min-max ranges, and allocs/op deltas. With
+// -max-regress P it becomes a CI gate: any benchmark whose new ns/op
+// median exceeds the old snapshot's ns/op max by more than P percent, or
+// whose allocs/op rose at all (allocation counts are deterministic),
+// fails the run with a nonzero exit (see `make bench-guard`). Measuring
+// against the old max keeps a rise within the old run-to-run spread from
+// tripping the gate; an old snapshot stored without ranges falls back to
+// its median. -match RE restricts the gate to benchmark names matching
+// RE, so noisy end-to-end numbers don't veto a hot-path guard.
 package main
 
 import (
@@ -77,7 +80,7 @@ func main() {
 	inPath := flag.String("in", "", "bench output file (default stdin)")
 	outPath := flag.String("out", "", "JSON destination (default stdout)")
 	compare := flag.Bool("compare", false, "diff two snapshot files: benchjson -compare OLD.json NEW.json")
-	maxRegress := flag.Float64("max-regress", 0, "with -compare: fail (exit 1) when any gated benchmark's ns/op grows more than this percentage or its allocs/op grows at all")
+	maxRegress := flag.Float64("max-regress", 0, "with -compare: fail (exit 1) when any gated benchmark's ns/op median exceeds the old max (median without ranges) by more than this percentage or its allocs/op grows at all")
 	match := flag.String("match", "", "with -max-regress: regexp restricting the regression gate to matching benchmark names (default: all)")
 	flag.Parse()
 
@@ -105,7 +108,7 @@ func main() {
 			}
 			bad := Regressions(oldSnap, newSnap, re, *maxRegress)
 			if len(bad) > 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) past %g%% ns/op or any allocs/op rise:\n", len(bad), *maxRegress)
+				fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) past %g%% over the old ns/op max or any allocs/op rise:\n", len(bad), *maxRegress)
 				for _, line := range bad {
 					fmt.Fprintln(os.Stderr, " ", line)
 				}
@@ -213,8 +216,9 @@ func Compare(oldSnap, newSnap *Snapshot) string {
 }
 
 // Regressions lists the benchmarks present in both snapshots (optionally
-// restricted to names matching re) whose ns/op grew by more than maxPct
-// percent or whose allocs/op grew at all. Added and removed benchmarks
+// restricted to names matching re) whose new ns/op median exceeds the
+// old ns/op max by more than maxPct percent (the old median when the old
+// snapshot stores no range), or whose allocs/op grew at all. Added and removed benchmarks
 // never trip the gate — new code has no baseline, and deletions are
 // judged in review, not by timing.
 func Regressions(oldSnap, newSnap *Snapshot, re *regexp.Regexp, maxPct float64) []string {
@@ -239,9 +243,12 @@ func Regressions(oldSnap, newSnap *Snapshot, re *regexp.Regexp, maxPct float64) 
 		if !ok {
 			continue
 		}
-		o, n := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
-		if o > 0 && n/o > limit {
-			bad = append(bad, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", nb.Name, o, n, n/o))
+		o, ref := ob.Metrics["ns/op"], "median"
+		if hi, ok := ob.Max["ns/op"]; ok {
+			o, ref = hi, "max"
+		}
+		if n := nb.Metrics["ns/op"]; o > 0 && n/o > limit {
+			bad = append(bad, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx old %s)", nb.Name, o, n, n/o, ref))
 		}
 		oa, ook := ob.Metrics["allocs/op"]
 		na, nok := nb.Metrics["allocs/op"]

@@ -198,15 +198,28 @@ func TestRegressionsAllocs(t *testing.T) {
 	oldSnap := &Snapshot{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 0}},
 		{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 4}},
+		// C has no min/max (a snapshot from before ranges): the gate
+		// falls back to its median.
 		{Name: "BenchmarkC", Metrics: map[string]float64{"ns/op": 100}},
+		// D and E carry ranges: the gate measures against the old max.
+		{Name: "BenchmarkD", Metrics: map[string]float64{"ns/op": 100},
+			Min: map[string]float64{"ns/op": 90}, Max: map[string]float64{"ns/op": 130}},
+		{Name: "BenchmarkE", Metrics: map[string]float64{"ns/op": 100},
+			Min: map[string]float64{"ns/op": 95}, Max: map[string]float64{"ns/op": 110}},
 	}}
 	newSnap := &Snapshot{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 90, "allocs/op": 1}},
 		{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 110, "allocs/op": 3}},
 		{Name: "BenchmarkC", Metrics: map[string]float64{"ns/op": 200}},
+		// 1.5x the old median, but inside max×1.25 = 162.5: passes.
+		{Name: "BenchmarkD", Metrics: map[string]float64{"ns/op": 150}},
+		// Past max×1.25 = 137.5: trips.
+		{Name: "BenchmarkE", Metrics: map[string]float64{"ns/op": 140}},
 	}}
 	bad := Regressions(oldSnap, newSnap, nil, 25)
-	if len(bad) != 2 || !strings.Contains(bad[0], "BenchmarkA: 0 -> 1 allocs/op") || !strings.Contains(bad[1], "BenchmarkC") {
-		t.Fatalf("regressions %q, want A's allocs rise and C's ns/op", bad)
+	if len(bad) != 3 || !strings.Contains(bad[0], "BenchmarkA: 0 -> 1 allocs/op") ||
+		!strings.Contains(bad[1], "BenchmarkC: 100 -> 200 ns/op (2.00x old median)") ||
+		!strings.Contains(bad[2], "BenchmarkE: 110 -> 140 ns/op (1.27x old max)") {
+		t.Fatalf("regressions %q, want A's allocs rise, C's ns/op past its median and E's past its max", bad)
 	}
 }

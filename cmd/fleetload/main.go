@@ -274,6 +274,8 @@ func run(o options, out *os.File) error {
 	}
 
 	if o.Verify {
+		// Built unwired, so the -metrics dump describes the served run alone.
+		affectedge.WireMetrics(nil)
 		twin, err := fleet.New(pinnedConfig(o))
 		if err != nil {
 			return err

@@ -307,7 +307,8 @@ type shard struct {
 	videoConcealed int64
 
 	depth *obs.Gauge   // ingress high-water mark
-	drops *obs.Counter // per-shard drop counter
+	drops *obs.Counter // live observations dropped (backpressure)
+	late  *obs.Counter // queued observations whose session was removed
 }
 
 // Fleet is the sharded session manager.
@@ -341,15 +342,15 @@ type Fleet struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	drops atomic.Int64 // live-path drops (backpressure)
-	late  atomic.Int64 // live-path requests for sessions removed in flight
+	m metrics
 }
 
 // New builds the fleet: the shared stream model and its matched int8
 // classifier, the shards, and cfg.Sessions initial sessions. No goroutines
 // are started; use Run for the deterministic simulation or
-// Start/ObserveBatch/Close for live serving. Wire metrics (WireMetrics)
-// before calling New so per-shard gauges attach.
+// Start/ObserveBatch/Close for live serving. The fleet builds its own
+// metric handles under the scope last passed to WireMetrics, per-shard
+// ones as "shardNN.*"; Stats reads its drop counts from them.
 func New(cfg Config) (*Fleet, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -381,7 +382,10 @@ func New(cfg Config) (*Fleet, error) {
 		shards:     make([]*shard, cfg.Shards),
 		stop:       make(chan struct{}),
 	}
+	scope := wired.Load()
+	f.m = newMetrics(scope)
 	for i := range f.shards {
+		ss := scope.Scope(fmt.Sprintf("shard%02d", i))
 		sh := &shard{
 			f:        f,
 			idx:      i,
@@ -390,8 +394,9 @@ func New(cfg Config) (*Fleet, error) {
 			apps:     f.apps,
 			devcfg:   cfg.Device,
 			queue:    make(chan *request, cfg.QueueDepth),
-			depth:    mtr.shard(i).Gauge("queue_depth_high"),
-			drops:    mtr.shard(i).Counter("drops"),
+			depth:    ss.NewGauge("queue_depth_high"),
+			drops:    ss.NewCounter("drops"),
+			late:     ss.NewCounter("late_drops"),
 		}
 		if len(cfg.Profiles) > 0 {
 			p := cfg.Profiles[i%len(cfg.Profiles)]
@@ -483,8 +488,8 @@ func (f *Fleet) AddSession(id int) error {
 	}
 	s.ticks = f.base
 	sh.insert(s)
-	mtr.added.Inc()
-	mtr.sessions.Add(1)
+	f.m.added.Inc()
+	f.m.sessions.Add(1)
 	return nil
 }
 
@@ -514,8 +519,8 @@ func (f *Fleet) RemoveSession(id int) error {
 	} else {
 		return fmt.Errorf("%w %d", ErrUnknownSession, id)
 	}
-	mtr.removed.Inc()
-	mtr.sessions.Add(-1)
+	f.m.removed.Inc()
+	f.m.sessions.Add(-1)
 	return nil
 }
 
@@ -642,7 +647,7 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 		select {
 		case sh.queue <- r:
 			sh.depth.SetMax(int64(len(sh.queue)))
-			mtr.ingress.Add(int64(admit))
+			f.m.ingress.Add(int64(admit))
 		default:
 			// Lost the race for the last free slot: the whole run backs
 			// off retryably.
@@ -655,11 +660,7 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 			}
 		}
 	}
-	if nacked > 0 {
-		f.drops.Add(nacked)
-		sh.drops.Add(nacked)
-		mtr.drops.Add(nacked)
-	}
+	sh.drops.Add(nacked)
 }
 
 // finite reports whether x holds no NaN or ±Inf.
@@ -796,8 +797,7 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, x []float64) int {
 	s, ok := sh.sessions[id]
 	if !ok {
 		// Removed while queued: the request outlived its session.
-		sh.f.late.Add(1)
-		mtr.lateDrops.Inc()
+		sh.late.Inc()
 		return m
 	}
 	dim := sh.f.cfg.FeatureDim
@@ -828,8 +828,8 @@ func (sh *shard) countBatch(rows, pop int) {
 	if pop > sh.maxRows {
 		sh.maxRows = pop
 	}
-	mtr.batches.Inc()
-	mtr.batchRows.Observe(int64(rows))
+	sh.f.m.batches.Inc()
+	sh.f.m.batchRows.Observe(int64(rows))
 }
 
 // applyRow feeds one classified observation into the session's control

@@ -234,9 +234,6 @@ func TestBackpressureDropsAndCounts(t *testing.T) {
 		t.Errorf("stats drops %d, want 6", st.Drops)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counter("fleet.drops"); got != 6 {
-		t.Errorf("fleet.drops counter %d, want 6", got)
-	}
 	if got := snap.Counter("fleet.shard00.drops"); got != 6 {
 		t.Errorf("fleet.shard00.drops counter %d, want 6", got)
 	}
@@ -289,6 +286,74 @@ func TestLateDropSkipsRemovedSession(t *testing.T) {
 	}
 	if st.Observations != 0 {
 		t.Errorf("observations %d, want 0 (session was gone)", st.Observations)
+	}
+}
+
+// TestMetricsPerInstance builds two fleets under distinct scopes and one
+// unwired, in one process. Each overfills its queue by a different
+// amount and then loses its queued rows to a removed session: every
+// Stats and every scope's snapshot shows its own fleet's drops and late
+// drops alone, and a Registry.Reset leaves Stats (Drops and LateDrops
+// are fingerprint fields) untouched.
+func TestMetricsPerInstance(t *testing.T) {
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), nil}
+	fleets := make([]*Fleet, len(regs))
+	for i, reg := range regs {
+		WireMetrics(reg.Scope("fleet")) // a nil registry yields the nil scope
+		f, err := New(Config{Sessions: 1 + i, Shards: 1, QueueDepth: 4 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleets[i] = f
+	}
+	WireMetrics(nil)
+	x := make([]float64, fleets[0].FeatureDim())
+	for i, f := range fleets {
+		// No Start: 4+i rows queue for session 0, the next 1+i drop.
+		for k := 0; k < 5+2*i; k++ {
+			if err := observe(f, 0, time.Second, x); err != nil && !errors.Is(err, ErrBackpressure) {
+				t.Fatal(err)
+			}
+		}
+		if err := f.RemoveSession(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, f := range fleets {
+		drops, late := int64(1+i), int64(4+i)
+		st := f.Stats()
+		if st.Drops != drops || st.LateDrops != late || st.Sessions != i {
+			t.Errorf("fleet %d: drops %d late %d sessions %d, want %d %d %d",
+				i, st.Drops, st.LateDrops, st.Sessions, drops, late, i)
+		}
+		if regs[i] == nil {
+			continue
+		}
+		snap := regs[i].Snapshot()
+		for name, want := range map[string]int64{
+			"fleet.shard00.drops":      drops,
+			"fleet.shard00.late_drops": late,
+			"fleet.ingress":            late,
+			"fleet.sessions_added":     int64(1 + i),
+		} {
+			if got := snap.Counter(name); got != want {
+				t.Errorf("fleet %d: %s = %d, want %d", i, name, got, want)
+			}
+		}
+		if got := snap.Gauge("fleet.sessions"); got != int64(i) {
+			t.Errorf("fleet %d: fleet.sessions gauge %d, want %d", i, got, i)
+		}
+		fp := st.Fingerprint()
+		regs[i].Reset()
+		if after := f.Stats(); after.Fingerprint() != fp || after.Drops != drops || after.LateDrops != late {
+			t.Errorf("fleet %d: Registry.Reset moved Stats: drops %d late %d", i, after.Drops, after.LateDrops)
+		}
 	}
 }
 

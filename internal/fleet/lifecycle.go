@@ -44,7 +44,7 @@ func (f *Fleet) Disconnect(id int) error {
 	sh.order = append(sh.order[:i], sh.order[i+1:]...)
 	s.ticks = f.base
 	sh.parked[id] = s
-	mtr.disconnects.Inc()
+	f.m.disconnects.Inc()
 	return nil
 }
 
@@ -75,7 +75,7 @@ func (f *Fleet) Reconnect(id int) error {
 	}
 	delete(sh.parked, id)
 	sh.insert(s)
-	mtr.reconnects.Inc()
+	f.m.reconnects.Inc()
 	return nil
 }
 
@@ -131,7 +131,7 @@ func (sh *shard) catchUp(s *session, to int) error {
 			return err
 		}
 		sh.batchRows++
-		mtr.batchRows.Observe(1)
+		sh.f.m.batchRows.Observe(1)
 		s.ticks = t + 1
 	}
 	return nil

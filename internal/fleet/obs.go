@@ -1,22 +1,18 @@
 package fleet
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"affectedge/internal/obs"
 )
 
-// metrics holds the package's zero-allocation instrument handles. All
-// handles are nil until WireMetrics runs, and every obs method is a no-op
-// on nil receivers, so unwired fleets pay a single predictable branch.
+// metrics holds one fleet's own handles (obs.Scope.NewCounter and kin),
+// built by New; the per-shard ones live on the shard.
 type metrics struct {
-	scope        *obs.Scope
 	sessions     *obs.Gauge     // current session population
 	added        *obs.Counter   // AddSession successes
 	removed      *obs.Counter   // RemoveSession successes
 	ingress      *obs.Counter   // live observations accepted into a queue
-	drops        *obs.Counter   // live observations dropped (backpressure)
-	lateDrops    *obs.Counter   // queued observations whose session was removed
 	batches      *obs.Counter   // inference rounds (batched or serial)
 	batchRows    *obs.Histogram // rows coalesced per inference round
 	videoDecodes *obs.Counter   // per-session probe clip decodes
@@ -26,31 +22,26 @@ type metrics struct {
 	restores     *obs.Counter   // session/shard/fleet restores applied
 }
 
-var mtr metrics
+var wired atomic.Pointer[obs.Scope] // see WireMetrics
 
-// WireMetrics attaches the fleet package to an observability scope.
-// Call before New: per-shard instruments (queue-depth high-water gauges,
-// drop counters, named "shardNN.*" under nested scopes) are created when
-// the fleet is built.
-func WireMetrics(s *obs.Scope) {
-	mtr.scope = s
-	mtr.sessions = s.Gauge("sessions")
-	mtr.added = s.Counter("sessions_added")
-	mtr.removed = s.Counter("sessions_removed")
-	mtr.ingress = s.Counter("ingress")
-	mtr.drops = s.Counter("drops")
-	mtr.lateDrops = s.Counter("late_drops")
-	mtr.batches = s.Counter("batches")
-	mtr.batchRows = s.Histogram("batch_rows", obs.ExponentialBuckets(1, 2, 10))
-	mtr.videoDecodes = s.Counter("video_decodes")
-	mtr.disconnects = s.Counter("disconnects")
-	mtr.reconnects = s.Counter("reconnects")
-	mtr.snapshots = s.Counter("snapshots")
-	mtr.restores = s.Counter("restores")
-}
+// WireMetrics sets the scope that fleets built by later New calls
+// register their metrics under; with nil (the default) they count
+// unregistered. Call before New. A new fleet's handles replace an
+// earlier one's, so the scope reports the newest fleet.
+func WireMetrics(s *obs.Scope) { wired.Store(s) }
 
-// shard returns the nested per-shard scope ("<scope>.shardNN."); nil when
-// metrics are unwired, which nil-safe handles absorb.
-func (m *metrics) shard(i int) *obs.Scope {
-	return m.scope.Scope(fmt.Sprintf("shard%02d", i))
+func newMetrics(s *obs.Scope) metrics {
+	return metrics{
+		sessions:     s.NewGauge("sessions"),
+		added:        s.NewCounter("sessions_added"),
+		removed:      s.NewCounter("sessions_removed"),
+		ingress:      s.NewCounter("ingress"),
+		batches:      s.NewCounter("batches"),
+		batchRows:    s.NewHistogram("batch_rows", obs.ExponentialBuckets(1, 2, 10)),
+		videoDecodes: s.NewCounter("video_decodes"),
+		disconnects:  s.NewCounter("disconnects"),
+		reconnects:   s.NewCounter("reconnects"),
+		snapshots:    s.NewCounter("snapshots"),
+		restores:     s.NewCounter("restores"),
+	}
 }

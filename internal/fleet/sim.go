@@ -268,6 +268,8 @@ func (f *Fleet) Stats() *Stats {
 		st.VideoDecodes += sh.videoDecodes
 		st.VideoFrames += sh.videoFrames
 		st.VideoConcealed += sh.videoConcealed
+		st.Drops += sh.drops.Value()
+		st.LateDrops += sh.late.Value()
 		for _, id := range sh.order {
 			accumulate(sh.sessions[id])
 		}
@@ -283,7 +285,5 @@ func (f *Fleet) Stats() *Stats {
 		}
 		sh.mu.Unlock()
 	}
-	st.Drops = f.drops.Load()
-	st.LateDrops = f.late.Load()
 	return st
 }

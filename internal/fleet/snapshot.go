@@ -228,7 +228,7 @@ func (f *Fleet) SnapshotSession(id int, w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(&env); err != nil {
 		return err
 	}
-	mtr.snapshots.Inc()
+	f.m.snapshots.Inc()
 	return nil
 }
 
@@ -278,8 +278,8 @@ func (f *Fleet) RestoreSession(r io.Reader) error {
 		}
 		sh.insert(s)
 	}
-	mtr.restores.Inc()
-	mtr.sessions.Add(1)
+	f.m.restores.Inc()
+	f.m.sessions.Add(1)
 	return nil
 }
 
@@ -327,7 +327,7 @@ func (f *Fleet) SnapshotShard(i int, w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(&env); err != nil {
 		return err
 	}
-	mtr.snapshots.Inc()
+	f.m.snapshots.Inc()
 	return nil
 }
 
@@ -426,8 +426,8 @@ func (f *Fleet) RestoreShard(i int, r io.Reader) error {
 			return err
 		}
 	}
-	mtr.restores.Inc()
-	mtr.sessions.Add(int64(delta))
+	f.m.restores.Inc()
+	f.m.sessions.Add(int64(delta))
 	return nil
 }
 
@@ -443,7 +443,7 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(&env); err != nil {
 		return err
 	}
-	mtr.snapshots.Inc()
+	f.m.snapshots.Inc()
 	return nil
 }
 
@@ -500,7 +500,7 @@ func (f *Fleet) Restore(r io.Reader) error {
 		sh.mu.Unlock()
 	}
 	f.base = env.Base
-	mtr.restores.Inc()
-	mtr.sessions.Add(total)
+	f.m.restores.Inc()
+	f.m.sessions.Add(total)
 	return nil
 }

@@ -81,7 +81,7 @@ func (sh *shard) probeVideo() error {
 		sh.videoConcealed += int64(after.Concealed - before.Concealed)
 		sh.vpool.PutAll(frames)
 		sh.vframes = frames[:0]
-		mtr.videoDecodes.Inc()
+		sh.f.m.videoDecodes.Inc()
 	}
 	return nil
 }

@@ -34,7 +34,8 @@ import (
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; a nil *Counter is a no-op.
 type Counter struct {
-	v atomic.Int64
+	v     atomic.Int64
+	owned bool // made by Scope.NewCounter: Reset leaves it alone
 }
 
 // Inc adds one.
@@ -62,7 +63,8 @@ func (c *Counter) Value() int64 {
 // Gauge is an atomic instantaneous value. The zero value is ready to use;
 // a nil *Gauge is a no-op.
 type Gauge struct {
-	v atomic.Int64
+	v     atomic.Int64
+	owned bool // made by Scope.NewGauge: Reset leaves it alone
 }
 
 // Set stores v.
@@ -111,18 +113,21 @@ type Histogram struct {
 	count  atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
+	owned  bool // made by Scope.NewHistogram: Reset leaves it alone
 }
 
-func newHistogram(bounds []int64) (*Histogram, error) {
+// newHistogram panics on bounds that are not strictly ascending (bucket
+// layouts are static, so a bad one is a programming error).
+func newHistogram(bounds []int64, owned bool) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("obs: histogram bounds not strictly ascending at %d (%d <= %d)",
-				i, bounds[i], bounds[i-1])
+			panic(fmt.Sprintf("obs: histogram bounds not strictly ascending at %d (%d <= %d)",
+				i, bounds[i], bounds[i-1]))
 		}
 	}
 	cp := make([]int64, len(bounds))
 	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(bounds)+1)}, nil
+	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(bounds)+1), owned: owned}
 }
 
 // Observe records one value. Allocation-free; the bucket scan is linear
@@ -274,11 +279,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		var err error
-		h, err = newHistogram(bounds)
-		if err != nil {
-			panic(err) // static bucket layouts; a bad one is a programming error
-		}
+		h = newHistogram(bounds, false)
 		r.hists[name] = h
 	}
 	return h
@@ -293,8 +294,9 @@ func (r *Registry) Scope(prefix string) *Scope {
 	return &Scope{r: r, prefix: prefix + "."}
 }
 
-// Reset zeroes every registered metric (registrations and handles stay
-// valid). Intended for tests and per-run dumps.
+// Reset zeroes every shared metric (registrations and handles stay
+// valid). Intended for tests and per-run dumps. Owned handles keep their
+// values: their owner reports its own accounting from them.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -302,12 +304,19 @@ func (r *Registry) Reset() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, c := range r.counts {
-		c.v.Store(0)
+		if !c.owned {
+			c.v.Store(0)
+		}
 	}
 	for _, g := range r.gauges {
-		g.v.Store(0)
+		if !g.owned {
+			g.v.Store(0)
+		}
 	}
 	for _, h := range r.hists {
+		if h.owned {
+			continue
+		}
 		for i := range h.counts {
 			h.counts[i].Store(0)
 		}
@@ -352,6 +361,35 @@ func (s *Scope) Histogram(name string, bounds []int64) *Histogram {
 		return nil
 	}
 	return s.r.Histogram(s.prefix+name, bounds)
+}
+
+// NewCounter returns a fresh counter owned by the caller (a fleet or a
+// server), registered under the scoped name in place of an earlier
+// owner's; Counter is the shared get-or-create kind. The handle is live
+// even on a nil scope, and Reset leaves it alone.
+func (s *Scope) NewCounter(name string) *Counter {
+	return own(s, name, &Counter{owned: true}, func(r *Registry) map[string]*Counter { return r.counts })
+}
+
+// NewGauge is NewCounter for a gauge.
+func (s *Scope) NewGauge(name string) *Gauge {
+	return own(s, name, &Gauge{owned: true}, func(r *Registry) map[string]*Gauge { return r.gauges })
+}
+
+// NewHistogram is NewCounter for a histogram with the given bounds.
+func (s *Scope) NewHistogram(name string, bounds []int64) *Histogram {
+	return own(s, name, newHistogram(bounds, true), func(r *Registry) map[string]*Histogram { return r.hists })
+}
+
+// own registers h under the scoped name in the map byName picks (nothing
+// on a nil scope).
+func own[T any](s *Scope, name string, h *T, byName func(*Registry) map[string]*T) *T {
+	if s != nil {
+		s.r.mu.Lock()
+		byName(s.r)[s.prefix+name] = h
+		s.r.mu.Unlock()
+	}
+	return h
 }
 
 // Scope returns a nested scope: metrics registered through it carry the

@@ -179,6 +179,41 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestOwnedHandles pins the instance-owned registration: a fresh live
+// handle even on a nil scope, a later owner replaces an earlier one under
+// the same name, and Reset leaves owned handles alone.
+func TestOwnedHandles(t *testing.T) {
+	var nilScope *Scope
+	c := nilScope.NewCounter("c")
+	c.Inc()
+	if c.Value() != 1 {
+		t.Fatal("owned counter from a nil scope does not count")
+	}
+	r := NewRegistry()
+	s := r.Scope("srv")
+	first := s.NewCounter("accepted")
+	first.Add(7)
+	second := s.NewCounter("accepted")
+	second.Add(2)
+	g := s.NewGauge("conns")
+	g.Set(3)
+	h := s.NewHistogram("rows", []int64{4})
+	h.Observe(5)
+	shared := r.Counter("shared")
+	shared.Add(9)
+	r.Reset()
+	snap := r.Snapshot()
+	if got := snap.Counter("srv.accepted"); got != 2 || first.Value() != 7 {
+		t.Errorf("srv.accepted = %d (first owner %d), want the second owner's 2 and 7", got, first.Value())
+	}
+	if hs, _ := snap.Histogram("srv.rows"); snap.Gauge("srv.conns") != 3 || hs.Count != 1 || hs.Max != 5 {
+		t.Errorf("Reset moved owned handles: conns %d, rows %+v", snap.Gauge("srv.conns"), hs)
+	}
+	if shared.Value() != 0 {
+		t.Errorf("Reset left shared counter at %d", shared.Value())
+	}
+}
+
 func TestBucketHelpers(t *testing.T) {
 	for _, bs := range [][]int64{DurationBuckets(), SizeBuckets(), LinearBuckets(0, 8, 16)} {
 		for i := 1; i < len(bs); i++ {

@@ -59,6 +59,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				// Get-or-create race: everyone asks for the same names.
 				r.Counter("stress.count").Add(0)
 				r.Histogram("stress.values", []int64{100, 250, 500, 900})
+				// Owned registration races snapshots and other owners.
+				r.Scope("stress").NewCounter("owned").Inc()
 			}
 		}(w)
 		wg.Add(1)

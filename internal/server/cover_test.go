@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"affectedge/internal/fleet"
 	"affectedge/internal/obs"
 	"affectedge/internal/wire"
 )
@@ -97,14 +99,15 @@ func TestServeControlStartStop(t *testing.T) {
 	}
 }
 
-// TestWireMetricsWiring proves the explicit metrics seam: once wired to
-// a registry scope, the package handles feed named counters, and the
-// names match the Counters JSON tags an operator sees on /counters.
+// TestWireMetricsWiring proves the explicit metrics seam: a server built
+// under a wired scope registers every counter it reports, named as its
+// Counters JSON tag, and the registry and /counters agree value for
+// value. Unwiring afterwards leaves the built server's handles in place.
 func TestWireMetricsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	WireMetrics(reg.Scope("server"))
-
 	f, srv, addr := newTestServer(t, testFleetConfig(2), Config{})
+	WireMetrics(nil)
 	dim := f.FeatureDim()
 	cli, err := Dial(addr, 0, dim, 5*time.Second)
 	if err != nil {
@@ -114,20 +117,183 @@ func TestWireMetricsWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Close()
-	// Rewiring the global handles while connection goroutines run would
-	// race; quiesce the server first (Close waits them out), then restore
-	// the no-op handles for the rest of the suite.
 	srv.Close()
-	f.Close()
+	b, err := json.Marshal(srv.Counters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters map[string]int64
+	if err := json.Unmarshal(b, &counters); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if len(snap.Counters)+len(snap.Gauges) != len(counters) {
+		t.Errorf("registry holds %d counters and %d gauges, Counters has %d fields",
+			len(snap.Counters), len(snap.Gauges), len(counters))
+	}
+	for tag, want := range counters {
+		got := snap.Counter("server." + tag)
+		if tag == "conns" {
+			got = snap.Gauge("server." + tag)
+		}
+		if got != want {
+			t.Errorf("server.%s = %d, Counters says %d", tag, got, want)
+		}
+	}
+	if counters["hellos"] != 1 || counters["accepted"] != 1 || counters["frames_in"] != 2 {
+		t.Errorf("hellos %d accepted %d frames_in %d, want 1, 1, 2 (HELLO + OBSERVE_BATCH)",
+			counters["hellos"], counters["accepted"], counters["frames_in"])
+	}
+}
+
+// TestInstanceMetricsDisjoint serves different traffic through two
+// fleet+server pairs wired to distinct scopes and one unwired pair, all
+// in one process: every scope, Counters and Stats reports its own pair
+// alone.
+func TestInstanceMetricsDisjoint(t *testing.T) {
+	type pair struct {
+		reg           *obs.Registry // nil: built unwired
+		sessions, obs int
+		f             *fleet.Fleet
+		srv           *Server
+		addr          string
+	}
+	pairs := []*pair{{reg: obs.NewRegistry(), sessions: 2, obs: 3}, {reg: obs.NewRegistry(), sessions: 3, obs: 5}, {sessions: 4, obs: 7}}
+	for _, p := range pairs {
+		fleet.WireMetrics(p.reg.Scope("fleet"))
+		WireMetrics(p.reg.Scope("server"))
+		p.f, p.srv, p.addr = newTestServer(t, testFleetConfig(p.sessions), Config{})
+	}
+	fleet.WireMetrics(nil)
 	WireMetrics(nil)
-	if v := reg.Counter("server.hellos").Value(); v < 1 {
-		t.Fatalf("server.hellos = %d, want >= 1", v)
+	dim := pairs[0].f.FeatureDim()
+	for _, p := range pairs {
+		for id := 0; id < p.sessions; id++ {
+			cli, err := Dial(p.addr, id, dim, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < p.obs; k++ {
+				if err := observeSync(cli, time.Duration(k+1)*time.Millisecond, make([]float64, dim)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cli.Close()
+		}
+		p.srv.Close()
+		p.f.Close()
 	}
-	if v := reg.Counter("server.accepted").Value(); v < 1 {
-		t.Fatalf("server.accepted = %d, want >= 1", v)
+	for i, p := range pairs {
+		n := int64(p.sessions * p.obs)
+		c, st := p.srv.Counters(), p.f.Stats()
+		if c.Accepted != n || c.BatchObs != n || c.Hellos != int64(p.sessions) || st.Observations != n || st.Sessions != p.sessions {
+			t.Errorf("pair %d: accepted %d batch_obs %d hellos %d observations %d sessions %d, want %d %d %d %d %d",
+				i, c.Accepted, c.BatchObs, c.Hellos, st.Observations, st.Sessions, n, n, p.sessions, n, p.sessions)
+		}
+		if p.reg == nil {
+			continue
+		}
+		snap := p.reg.Snapshot()
+		if a, in, h := snap.Counter("server.accepted"), snap.Counter("fleet.ingress"), snap.Counter("server.hellos"); a != n || in != n || h != int64(p.sessions) {
+			t.Errorf("pair %d scope: server.accepted %d fleet.ingress %d server.hellos %d, want %d %d %d",
+				i, a, in, h, n, n, p.sessions)
+		}
+		if g := snap.Gauge("fleet.sessions"); g != int64(p.sessions) {
+			t.Errorf("pair %d scope: fleet.sessions %d, want %d", i, g, p.sessions)
+		}
 	}
-	if v := reg.Counter("server.frames_in").Value(); v < 2 {
-		t.Fatalf("server.frames_in = %d, want >= 2 (HELLO + OBSERVE_BATCH)", v)
+}
+
+// TestSequentialServersOneScope is the shape of a benchmark that wires
+// one scope once and builds a fresh fleet and server per trial: the
+// second server's Counters start at zero, the scope reports the newest
+// pair alone, and a Registry.Reset mid-run moves neither Counters nor
+// the fleet's fingerprint.
+func TestSequentialServersOneScope(t *testing.T) {
+	reg := obs.NewRegistry()
+	fleet.WireMetrics(reg.Scope("fleet"))
+	WireMetrics(reg.Scope("server"))
+	defer fleet.WireMetrics(nil)
+	defer WireMetrics(nil)
+	for trial, sent := range []int{5, 3} {
+		f, srv, addr := newTestServer(t, testFleetConfig(1), Config{})
+		if c := srv.Counters(); c != (Counters{}) {
+			t.Fatalf("trial %d: fresh server counters %+v, want zero", trial, c)
+		}
+		cli, err := Dial(addr, 0, f.FeatureDim(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < sent; k++ {
+			if k == 2 {
+				reg.Reset() // mid-run: the instances' own handles keep counting
+			}
+			if err := observeSync(cli, time.Duration(k+1)*time.Millisecond, make([]float64, f.FeatureDim())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cli.Close()
+		srv.Close()
+		f.Close()
+		c := srv.Counters()
+		if c.Accepted != int64(sent) || c.FramesIn != int64(sent+1) || c.Hellos != 1 {
+			t.Errorf("trial %d: accepted %d frames_in %d hellos %d, want %d, %d, 1",
+				trial, c.Accepted, c.FramesIn, c.Hellos, sent, sent+1)
+		}
+		fp := f.Stats().Fingerprint()
+		reg.Reset()
+		if srv.Counters() != c || f.Stats().Fingerprint() != fp {
+			t.Errorf("trial %d: Registry.Reset moved Counters or the fingerprint", trial)
+		}
+		snap := reg.Snapshot()
+		if a, in := snap.Counter("server.accepted"), snap.Counter("fleet.ingress"); a != int64(sent) || in != int64(sent) {
+			t.Errorf("trial %d: server.accepted %d fleet.ingress %d, want %d", trial, a, in, sent)
+		}
+	}
+}
+
+// flakyListener fails its first fails Accept calls, then delegates.
+type flakyListener struct {
+	net.Listener
+	fails int // touched only by the accept loop
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, errors.New("transient accept failure")
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptErrorsCounted feeds the accept loop one transient Accept
+// failure: it lands in AcceptErrors, not ReadErrors, and the loop keeps
+// serving.
+func TestAcceptErrorsCounted(t *testing.T) {
+	f, err := fleet.New(testFleetConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(f, Config{})
+	srv.ln = &flakyListener{Listener: ln, fails: 1}
+	srv.wg.Add(1)
+	go srv.acceptLoop()
+	defer srv.Close()
+	cli, err := Dial(ln.Addr().String(), 0, f.FeatureDim(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	if c := srv.Counters(); c.AcceptErrors != 1 || c.ReadErrors != 0 || c.Hellos != 1 {
+		t.Errorf("accept_errors %d read_errors %d hellos %d, want 1, 0, 1", c.AcceptErrors, c.ReadErrors, c.Hellos)
 	}
 }
 

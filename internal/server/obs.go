@@ -1,17 +1,18 @@
 package server
 
-import "affectedge/internal/obs"
+import (
+	"sync/atomic"
 
-// metrics holds the package's nil-safe instrument handles, mirroring the
-// Server.Counters accounting into an obs scope for the /metrics plane.
-// Deliberately NOT wired by the affectedge.WireMetrics facade: pulling
-// the serving layer into every binary's metric surface would drag
-// net-facing concerns into offline tools — cmd/fleetload (and any other
-// serving binary) calls server.WireMetrics explicitly.
+	"affectedge/internal/obs"
+)
+
+// metrics holds one server's own handles (obs.Scope.NewCounter), built
+// by New and read back by Counters, each named as its Counters JSON tag.
 type metrics struct {
 	conns          *obs.Gauge   // currently open connections
 	connsTotal     *obs.Counter // connections ever accepted
 	hellos         *obs.Counter // authenticated connections
+	helloRefused   *obs.Counter // HELLOs refused with an ERR
 	framesIn       *obs.Counter // complete frames decoded off sockets
 	framesOut      *obs.Counter // reply frames written
 	accepted       *obs.Counter // observations the fleet accepted
@@ -23,32 +24,44 @@ type metrics struct {
 	snapshotReqs   *obs.Counter // session snapshots served over TCP
 	slowKills      *obs.Counter // connections killed for unread replies
 	midFrame       *obs.Counter // peers gone with a partial frame buffered
+	acceptErrors   *obs.Counter // transient listener Accept failures
 	readErrors     *obs.Counter // connections ended by a read error
 	writeErrors    *obs.Counter // connections ended by a write error/timeout
 	protocolErrors *obs.Counter // malformed or out-of-protocol frames
 }
 
-var mtr metrics
+var wired atomic.Pointer[obs.Scope] // see WireMetrics
 
-// WireMetrics attaches the server package to an observability scope.
-// Call before New; all handles are nil (and every method a no-op) until
-// then, so unwired servers pay a single predictable branch per event.
-func WireMetrics(s *obs.Scope) {
-	mtr.conns = s.Gauge("conns")
-	mtr.connsTotal = s.Counter("conns_total")
-	mtr.hellos = s.Counter("hellos")
-	mtr.framesIn = s.Counter("frames_in")
-	mtr.framesOut = s.Counter("frames_out")
-	mtr.accepted = s.Counter("accepted")
-	mtr.nacked = s.Counter("nacked")
-	mtr.rejected = s.Counter("rejected")
-	mtr.batchesIn = s.Counter("batches_in")
-	mtr.batchObs = s.Counter("batch_obs")
-	mtr.flushes = s.Counter("flushes")
-	mtr.snapshotReqs = s.Counter("snapshot_reqs")
-	mtr.slowKills = s.Counter("slow_kills")
-	mtr.midFrame = s.Counter("mid_frame_resets")
-	mtr.readErrors = s.Counter("read_errors")
-	mtr.writeErrors = s.Counter("write_errors")
-	mtr.protocolErrors = s.Counter("protocol_errors")
+// WireMetrics sets the scope that servers built by later New calls
+// register their counters under, for the /metrics plane; with nil (the
+// default) they count unregistered. Call before New. A new server's
+// handles replace an earlier one's. Deliberately NOT wired by the
+// affectedge.WireMetrics facade: pulling the serving layer into every
+// binary's metric surface would drag net-facing concerns into offline
+// tools — cmd/fleetload (and any other serving binary) calls
+// server.WireMetrics explicitly.
+func WireMetrics(s *obs.Scope) { wired.Store(s) }
+
+func newMetrics(s *obs.Scope) metrics {
+	return metrics{
+		conns:          s.NewGauge("conns"),
+		connsTotal:     s.NewCounter("conns_total"),
+		hellos:         s.NewCounter("hellos"),
+		helloRefused:   s.NewCounter("hello_refused"),
+		framesIn:       s.NewCounter("frames_in"),
+		framesOut:      s.NewCounter("frames_out"),
+		accepted:       s.NewCounter("accepted"),
+		nacked:         s.NewCounter("nacked"),
+		rejected:       s.NewCounter("rejected"),
+		batchesIn:      s.NewCounter("batches_in"),
+		batchObs:       s.NewCounter("batch_obs"),
+		flushes:        s.NewCounter("flushes"),
+		snapshotReqs:   s.NewCounter("snapshot_reqs"),
+		slowKills:      s.NewCounter("slow_kills"),
+		midFrame:       s.NewCounter("mid_frame_resets"),
+		acceptErrors:   s.NewCounter("accept_errors"),
+		readErrors:     s.NewCounter("read_errors"),
+		writeErrors:    s.NewCounter("write_errors"),
+		protocolErrors: s.NewCounter("protocol_errors"),
+	}
 }

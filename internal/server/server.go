@@ -88,17 +88,22 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// Counters is a snapshot of the server's accounting. The serving
-// invariant the loopback suite pins is per observation, not per frame:
-// every observation an OBSERVE_BATCH frame carries (BatchObs) is exactly
-// one of Accepted (ACK bit clear, in a shard queue), Nacked
-// (backpressure NACK bit), or Rejected (an ERR for an unknown session, a
-// bad dimension, a non-finite value or a closed fleet, with
-// CodeUnknownSession, CodeDim, CodeBadValue or CodeClosed).
+// Counters is a snapshot of the server's accounting, read from its own
+// metric handles; each JSON tag is the metric's name under the scope
+// passed to WireMetrics. The serving invariant the loopback suite pins
+// is per observation, not per frame: every observation an OBSERVE_BATCH
+// frame carries (BatchObs) is exactly one of Accepted (ACK bit clear, in
+// a shard queue), Nacked (backpressure NACK bit), or Rejected (an ERR
+// for an unknown session, a bad dimension, a non-finite value or a
+// closed fleet, with CodeUnknownSession, CodeDim, CodeBadValue or
+// CodeClosed). A HELLO that passes the magic/version check (a failure is
+// one of ProtocolErrors) is one of Hellos or HelloRefused (an unknown,
+// parked or out-of-range session, or a wrong dim).
 type Counters struct {
 	Conns          int64 `json:"conns"`            // currently open
 	ConnsTotal     int64 `json:"conns_total"`      // ever accepted
 	Hellos         int64 `json:"hellos"`           // authenticated connections
+	HelloRefused   int64 `json:"hello_refused"`    // HELLOs refused with an ERR
 	FramesIn       int64 `json:"frames_in"`        // complete frames decoded
 	FramesOut      int64 `json:"frames_out"`       // replies written
 	Accepted       int64 `json:"accepted"`         // observations the fleet accepted
@@ -110,6 +115,7 @@ type Counters struct {
 	SnapshotReqs   int64 `json:"snapshot_reqs"`    // session snapshots served
 	SlowKills      int64 `json:"slow_kills"`       // connections killed for unread replies
 	MidFrameResets int64 `json:"mid_frame_resets"` // peers gone with a partial frame buffered
+	AcceptErrors   int64 `json:"accept_errors"`    // transient listener Accept failures
 	ReadErrors     int64 `json:"read_errors"`      // connections ended by a read error
 	WriteErrors    int64 `json:"write_errors"`     // connections ended by a write error/timeout
 	ProtocolErrors int64 `json:"protocol_errors"`  // malformed or out-of-protocol frames
@@ -130,25 +136,18 @@ type Server struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	n struct {
-		conns, connsTotal, hellos         atomic.Int64
-		framesIn, framesOut               atomic.Int64
-		accepted, nacked, rejected        atomic.Int64
-		batchesIn, batchObs, flushes      atomic.Int64
-		snapshotReqs, slowKills           atomic.Int64
-		midFrame, readErrors, writeErrors atomic.Int64
-		protocolErrors                    atomic.Int64
-	}
+	m metrics
 }
 
-// New wraps f in an ingest server. Wire metrics (WireMetrics) before New
-// if the obs mirror is wanted.
+// New wraps f in an ingest server. Its counters start at zero and are
+// registered under the scope last passed to WireMetrics.
 func New(f *fleet.Fleet, cfg Config) *Server {
 	return &Server{
 		f:     f,
 		cfg:   cfg.normalize(),
 		dim:   f.FeatureDim(),
 		conns: map[*conn]struct{}{},
+		m:     newMetrics(wired.Load()),
 	}
 }
 
@@ -203,23 +202,25 @@ func (s *Server) Close() error {
 // Counters snapshots the accounting.
 func (s *Server) Counters() Counters {
 	return Counters{
-		Conns:          s.n.conns.Load(),
-		ConnsTotal:     s.n.connsTotal.Load(),
-		Hellos:         s.n.hellos.Load(),
-		FramesIn:       s.n.framesIn.Load(),
-		FramesOut:      s.n.framesOut.Load(),
-		Accepted:       s.n.accepted.Load(),
-		Nacked:         s.n.nacked.Load(),
-		Rejected:       s.n.rejected.Load(),
-		BatchesIn:      s.n.batchesIn.Load(),
-		BatchObs:       s.n.batchObs.Load(),
-		Flushes:        s.n.flushes.Load(),
-		SnapshotReqs:   s.n.snapshotReqs.Load(),
-		SlowKills:      s.n.slowKills.Load(),
-		MidFrameResets: s.n.midFrame.Load(),
-		ReadErrors:     s.n.readErrors.Load(),
-		WriteErrors:    s.n.writeErrors.Load(),
-		ProtocolErrors: s.n.protocolErrors.Load(),
+		Conns:          s.m.conns.Value(),
+		ConnsTotal:     s.m.connsTotal.Value(),
+		Hellos:         s.m.hellos.Value(),
+		HelloRefused:   s.m.helloRefused.Value(),
+		FramesIn:       s.m.framesIn.Value(),
+		FramesOut:      s.m.framesOut.Value(),
+		Accepted:       s.m.accepted.Value(),
+		Nacked:         s.m.nacked.Value(),
+		Rejected:       s.m.rejected.Value(),
+		BatchesIn:      s.m.batchesIn.Value(),
+		BatchObs:       s.m.batchObs.Value(),
+		Flushes:        s.m.flushes.Value(),
+		SnapshotReqs:   s.m.snapshotReqs.Value(),
+		SlowKills:      s.m.slowKills.Value(),
+		MidFrameResets: s.m.midFrame.Value(),
+		AcceptErrors:   s.m.acceptErrors.Value(),
+		ReadErrors:     s.m.readErrors.Value(),
+		WriteErrors:    s.m.writeErrors.Value(),
+		ProtocolErrors: s.m.protocolErrors.Value(),
 	}
 }
 
@@ -234,8 +235,7 @@ func (s *Server) acceptLoop() {
 			// Transient accept failure (EMFILE under fd pressure, aborted
 			// handshake): back off briefly and keep serving — a dying
 			// accept loop would strand every future client.
-			s.n.readErrors.Add(1)
-			mtr.readErrors.Inc()
+			s.m.acceptErrors.Inc()
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
@@ -244,10 +244,8 @@ func (s *Server) acceptLoop() {
 			nc.Close()
 			return
 		}
-		s.n.conns.Add(1)
-		s.n.connsTotal.Add(1)
-		mtr.conns.Add(1)
-		mtr.connsTotal.Inc()
+		s.m.conns.Add(1)
+		s.m.connsTotal.Inc()
 		s.wg.Add(2)
 		go c.readLoop()
 		go c.writeLoop()
@@ -271,8 +269,7 @@ func (s *Server) untrack(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-	s.n.conns.Add(-1)
-	mtr.conns.Add(-1)
+	s.m.conns.Add(-1)
 }
 
 // conn is one client connection: a reader goroutine that decodes and
@@ -334,8 +331,7 @@ func (c *conn) readLoop() {
 				if !ok {
 					break
 				}
-				c.srv.n.framesIn.Add(1)
-				mtr.framesIn.Inc()
+				c.srv.m.framesIn.Inc()
 				if !c.handle(&fr) {
 					return
 				}
@@ -348,12 +344,10 @@ func (c *conn) readLoop() {
 			if sp.Pending() > 0 {
 				// Peer vanished mid-frame: nothing half-applied — frames
 				// dispatch only when complete — just counted and cleaned up.
-				c.srv.n.midFrame.Add(1)
-				mtr.midFrame.Inc()
+				c.srv.m.midFrame.Inc()
 			}
 			if !errors.Is(err, io.EOF) {
-				c.srv.n.readErrors.Add(1)
-				mtr.readErrors.Inc()
+				c.srv.m.readErrors.Inc()
 			}
 			return
 		}
@@ -404,14 +398,11 @@ func (c *conn) writeLoop() {
 		nb = append(nb[:0], bufs[:n]...)
 		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		if _, err := nb.WriteTo(c.nc); err != nil {
-			c.srv.n.writeErrors.Add(1)
-			mtr.writeErrors.Inc()
+			c.srv.m.writeErrors.Inc()
 			return
 		}
-		c.srv.n.framesOut.Add(int64(n))
-		c.srv.n.flushes.Add(1)
-		mtr.framesOut.Add(int64(n))
-		mtr.flushes.Inc()
+		c.srv.m.framesOut.Add(int64(n))
+		c.srv.m.flushes.Inc()
 	}
 }
 
@@ -425,8 +416,7 @@ func (c *conn) reply(f wire.Frame) bool {
 	case err == nil:
 		return true
 	case errors.Is(err, stream.ErrBackpressure):
-		c.srv.n.slowKills.Add(1)
-		mtr.slowKills.Inc()
+		c.srv.m.slowKills.Inc()
 		c.out.Close()
 		c.nc.Close()
 		return false
@@ -438,8 +428,7 @@ func (c *conn) reply(f wire.Frame) bool {
 // protoErr handles an unparseable or out-of-protocol input: counted, a
 // best-effort BAD_FRAME ERR queued, connection closed.
 func (c *conn) protoErr(err error) {
-	c.srv.n.protocolErrors.Add(1)
-	mtr.protocolErrors.Inc()
+	c.srv.m.protocolErrors.Inc()
 	c.reply(wire.Frame{Type: wire.Err, Code: wire.CodeBadFrame, Msg: truncMsg(err.Error())})
 }
 
@@ -475,33 +464,30 @@ func (c *conn) hello(fr *wire.Frame) bool {
 		var ve *wire.VersionError
 		if errors.As(err, &ve) {
 			c.reply(wire.Frame{Type: wire.Err, Code: wire.CodeVersion, Msg: truncMsg(err.Error())})
-			c.srv.n.protocolErrors.Add(1)
-			mtr.protocolErrors.Inc()
+			c.srv.m.protocolErrors.Inc()
 			return false
 		}
 		c.protoErr(err)
 		return false
 	}
-	if fr.Session > math.MaxInt64 {
-		c.reply(wire.Frame{Type: wire.Err, Code: wire.CodeUnknownSession, Msg: "session id out of range"})
-		return false
-	}
 	id := int(fr.Session)
-	if !c.srv.f.Connected(id) {
-		c.reply(wire.Frame{Type: wire.Err, Code: wire.CodeUnknownSession,
-			Msg: fmt.Sprintf("session %d not connected", id)})
-		return false
+	refusal := wire.Frame{Type: wire.Err, Code: wire.CodeUnknownSession}
+	switch {
+	case fr.Session > math.MaxInt64:
+		refusal.Msg = "session id out of range"
+	case !c.srv.f.Connected(id):
+		refusal.Msg = fmt.Sprintf("session %d not connected", id)
+	case int(fr.Dim) != c.srv.dim:
+		refusal.Code, refusal.Msg = wire.CodeDim, fmt.Sprintf("dim %d, fleet serves %d", fr.Dim, c.srv.dim)
+	default:
+		c.session = id
+		c.helloed = true
+		c.srv.m.hellos.Inc()
+		return c.reply(wire.Frame{Type: wire.Ack, Seq: 0}) // HELLO acks as seq 0
 	}
-	if int(fr.Dim) != c.srv.dim {
-		c.reply(wire.Frame{Type: wire.Err, Code: wire.CodeDim,
-			Msg: fmt.Sprintf("dim %d, fleet serves %d", fr.Dim, c.srv.dim)})
-		return false
-	}
-	c.session = id
-	c.helloed = true
-	c.srv.n.hellos.Add(1)
-	mtr.hellos.Inc()
-	return c.reply(wire.Frame{Type: wire.Ack, Seq: 0}) // HELLO acks as seq 0
+	c.srv.m.helloRefused.Inc()
+	c.reply(refusal)
+	return false
 }
 
 // observeBatch routes one OBSERVE_BATCH into the fleet as a shard-level
@@ -514,10 +500,8 @@ func (c *conn) hello(fr *wire.Frame) bool {
 // open; any other refusal goes through refuse.
 func (c *conn) observeBatch(fr *wire.Frame) bool {
 	n := len(fr.Batch)
-	c.srv.n.batchesIn.Add(1)
-	c.srv.n.batchObs.Add(int64(n))
-	mtr.batchesIn.Inc()
-	mtr.batchObs.Add(int64(n))
+	c.srv.m.batchesIn.Inc()
+	c.srv.m.batchObs.Add(int64(n))
 	for i := range fr.Batch {
 		if len(fr.Batch[i].Vals) != c.srv.dim {
 			c.count(0, 0, n)
@@ -569,12 +553,9 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 
 // count books one frame's observation verdicts.
 func (c *conn) count(accepted, nacked, rejected int) {
-	c.srv.n.accepted.Add(int64(accepted))
-	c.srv.n.nacked.Add(int64(nacked))
-	c.srv.n.rejected.Add(int64(rejected))
-	mtr.accepted.Add(int64(accepted))
-	mtr.nacked.Add(int64(nacked))
-	mtr.rejected.Add(int64(rejected))
+	c.srv.m.accepted.Add(int64(accepted))
+	c.srv.m.nacked.Add(int64(nacked))
+	c.srv.m.rejected.Add(int64(rejected))
 }
 
 // snapshot serves the session's versioned gob snapshot in an ACK payload.
@@ -583,8 +564,7 @@ func (c *conn) snapshot(fr *wire.Frame) bool {
 	if err := c.srv.f.SnapshotSession(c.session, &buf); err != nil {
 		return c.refuse(fr.Seq, err)
 	}
-	c.srv.n.snapshotReqs.Add(1)
-	mtr.snapshotReqs.Inc()
+	c.srv.m.snapshotReqs.Inc()
 	if buf.Len() > wire.MaxData {
 		return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Seq, Code: wire.CodeInternal,
 			Msg: fmt.Sprintf("snapshot %d bytes exceeds frame bound", buf.Len())})

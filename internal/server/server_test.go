@@ -231,6 +231,13 @@ func TestHelloErrors(t *testing.T) {
 			t.Fatal("Dial of unknown session succeeded")
 		}
 	})
+	// Each refusal is counted before its ERR is queued. The unknown,
+	// parked, wrong-dim and Dial-helper HELLOs are refusals; the version
+	// skew and the frame before HELLO are protocol errors.
+	if c := srv.Counters(); c.HelloRefused != 4 || c.ProtocolErrors != 2 || c.Hellos != 0 {
+		t.Errorf("hello_refused %d protocol_errors %d hellos %d, want 4, 2, 0",
+			c.HelloRefused, c.ProtocolErrors, c.Hellos)
+	}
 	srv.Close()
 	f.Close()
 	leak()

@@ -5,12 +5,13 @@ import "affectedge/internal/obs"
 // metrics holds the package's zero-allocation instrument handles. All
 // handles are nil until WireMetrics runs; every obs method is a no-op on a
 // nil receiver, so unwired FIFOs pay a single predictable branch per
-// operation (the same contract every other subsystem follows).
+// operation (the same contract every kernel package follows).
 //
-// The family is package-wide, not per-FIFO: fleets create one FIFO per
-// pipeline stage per session, and per-instance instruments would both
-// allocate on the ingest path and explode the registry. Per-stage peaks
-// remain observable through FIFO.Peak.
+// The family is package-wide, not per-FIFO: the live user is the ingest
+// server's reply queue, one FIFO per connection, and per-instance
+// instruments would allocate on every connection setup and grow the
+// registry with the connection count. Per-queue peaks remain observable
+// through FIFO.Peak.
 type metrics struct {
 	depth        *obs.Gauge     // queue_depth_high: high-water occupancy across all FIFOs
 	stalls       *obs.Counter   // blocking waits entered (producer full + consumer empty)

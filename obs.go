@@ -29,8 +29,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // costs nothing.
 //
 // Wire before starting work — handle swaps are not synchronized with
-// running studies, decodes, or simulations. All metric updates themselves
-// are concurrency-safe and allocation-free.
+// running studies, decodes, or simulations, and a fleet registers its
+// own handles under the fleet scope when fleet.New builds it. All metric
+// updates themselves are concurrency-safe and allocation-free.
 func WireMetrics(reg *MetricsRegistry) {
 	affect.WireMetrics(reg.Scope("affect"))
 	nn.WireMetrics(reg.Scope("nn"))

@@ -4,16 +4,21 @@ import (
 	"strings"
 	"testing"
 
+	"affectedge/internal/fleet"
 	"affectedge/internal/stream"
 )
 
 // TestWireMetricsStreamScope checks the stream FIFO family reaches the
 // public registry: after WireMetrics, FIFO traffic lands under "stream."
-// names in the JSON dump, and unwiring restores the nop path.
+// names in the JSON dump, and unwiring restores the nop path. A fleet
+// registers its "fleet." handles when it is built, not at wiring.
 func TestWireMetricsStreamScope(t *testing.T) {
 	reg := NewMetricsRegistry()
 	WireMetrics(reg)
 	defer WireMetrics(nil)
+	if _, err := fleet.New(fleet.Config{Sessions: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	q, err := stream.New[int](4)
 	if err != nil {
@@ -44,6 +49,6 @@ func TestWireMetricsStreamScope(t *testing.T) {
 		}
 	}
 	if !strings.Contains(dump, "fleet.") {
-		t.Error("existing fleet scope missing from dump")
+		t.Error("fleet scope missing from dump")
 	}
 }
