@@ -32,8 +32,15 @@ test-short:
 # The simd-consuming suites with the vector backend force-disabled
 # (AFFECTEDGE_NOSIMD): proves the scalar fallbacks carry the same
 # goldens and differential pins, i.e. what a non-AVX host would run.
+# The serving packages are included because fleet admission quantizes
+# rows with simd.QuantizeI8: the fleet golden and the served
+# fingerprints must hold on the scalar quantizer too. -count=1: simd
+# reads AFFECTEDGE_NOSIMD at package init, which go test's result cache
+# does not track, so a cached vector-backend pass would stand in for the
+# scalar run.
 test-noavx:
-	AFFECTEDGE_NOSIMD=1 $(GO) test ./internal/simd/ ./internal/dsp/ ./internal/nn/ ./internal/h264/ ./internal/stream/ ./internal/affect/
+	AFFECTEDGE_NOSIMD=1 $(GO) test -count=1 ./internal/simd/ ./internal/dsp/ ./internal/nn/ ./internal/h264/ ./internal/stream/ ./internal/affect/ ./internal/wire/ ./internal/fleet/ ./internal/server/
+	AFFECTEDGE_NOSIMD=1 $(GO) test -count=1 -run 'TestGoldenFleetFingerprint' .
 
 # The streaming-ingestion concurrency suites under the race detector:
 # FIFO producer/consumer interleavings, goroutine-leak checks, and the

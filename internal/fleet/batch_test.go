@@ -27,9 +27,9 @@ func observe(f *Fleet, id int, at time.Duration, x []float64) error {
 // call; only throughput differs.
 func serialInfer(f *Fleet) {
 	dim, classes := f.cfg.FeatureDim, len(f.stream.Protos)
-	f.inferBatch = func(s *nn.QScratch, x []float64, m int, out []float64) error {
+	f.inferBatch = func(s *nn.QScratch, xq []int8, m int, out []float64) error {
 		for k := 0; k < m; k++ {
-			if err := f.model.InferBatch(s, x[k*dim:(k+1)*dim], 1, out[k*classes:(k+1)*classes]); err != nil {
+			if err := f.model.InferBatchI8(s, xq[k*dim:(k+1)*dim], 1, out[k*classes:(k+1)*classes]); err != nil {
 				return err
 			}
 		}
@@ -279,7 +279,7 @@ func TestObserveBatchOversizedRun(t *testing.T) {
 
 // TestObserveBatchAdmissionAllocs pins the request free list: once the
 // shard pool is warm, admitting a grouped run and draining it through the
-// coalescer allocates nothing — the ids/timestamps/features backing is
+// coalescer allocates nothing — the ids/timestamps/int8-row backing is
 // reused, not rebuilt per call.
 func TestObserveBatchAdmissionAllocs(t *testing.T) {
 	if raceEnabled {
@@ -302,7 +302,16 @@ func TestObserveBatchAdmissionAllocs(t *testing.T) {
 		}
 		sh.coalesce(<-sh.queue)
 	}
-	round() // warm the pool and the shard's inference scratch
+	// Warm the pool and the shard's inference scratch, checking that the
+	// queued request holds its rows as int8: FeatureDim bytes per row.
+	if err := f.ObserveBatch(items, statuses); err != nil {
+		t.Fatal(err)
+	}
+	r := <-sh.queue
+	if len(r.ids) == 0 || len(r.xq) != len(r.ids)*f.FeatureDim() {
+		t.Fatalf("queued request: %d rows in %d int8s, want %d per row", len(r.ids), len(r.xq), f.FeatureDim())
+	}
+	sh.coalesce(r)
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("steady-state admission: %.2f allocs per 64-item batch, want 0", allocs)
 	}

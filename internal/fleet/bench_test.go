@@ -40,13 +40,15 @@ func BenchmarkFleetObserve(b *testing.B) {
 				// Pre-synthesize the shard's feature matrix once; the
 				// benchmark then times classification alone.
 				dim := f.cfg.FeatureDim
-				sh.feat = growFloats(sh.feat, rows*dim)
+				sh.feat = grow(sh.feat, rows*dim)
 				for k, id := range sh.order {
 					s := sh.sessions[id]
 					if err := f.stream.Sample(sh.feat[k*dim:(k+1)*dim], s.latent, f.cfg.Noise, s.rng); err != nil {
 						b.Fatal(err)
 					}
 				}
+				sh.xq = grow(sh.xq, rows*dim)
+				f.model.QuantizeInput(sh.xq, sh.feat)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := sh.infer(0, rows); err != nil {

@@ -252,12 +252,13 @@ type session struct {
 // request is one live-path submission travelling through a shard queue:
 // a same-shard run from ObserveBatch, which occupies one queue slot but
 // carries len(ids) observations with their timestamps and a flat
-// len(ids)×dim feature backing. Requests are recycled through the shard's
-// free pool, so steady-state admission allocates nothing.
+// len(ids)×dim backing of their rows, quantized for the model.
+// Requests are recycled through the shard's free pool, so steady-state
+// admission allocates nothing.
 type request struct {
 	ids []int
 	ats []time.Duration
-	xs  []float64
+	xq  []int8
 }
 
 // shard is one lock stripe: a slice of the session population plus the
@@ -283,8 +284,11 @@ type shard struct {
 	free  sync.Pool // recycled *request: filled by submitRun, returned by coalesce
 
 	// Inference scratch, owned by whichever goroutine holds the shard
-	// (the tick driver or the shard worker — never both).
+	// (the tick driver or the shard worker — never both). feat holds the
+	// deterministic path's synthesized float rows; xq the int8 rows every
+	// batched evaluation reads (quantized feat, or gathered live requests).
 	feat   []float64
+	xq     []int8
 	logits []float64
 	qs     nn.QScratch
 	batch  []*session
@@ -316,10 +320,10 @@ type Fleet struct {
 	cfg    Config
 	stream *affect.StreamModel
 	model  *nn.QMLP
-	// inferBatch classifies m feature rows in one call: model.InferBatch,
-	// unless a same-package test swaps in a row-at-a-time twin to pin
-	// batched ≡ serial evaluation.
-	inferBatch func(s *nn.QScratch, x []float64, m int, out []float64) error
+	// inferBatch classifies m int8 feature rows (model.QuantizeInput) in
+	// one call: model.InferBatchI8, unless a same-package test swaps in a
+	// row-at-a-time twin to pin batched ≡ serial evaluation.
+	inferBatch func(s *nn.QScratch, xq []int8, m int, out []float64) error
 	apps       []string
 	policy     android.KillPolicy // read-only, shared by every device
 	shards     []*shard
@@ -376,7 +380,7 @@ func New(cfg Config) (*Fleet, error) {
 		cfg:        cfg,
 		stream:     stream,
 		model:      model,
-		inferBatch: model.InferBatch,
+		inferBatch: model.InferBatchI8,
 		apps:       android.CatalogNames(),
 		policy:     policy,
 		shards:     make([]*shard, cfg.Shards),
@@ -600,25 +604,34 @@ func (f *Fleet) ObserveBatch(items []Obs, statuses []error) error {
 	return nil
 }
 
-// submitRun admits one same-shard run of a batch. The grouped request
-// occupies one queue slot, so admission caps the run's row count by the
-// queue's free slot count (a race-approximate full check, settled by the
-// non-blocking send), and every item past the cap is NACKed with
-// ErrBackpressure instead of failing the run.
+// submitRun admits one same-shard run of a batch. Only the session lookup
+// runs under the shard lock: the dimension and value checks read nothing
+// but the caller's rows. Each admitted row is quantized once
+// (model.QuantizeInput), straight into the request's int8 backing. The
+// grouped request occupies one queue slot, so admission caps the run's
+// row count by the queue's free slot count (a race-approximate full check,
+// settled by the non-blocking send), and every item past the cap is NACKed
+// with ErrBackpressure instead of failing the run.
 func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 	dim := f.cfg.FeatureDim
+	for i := range items {
+		switch x := items[i].X; {
+		case len(x) != dim:
+			statuses[i] = fmt.Errorf("fleet: observation dim %d, want %d", len(x), dim)
+		case !Finite(x):
+			statuses[i] = fmt.Errorf("%w: session %d", ErrBadValue, items[i].ID)
+		default:
+			statuses[i] = nil
+		}
+	}
 	valid := 0
 	sh.mu.Lock()
 	for i := range items {
 		switch {
-		case len(items[i].X) != dim:
-			statuses[i] = fmt.Errorf("fleet: observation dim %d, want %d", len(items[i].X), dim)
-		case sh.sessions[items[i].ID] == nil:
+		case len(items[i].X) != dim: // a dim error outranks the session's
+		case sh.sessions[items[i].ID] == nil: // which outranks a bad value
 			statuses[i] = fmt.Errorf("%w %d", ErrUnknownSession, items[i].ID)
-		case !finite(items[i].X):
-			statuses[i] = fmt.Errorf("%w: session %d", ErrBadValue, items[i].ID)
-		default:
-			statuses[i] = nil
+		case statuses[i] == nil:
 			valid++
 		}
 	}
@@ -627,7 +640,7 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 	admit := min(valid, cap(sh.queue)-len(sh.queue))
 	if admit > 0 {
 		r = sh.free.Get().(*request)
-		r.ids, r.ats, r.xs = r.ids[:0], r.ats[:0], r.xs[:0]
+		r.ids, r.ats, r.xq = r.ids[:0], r.ats[:0], grow(r.xq, admit*dim)
 	}
 	nacked := int64(0)
 	for i := range items {
@@ -639,9 +652,10 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 			nacked++
 			continue
 		}
+		k := len(r.ids)
+		f.model.QuantizeInput(r.xq[k*dim:(k+1)*dim], items[i].X)
 		r.ids = append(r.ids, items[i].ID)
 		r.ats = append(r.ats, items[i].At)
-		r.xs = append(r.xs, items[i].X...)
 	}
 	if r != nil {
 		select {
@@ -663,14 +677,25 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 	sh.drops.Add(nacked)
 }
 
-// finite reports whether x holds no NaN or ±Inf.
-func finite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
+// Finite reports whether x holds no NaN or ±Inf — the value domain
+// ObserveBatch admits. It is one branch-free pass (expCarry), unrolled
+// four values wide.
+func Finite(x []float64) bool {
+	var carry uint64
+	for ; len(x) >= 4; x = x[4:] {
+		carry |= expCarry(x[0]) | expCarry(x[1]) | expCarry(x[2]) | expCarry(x[3])
 	}
-	return true
+	for _, v := range x {
+		carry |= expCarry(v)
+	}
+	return carry>>63 == 0
+}
+
+// expCarry sets bit 63 exactly when v is NaN or ±Inf: those are the
+// values whose 11 exponent bits are all ones, the one pattern for which
+// adding 1 to the field carries out of it, into the sign bit.
+func expCarry(v float64) uint64 {
+	return math.Float64bits(v)&0x7ff0000000000000 + 1<<52
 }
 
 // Launch foregrounds an app on session id's device at virtual time at,
@@ -753,13 +778,13 @@ full:
 	dim := sh.f.cfg.FeatureDim
 	sh.batch = sh.batch[:0]
 	sh.ats = sh.ats[:0]
-	sh.feat = growFloats(sh.feat, rows*dim)
+	sh.xq = grow(sh.xq, rows*dim)
 	m := 0
 	for _, r := range reqs {
 		for k, id := range r.ids {
-			m = sh.gatherRow(m, id, r.ats[k], r.xs[k*dim:(k+1)*dim])
+			m = sh.gatherRow(m, id, r.ats[k], r.xq[k*dim:(k+1)*dim])
 		}
-		sh.free.Put(r) // rows copied into sh.feat: the request is spent
+		sh.free.Put(r) // rows copied into sh.xq: the request is spent
 	}
 	classes := len(sh.f.stream.Protos)
 	maxB := sh.f.cfg.MaxBatch
@@ -769,10 +794,10 @@ full:
 			n = maxB
 		}
 		if err := sh.infer(lo, n); err != nil {
-			// Unreachable by construction: the model, its InputScale and
-			// layer scales, and the row shape are fixed at New, and
-			// submitRun admits only FeatureDim-long rows; InferBatch fails
-			// on nothing else. FuzzObserveBatchValues pins it.
+			// Unreachable by construction: the model, its layer scales,
+			// and the row shape are fixed at New, and submitRun queues
+			// only FeatureDim-long rows; InferBatchI8 fails on nothing
+			// else. FuzzObserveBatchValues pins it.
 			panic(fmt.Sprintf("fleet: live inference: %v", err))
 		}
 		sh.countBatch(n, n)
@@ -780,9 +805,9 @@ full:
 			if err := sh.applyRow(sh.batch[lo+k], sh.ats[lo+k], sh.logits[k*classes:(k+1)*classes]); err != nil {
 				// Unreachable by construction: admission refuses every
 				// non-finite row (ErrBadValue), and the clamped int8
-				// pipeline maps finite rows to finite logits, so confidence
-				// lies in [0,1) and Argmax yields a valid label — the only
-				// inputs Manager.Observe and Device.SetMood reject.
+				// pipeline maps finite rows to finite logits, so classify
+				// yields a valid label and a confidence in [0,1) — the
+				// only inputs Manager.Observe and Device.SetMood reject.
 				// FuzzObserveBatchValues pins it.
 				panic(fmt.Sprintf("fleet: apply: %v", err))
 			}
@@ -790,10 +815,10 @@ full:
 	}
 }
 
-// gatherRow copies one queued observation into row m of the shard's batch
+// gatherRow copies one queued int8 row into row m of the shard's batch
 // matrix, skipping (and counting) observations whose session was removed
 // while they waited. Caller holds sh.mu. Returns the next free row.
-func (sh *shard) gatherRow(m, id int, at time.Duration, x []float64) int {
+func (sh *shard) gatherRow(m, id int, at time.Duration, xq []int8) int {
 	s, ok := sh.sessions[id]
 	if !ok {
 		// Removed while queued: the request outlived its session.
@@ -801,19 +826,19 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, x []float64) int {
 		return m
 	}
 	dim := sh.f.cfg.FeatureDim
-	copy(sh.feat[m*dim:(m+1)*dim], x)
+	copy(sh.xq[m*dim:(m+1)*dim], xq)
 	sh.batch = append(sh.batch, s)
 	sh.ats = append(sh.ats, at)
 	return m + 1
 }
 
-// infer classifies n feature rows of sh.feat starting at row off into
+// infer classifies n int8 rows of sh.xq starting at row off into
 // sh.logits in one coalesced batched evaluation.
 func (sh *shard) infer(off, n int) error {
 	dim := sh.f.cfg.FeatureDim
 	classes := len(sh.f.stream.Protos)
-	sh.logits = growFloats(sh.logits, n*classes)
-	return sh.f.inferBatch(&sh.qs, sh.feat[off*dim:(off+n)*dim], n, sh.logits[:n*classes])
+	sh.logits = grow(sh.logits, n*classes)
+	return sh.f.inferBatch(&sh.qs, sh.xq[off*dim:(off+n)*dim], n, sh.logits[:n*classes])
 }
 
 // countBatch records one inference round of rows classified rows against a
@@ -835,11 +860,11 @@ func (sh *shard) countBatch(rows, pop int) {
 // applyRow feeds one classified observation into the session's control
 // loop: hysteresis, decoder mode, and the device's mood for the EBM.
 func (sh *shard) applyRow(s *session, at time.Duration, logits []float64) error {
-	label := emotion.Label(nn.Argmax(logits))
+	label, conf := classify(logits)
 	switched, err := s.mgr.Observe(core.Observation{
 		At:         at,
-		Label:      label,
-		Confidence: confidence(logits),
+		Label:      emotion.Label(label),
+		Confidence: conf,
 	})
 	if err != nil {
 		return err
@@ -852,30 +877,54 @@ func (sh *shard) applyRow(s *session, at time.Duration, logits []float64) error 
 	return nil
 }
 
-// confidence maps classifier logits to [0,1) via the top-2 margin:
-// ambiguous observations (small margin) land below MinConfidence and are
-// absorbed by the manager's discard path, mirroring how a deployed
-// classifier's softmax confidence gates the control loop.
-func confidence(logits []float64) float64 {
+// classify reads one row of NaN-free logits in a single pass: the label is
+// the first index holding the top logit (nn.Argmax), and the confidence
+// maps the top-2 margin m to m/(1+m) in [0,1), so ambiguous observations
+// (small margin) land below MinConfidence and are absorbed by the
+// manager's discard path, mirroring how a deployed classifier's softmax
+// confidence gates the control loop. Fewer than two logits are fully
+// confident. The top-2 scan runs on order-preserving integer keys
+// (orderKey), where the min/max builtins are conditional moves: no
+// data-dependent branch.
+func classify(logits []float64) (label int, conf float64) {
 	if len(logits) < 2 {
-		return 1
+		return len(logits) - 1, 1 // nn.Argmax: -1 for no logits
 	}
-	top, second := math.Inf(-1), math.Inf(-1)
+	kTop, kSecond := int64(math.MinInt64), int64(math.MinInt64)
 	for _, v := range logits {
-		if v > top {
-			top, second = v, top
-		} else if v > second {
-			second = v
-		}
+		k := orderKey(math.Float64bits(v))
+		kSecond = max(kSecond, min(kTop, k))
+		kTop = max(kTop, k)
 	}
-	m := top - second
-	return m / (1 + m)
+	top := math.Float64frombits(uint64(orderKey(uint64(kTop))))
+	for logits[label] != top {
+		label++
+	}
+	m := top - math.Float64frombits(uint64(orderKey(uint64(kSecond))))
+	if m == 0 {
+		// A tie: the margin is the first two top logits' difference,
+		// which is -0 when they are -0 and +0 in that order.
+		j := label + 1
+		for logits[j] != top {
+			j++
+		}
+		m = logits[label] - logits[j]
+	}
+	return label, m / (1 + m)
 }
 
-// growFloats is append-free scratch sizing (contents unspecified).
-func growFloats(buf []float64, n int) []float64 {
+// orderKey maps float64 bits to an int64 that orders as the float does
+// (-0 just below +0), by flipping a negative value's magnitude bits. It
+// is its own inverse.
+func orderKey(bits uint64) int64 {
+	i := int64(bits)
+	return i ^ int64(uint64(i>>63)>>1)
+}
+
+// grow is append-free scratch sizing (contents unspecified).
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

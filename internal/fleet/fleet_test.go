@@ -385,8 +385,8 @@ func TestConfidenceMargin(t *testing.T) {
 		{[]float64{3, 1, 2}, 0.5}, // margin is top-2, not top-vs-last
 		{[]float64{0, -4}, 0.8},   // margin 4
 	} {
-		if got := confidence(tc.logits); got != tc.want {
-			t.Errorf("confidence(%v) = %v, want %v", tc.logits, got, tc.want)
+		if _, got := classify(tc.logits); got != tc.want {
+			t.Errorf("classify(%v) confidence = %v, want %v", tc.logits, got, tc.want)
 		}
 	}
 }

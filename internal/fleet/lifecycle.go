@@ -116,8 +116,8 @@ func (sh *shard) catchUp(s *session, to int) error {
 	for t := s.ticks; t < to; t++ {
 		now := f.cfg.TickEvery * time.Duration(t+1)
 		s.stepLatent(t, f.cfg.SwitchEvery)
-		sh.feat = growFloats(sh.feat, dim)
-		sh.logits = growFloats(sh.logits, classes)
+		sh.feat = grow(sh.feat, dim)
+		sh.logits = grow(sh.logits, classes)
 		if err := sh.ingestRow(sh.feat[:dim], s); err != nil {
 			return err
 		}

@@ -156,7 +156,7 @@ func (sh *shard) tick(t int) error {
 	dim := sh.f.cfg.FeatureDim
 	now := sh.f.cfg.TickEvery * time.Duration(t+1)
 	if m > 0 {
-		sh.feat = growFloats(sh.feat, m*dim)
+		sh.feat = grow(sh.feat, m*dim)
 		sh.batch = sh.batch[:0]
 		for k, id := range sh.order {
 			s := sh.sessions[id]
@@ -166,6 +166,8 @@ func (sh *shard) tick(t int) error {
 			}
 			sh.batch = append(sh.batch, s)
 		}
+		sh.xq = grow(sh.xq, m*dim)
+		sh.f.model.QuantizeInput(sh.xq, sh.feat)
 		if err := sh.infer(0, m); err != nil {
 			return err
 		}

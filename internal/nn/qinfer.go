@@ -206,13 +206,35 @@ type QScratch struct {
 
 // InferBatch runs the integer pipeline on m input rows packed row-major in
 // x (each row Layers[0].In floats) and writes m×classes float logits into
-// out. Each stage is one internal/simd kernel call over all m rows:
-// quantize the inputs, then per layer one int8 GEMM followed by either a
-// requantize into the next layer's int8 activations (ReLU folded in) or,
-// after the last layer, the single dequantization to float logits. Rows
-// never interact, so row r's logits do not depend on m. s may be nil (a
-// temporary scratch is allocated).
+// out: it quantizes the rows (QuantizeInput) and hands them to
+// InferBatchI8, which validates the shapes. s may be nil (a temporary
+// scratch is allocated).
 func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error {
+	if s == nil {
+		s = &QScratch{}
+	}
+	s.cur = growI8(s.cur, len(x))
+	q.QuantizeInput(s.cur, x)
+	return q.InferBatchI8(s, s.cur, m, out)
+}
+
+// QuantizeInput writes x quantized at InputScale into dst
+// (len(dst) >= len(x)): the int8 rows InferBatchI8 reads. It is
+// elementwise, so rows may be quantized one at a time or all at once.
+func (q *QMLP) QuantizeInput(dst []int8, x []float64) {
+	simd.QuantizeI8(dst, x, q.InputScale)
+}
+
+// InferBatchI8 runs the integer pipeline on m already-quantized input rows
+// packed row-major in xq (each row Layers[0].In int8s, as QuantizeInput
+// writes them) and writes m×classes float logits into out.
+// Each stage is one internal/simd kernel call over all m rows: per layer
+// one int8 GEMM followed by either a requantize into the next layer's int8
+// activations (ReLU folded in) or, after the last layer, the single
+// dequantization to float logits. Rows never interact, so row r's logits
+// do not depend on m. xq is only read; it may be s's own input buffer (as
+// InferBatch passes it). s may be nil (a temporary scratch is allocated).
+func (q *QMLP) InferBatchI8(s *QScratch, xq []int8, m int, out []float64) error {
 	if len(q.Layers) == 0 {
 		return fmt.Errorf("nn: empty quantized network")
 	}
@@ -220,8 +242,8 @@ func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error 
 		return fmt.Errorf("nn: batch size %d, want > 0", m)
 	}
 	in0 := q.Layers[0].In
-	if len(x) != m*in0 {
-		return fmt.Errorf("nn: batch input %d floats, want %d (m=%d × in=%d)", len(x), m*in0, m, in0)
+	if len(xq) != m*in0 {
+		return fmt.Errorf("nn: batch input %d values, want %d (m=%d × in=%d)", len(xq), m*in0, m, in0)
 	}
 	classes := q.Layers[len(q.Layers)-1].Out
 	if len(out) < m*classes {
@@ -230,16 +252,14 @@ func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error 
 	if s == nil {
 		s = &QScratch{}
 	}
-	s.cur = growI8(s.cur, m*in0)
-	simd.QuantizeI8(s.cur, x, q.InputScale)
-	width := in0
+	cur, width := xq, in0
 	for li, l := range q.Layers {
 		if width != l.In {
 			return fmt.Errorf("nn: layer %d input %d, want %d", li, width, l.In)
 		}
 		s.acc = growI32(s.acc, m*l.Out)
 		mtr.qgemmCalls.Inc()
-		simd.QGEMM(s.acc, s.cur, l.packed(), m)
+		simd.QGEMM(s.acc, cur, l.packed(), m)
 		if li == len(q.Layers)-1 {
 			// Dequantize the final logits exactly once.
 			simd.DequantizeI32(out[:m*l.Out], s.acc, l.InScale, l.WScale, l.ReLU)
@@ -248,6 +268,9 @@ func (q *QMLP) InferBatch(s *QScratch, x []float64, m int, out []float64) error 
 		s.next = growI8(s.next, m*l.Out)
 		// Requantization multiplier: accumulator scale -> out scale.
 		simd.RequantizeI8(s.next, s.acc, l.InScale*l.WScale/l.OutScale, l.ReLU)
+		// Swap buffers: the one just read (xq itself, when InferBatch
+		// passed s.cur) is consumed and takes the next layer's output.
+		cur = s.next
 		s.cur, s.next = s.next, s.cur
 		width = l.Out
 	}

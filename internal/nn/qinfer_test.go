@@ -224,6 +224,63 @@ func TestQMLPInferBatchMatchesInfer(t *testing.T) {
 	}
 }
 
+// TestQMLPInferBatchI8MatchesInferBatch pins the int8 entry point: rows
+// quantized once by the caller (simd.QuantizeI8 at InputScale) and fed to
+// InferBatchI8 give logits bitwise equal to InferBatch on the float rows,
+// with the vector kernels on and off, through a shared or a fresh
+// scratch, for a stack of one, two and three dense layers.
+func TestQMLPInferBatchI8MatchesInferBatch(t *testing.T) {
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	rng := rand.New(rand.NewSource(17))
+	const in, m = 24, 67
+	for _, net := range []*Sequential{
+		NewSequential(NewDense(in, 8, rng)),
+		NewSequential(NewDense(in, 16, rng), NewReLU(), NewDense(16, 8, rng)),
+		NewSequential(NewDense(in, 17, rng), NewReLU(), NewDense(17, 5, rng), NewReLU(), NewDense(5, 3, rng)),
+	} {
+		st, err := CalibrateMLP(net, testExamples(8, in, 1, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := BuildQMLP(net, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := q.Layers[len(q.Layers)-1].Out
+		x := make([]float64, m*in)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 1.5
+		}
+		x[3], x[40] = 2.5*q.InputScale, -128.5*q.InputScale // rounding tie, clamp
+		for _, on := range []bool{true, false} {
+			simd.SetEnabled(on)
+			want := make([]float64, m*classes)
+			var s QScratch
+			if err := q.InferBatch(&s, x, m, want); err != nil {
+				t.Fatal(err)
+			}
+			xq := make([]int8, m*in)
+			simd.QuantizeI8(xq, x, q.InputScale)
+			for _, scratch := range []*QScratch{&s, nil} {
+				got := make([]float64, m*classes)
+				if err := q.InferBatchI8(scratch, xq, m, got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("simd=%v layers=%d logit %d: InferBatchI8 %v != InferBatch %v",
+							on, len(q.Layers), i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if err := q.InferBatchI8(nil, make([]int8, in+1), 1, make([]float64, classes)); err == nil {
+			t.Error("wrong int8 input length accepted")
+		}
+	}
+}
+
 func TestQMLPInferBatchScratchReuse(t *testing.T) {
 	net, train, test := trainedMLP(t)
 	st, err := CalibrateMLP(net, train)

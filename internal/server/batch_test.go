@@ -205,6 +205,87 @@ func TestObserveBatchWire(t *testing.T) {
 	}
 }
 
+// TestAckMeansAdmitted pins the ACK contract (DESIGN §17): an ACKed item
+// was admitted — validated and quantized into a shard queue — and is later
+// either applied or late-dropped, never lost. Two clients upload through
+// real batching pipelines into a fleet whose worker has not started, so
+// every ACKed item is still queued when session 1 is removed mid-stream.
+// Session 1's next frame is refused; after the drain, its queued items are
+// the late drops, and acked == applied + late dropped exactly.
+func TestAckMeansAdmitted(t *testing.T) {
+	leak := checkGoroutines(t)
+	f, err := fleet.New(fleet.Config{Sessions: 2, Shards: 1, Seed: 3, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(f, Config{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { // early exits; both Closes are idempotent
+		srv.Close()
+		f.Close()
+	}()
+	dim := f.FeatureDim()
+	clis := make([]*Client, 2)
+	for id := range clis {
+		if clis[id], err = Dial(addr.String(), id, dim, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		clis[id].StartBatching(BatchConfig{BatchSize: 4, Window: 2})
+	}
+	vals := make([]float64, dim)
+	upload := func(cli *Client, round, n int) error {
+		for i := 0; i < n; i++ {
+			for k := range vals {
+				vals[k] = 0.2 * float64((round+i+k)%9-4)
+			}
+			if err := cli.ObserveQueued(time.Duration(round*100+i+1)*time.Millisecond, vals); err != nil {
+				return err
+			}
+		}
+		return cli.Flush()
+	}
+	for id, cli := range clis {
+		if err := upload(cli, 0, 16); err != nil {
+			t.Fatalf("session %d: %v", id, err)
+		}
+	}
+	if err := f.RemoveSession(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := upload(clis[0], 1, 16); err != nil {
+		t.Fatalf("session 0 after the removal: %v", err)
+	}
+	var re *RemoteError
+	if err := upload(clis[1], 1, 4); !errors.As(err, &re) || re.Code != wire.CodeUnknownSession {
+		t.Fatalf("removed session's upload: %v, want ERR CodeUnknownSession", err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cli := range clis {
+		cli.Close()
+	}
+	srv.Close()
+	f.Close()
+	acked0, _, _ := clis[0].BatchStats()
+	acked1, _, _ := clis[1].BatchStats()
+	acked := acked0 + acked1
+	st := f.Stats()
+	if acked != 48 || srv.Counters().Accepted != acked {
+		t.Errorf("acked %d (server accepted %d), want 48 on both sides", acked, srv.Counters().Accepted)
+	}
+	if st.Observations+st.LateDrops != acked {
+		t.Errorf("applied %d + late dropped %d != acked %d", st.Observations, st.LateDrops, acked)
+	}
+	if st.LateDrops != acked1 {
+		t.Errorf("late drops %d, want session 1's %d queued ACKed items", st.LateDrops, acked1)
+	}
+	leak()
+}
+
 // TestObserveBatchBadValue: one session sends an OBSERVE_BATCH with a NaN
 // feature and one with +Inf while a bystander session uploads clean
 // traffic. Each bad frame draws one kept-connection CodeBadValue ERR at

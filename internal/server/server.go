@@ -497,17 +497,27 @@ func (c *conn) hello(fr *wire.Frame) bool {
 // those items a retry, not the whole frame. A dimension mismatch or a
 // NaN/±Inf feature value is refused with a frame-level CodeDim or
 // CodeBadValue ERR before anything is submitted, and the connection stays
-// open; any other refusal goes through refuse.
+// open; any other refusal goes through refuse. The value check is one
+// branch-free fleet.Finite pass over the frame; only a frame that fails
+// it is scanned again to name the bad value.
 func (c *conn) observeBatch(fr *wire.Frame) bool {
 	n := len(fr.Batch)
 	c.srv.m.batchesIn.Inc()
 	c.srv.m.batchObs.Add(int64(n))
+	finite := true
+	for i := range fr.Batch {
+		finite = fleet.Finite(fr.Batch[i].Vals) && finite
+	}
 	for i := range fr.Batch {
 		if len(fr.Batch[i].Vals) != c.srv.dim {
 			c.count(0, 0, n)
 			return c.reply(wire.Frame{Type: wire.Err, Seq: fr.Batch[i].Seq, Code: wire.CodeDim,
 				Msg: fmt.Sprintf("batch item %d dim %d, want %d", i, len(fr.Batch[i].Vals), c.srv.dim)})
 		}
+		if finite {
+			continue
+		}
+		// Rescan only a refused frame, to name its first bad value.
 		for k, v := range fr.Batch[i].Vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				c.count(0, 0, n)

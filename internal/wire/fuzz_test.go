@@ -34,6 +34,19 @@ func FuzzWireDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf[lenSize : len(buf)-8])
+	// Value runs of NaN payloads, ±Inf, ±0 and subnormals must survive the
+	// bulk codec bit for bit, one item and split over several.
+	sv := specialVals()
+	for _, items := range [][]BatchObs{
+		{{Seq: 1, At: 2, Vals: sv}},
+		{{Seq: 3, Vals: sv[:5]}, {Seq: 4, At: -1, Vals: sv[5:]}, {Seq: 5}},
+	} {
+		buf, err := Append(nil, &Frame{Type: ObserveBatch, Batch: items})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf[lenSize:])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fr Frame
 		if err := DecodeBody(&fr, body); err != nil {

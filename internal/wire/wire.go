@@ -51,7 +51,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Protocol constants.
@@ -264,9 +263,7 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, it.Seq)
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(it.At))
 			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(it.Vals)))
-			for _, v := range it.Vals {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+			dst = appendF64s(dst, it.Vals)
 		}
 	case AckBatch:
 		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
@@ -461,9 +458,7 @@ func decodeBatch(f *Frame, p []byte) error {
 		vc := int(binary.LittleEndian.Uint16(items[off+16:]))
 		off += batchItemHead
 		it.Vals = f.vals[total : total+vc : total+vc]
-		for k := range it.Vals {
-			it.Vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(items[off+8*k:]))
-		}
+		getF64s(it.Vals, items[off:])
 		off += 8 * vc
 		total += vc
 	}
