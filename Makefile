@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: all build vet fmt-check test test-short test-noavx test-race stream-smoke chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard repro figures fleet-smoke clean
+.PHONY: all build vet fmt-check test test-short test-noavx test-race chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard repro figures fleet-smoke clean
 
 all: build vet fmt-check test
 
@@ -39,15 +39,8 @@ test-short:
 # does not track, so a cached vector-backend pass would stand in for the
 # scalar run.
 test-noavx:
-	AFFECTEDGE_NOSIMD=1 $(GO) test -count=1 ./internal/simd/ ./internal/dsp/ ./internal/nn/ ./internal/h264/ ./internal/stream/ ./internal/affect/ ./internal/wire/ ./internal/fleet/ ./internal/server/
+	AFFECTEDGE_NOSIMD=1 $(GO) test -count=1 ./internal/simd/ ./internal/dsp/ ./internal/nn/ ./internal/h264/ ./internal/affect/ ./internal/wire/ ./internal/fleet/ ./internal/server/
 	AFFECTEDGE_NOSIMD=1 $(GO) test -count=1 -run 'TestGoldenFleetFingerprint' .
-
-# The streaming-ingestion concurrency suites under the race detector:
-# FIFO producer/consumer interleavings, goroutine-leak checks, and the
-# progressive decoder's SPSC path. Fast enough to run on every change.
-stream-smoke:
-	$(GO) test -race ./internal/stream/
-	$(GO) test -race -run 'Stream|Chunk' ./internal/dsp/ ./internal/h264/
 
 # The fleet chaos harness under the race detector: randomized
 # disconnect/reconnect/snapshot/restore interleavings checked against a
@@ -75,7 +68,7 @@ server-smoke:
 # Race instrumentation makes the training-heavy root package exceed go
 # test's default 10-minute timeout on small machines, hence -timeout.
 # Also replays the simd-sensitive suites with dispatch forced off.
-test-race: test-noavx stream-smoke chaos-smoke server-smoke
+test-race: test-noavx chaos-smoke server-smoke
 	$(GO) test -race -timeout 45m ./...
 
 # Coverage gate over the -short suite (the training-heavy full studies
@@ -84,12 +77,8 @@ test-race: test-noavx stream-smoke chaos-smoke server-smoke
 # coverage can only erode by deliberately lowering it here. The fleet
 # serving layer carries its own per-package floor: it is the concurrency
 # hot spot, so its tests must keep covering the shard/coalescer paths.
-# The stream package (bounded FIFOs under every ingest pipeline) carries
-# one too: a coverage hole there is an untested blocking/backpressure
-# interleaving.
 COVER_FLOOR := 79.1
 FLEET_COVER_FLOOR := 86.5
-STREAM_COVER_FLOOR := 85.0
 WIRE_COVER_FLOOR := 90.0
 SERVER_COVER_FLOOR := 80.0
 cover:
@@ -102,10 +91,6 @@ cover:
 	echo "fleet coverage: $$fleet% (floor: $(FLEET_COVER_FLOOR)%)"; \
 	awk -v t="$$fleet" -v f="$(FLEET_COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' \
 		|| { echo "FAIL: fleet coverage $$fleet% is below the $(FLEET_COVER_FLOOR)% floor"; exit 1; }
-	@str=$$($(GO) test -short -cover ./internal/stream/ | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
-	echo "stream coverage: $$str% (floor: $(STREAM_COVER_FLOOR)%)"; \
-	awk -v t="$$str" -v f="$(STREAM_COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' \
-		|| { echo "FAIL: stream coverage $$str% is below the $(STREAM_COVER_FLOOR)% floor"; exit 1; }
 	@wire=$$($(GO) test -short -cover ./internal/wire/ | awk '{ for (i=1;i<=NF;i++) if ($$i ~ /%/) { gsub("%","",$$i); print $$i } }'); \
 	echo "wire coverage: $$wire% (floor: $(WIRE_COVER_FLOOR)%)"; \
 	awk -v t="$$wire" -v f="$(WIRE_COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' \
@@ -124,7 +109,7 @@ bench:
 # so one noisy sample cannot move a recorded figure.
 bench-json:
 	n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	$(GO) test -run '^$$' -bench=. -benchmem -count 3 ./internal/dsp/ ./internal/nn/ ./internal/affect/ ./internal/fleet/ ./internal/h264/ ./internal/stream/ ./internal/wire/ ./internal/server/ \
+	$(GO) test -run '^$$' -bench=. -benchmem -count 3 ./internal/dsp/ ./internal/nn/ ./internal/affect/ ./internal/fleet/ ./internal/h264/ ./internal/wire/ ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_$$n.json; \
 	echo "wrote BENCH_$$n.json"
 

@@ -2,11 +2,13 @@ package affect
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"affectedge/internal/affectdata"
 	"affectedge/internal/emotion"
 	"affectedge/internal/nn"
+	"affectedge/internal/simd"
 )
 
 func TestFeatureShape(t *testing.T) {
@@ -27,6 +29,43 @@ func TestFeatureShape(t *testing.T) {
 		for _, v := range x.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatal("features contain NaN/Inf")
+			}
+		}
+	}
+
+	// Noise clips shorter than one frame, one sample past a frame, and off
+	// the hop grid keep the fixed shape, with and without CMVN, and are
+	// bit-identical at both SIMD dispatch settings.
+	defer simd.SetEnabled(simd.Enabled())
+	cmvn := DefaultFeatureConfig(16000)
+	cmvn.CMVN = true
+	rng := rand.New(rand.NewSource(42))
+	for _, c := range []FeatureConfig{DefaultFeatureConfig(16000), cmvn} {
+		for _, n := range []int{50, 401, 16321} {
+			wave := make([]float64, n)
+			for i := range wave {
+				wave[i] = rng.NormFloat64()
+			}
+			simd.SetEnabled(false)
+			want, err := Features(wave, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simd.SetEnabled(simd.Available())
+			got, err := Features(wave, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rows != c.NumFrames || got.Cols != c.Dim() {
+				t.Fatalf("cmvn=%v n=%d: feature shape %s, want [%dx%d]", c.CMVN, n, got.ShapeString(), c.NumFrames, c.Dim())
+			}
+			for i, v := range got.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("cmvn=%v n=%d: features contain NaN/Inf", c.CMVN, n)
+				}
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("cmvn=%v n=%d: element %d is %v with SIMD, %v without", c.CMVN, n, i, v, want.Data[i])
+				}
 			}
 		}
 	}

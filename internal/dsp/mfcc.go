@@ -155,10 +155,8 @@ func MFCC(x []float64, cfg MFCCConfig) ([][]float64, error) {
 // dst (len(dst) coefficients). Eight filters go per kernel call over the
 // union of their supports (zero weights outside a filter's own triangle
 // contribute exact +0 terms), leftover filters by their individual
-// support. Shared verbatim by the whole-buffer MFCC path and MFCCStream,
-// which is what makes streamed coefficients bit-identical to batch ones.
-// f is mutated (windowing); ps and energies are caller scratch of nfft/2+1
-// and filterbank size.
+// support. f is mutated (windowing); ps and energies are caller scratch
+// of nfft/2+1 and filterbank size.
 func mfccFrameInto(dst, f, window []float64, bank *melBank, ps, energies []float64, nfft int) {
 	ApplyWindow(f, window)
 	powerSpectrumInto(ps, f, nfft)

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -211,36 +212,57 @@ func TestMelEnergiesMatchRef(t *testing.T) {
 // TestMFCCDispatchInvariant runs the whole pipeline at both dispatch
 // settings and requires bit-identical frames — the property that keeps
 // every downstream golden fingerprint stable across hosts with and
-// without the vector backend.
+// without the vector backend. The configs span delta on/off,
+// pre-emphasis on/off, hop<frameLen, hop==frameLen and hop>frameLen, and
+// non-pow2 frame lengths; the signal lengths include shorter than one
+// frame and exact frame multiples.
 func TestMFCCDispatchInvariant(t *testing.T) {
 	if !simd.Available() {
 		t.Skip("no vector backend on this host")
 	}
-	rng := rand.New(rand.NewSource(28))
-	sig := make([]float64, 4000)
-	for i := range sig {
-		sig[i] = math.Sin(float64(i)*0.03) + 0.1*rng.NormFloat64()
+	delta := DefaultMFCCConfig(8000)
+	delta.IncludeDelta = true
+	noPre := DefaultMFCCConfig(16000)
+	noPre.PreEmphasis = 0
+	cfgs := []struct {
+		name string
+		cfg  MFCCConfig
+	}{
+		{"delta", delta},
+		{"default", DefaultMFCCConfig(16000)},
+		{"nopre", noPre},
+		{"smallhop", MFCCConfig{SampleRate: 8000, FrameLen: 64, Hop: 16, NumFilters: 20, NumCoeffs: 10, PreEmphasis: 0.95, IncludeDelta: true}},
+		{"eqhop", MFCCConfig{SampleRate: 8000, FrameLen: 50, Hop: 50, NumFilters: 18, NumCoeffs: 9, PreEmphasis: 0.97}},
+		{"bighop", MFCCConfig{SampleRate: 8000, FrameLen: 32, Hop: 48, NumFilters: 16, NumCoeffs: 8, PreEmphasis: 0.9, IncludeDelta: true}},
 	}
-	cfg := DefaultMFCCConfig(8000)
-	cfg.IncludeDelta = true
 
 	prev := simd.Enabled()
 	defer simd.SetEnabled(prev)
-	simd.SetEnabled(true)
-	on, err := MFCC(sig, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simd.SetEnabled(false)
-	off, err := MFCC(sig, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on) != len(off) {
-		t.Fatalf("frame count %d vs %d", len(on), len(off))
-	}
-	for i := range on {
-		f64BitsEqual(t, "mfcc frame", on[i], off[i])
+	rng := rand.New(rand.NewSource(28))
+	for _, c := range cfgs {
+		name, cfg := c.name, c.cfg
+		for _, n := range []int{1, cfg.FrameLen - 1, cfg.FrameLen, cfg.FrameLen + cfg.Hop, 3*cfg.Hop + cfg.FrameLen, 4000} {
+			sig := make([]float64, n)
+			for i := range sig {
+				sig[i] = math.Sin(float64(i)*0.03) + 0.1*rng.NormFloat64()
+			}
+			simd.SetEnabled(true)
+			on, err := MFCC(sig, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simd.SetEnabled(false)
+			off, err := MFCC(sig, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(on) != len(off) {
+				t.Fatalf("%s n=%d: frame count %d vs %d", name, n, len(on), len(off))
+			}
+			for i := range on {
+				f64BitsEqual(t, fmt.Sprintf("%s n=%d mfcc frame %d", name, n, i), on[i], off[i])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +90,17 @@ func TestDecodeGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 		decodeSafely(t, stream)
+	}
+	// Framing errors are typed: no start code at all, and a forbidden_zero_bit
+	// mid-stream, both fail with ErrBitstream; an empty stream is no frames
+	// and no error.
+	for _, bad := range [][]byte{{9, 9, 9, 9}, {0, 0, 1, 0x80, 7, 0, 0, 1, 0x80, 7}} {
+		if _, err := NewDecoder().DecodeStream(bad); !errors.Is(err, ErrBitstream) {
+			t.Errorf("DecodeStream(% x) = %v, want ErrBitstream", bad, err)
+		}
+	}
+	if frames, err := NewDecoder().DecodeStream(nil); err != nil || len(frames) != 0 {
+		t.Errorf("DecodeStream(nil) = %d frames, %v; want none, nil", len(frames), err)
 	}
 }
 

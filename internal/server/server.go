@@ -23,7 +23,7 @@
 //     the same connection it streams on.
 //
 // Replies travel through a bounded per-connection write queue (a
-// stream.FIFO) drained by a writer goroutine under a write deadline; a
+// buffered channel) drained by a writer goroutine under a write deadline; a
 // client that stops reading its ACKs until the queue overflows is killed
 // and counted (SlowKills) rather than allowed to wedge the reader. Close
 // is a graceful drain: intake stops, every queued reply is flushed, and
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"affectedge/internal/fleet"
-	"affectedge/internal/stream"
 	"affectedge/internal/wire"
 )
 
@@ -239,17 +238,27 @@ func (s *Server) acceptLoop() {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		c := newConn(s, nc)
-		if !s.track(c) {
-			nc.Close()
+		if !s.serveConn(nc) {
 			return
 		}
-		s.m.conns.Add(1)
-		s.m.connsTotal.Inc()
-		s.wg.Add(2)
-		go c.readLoop()
-		go c.writeLoop()
 	}
+}
+
+// serveConn starts serving one connection: it is tracked, then its reader
+// and writer goroutines start. It returns false, with nc closed, when the
+// server is already closing.
+func (s *Server) serveConn(nc net.Conn) bool {
+	c := &conn{srv: s, nc: nc, out: make(chan wire.Frame, s.cfg.WriteQueue)}
+	if !s.track(c) {
+		nc.Close()
+		return false
+	}
+	s.m.conns.Add(1)
+	s.m.connsTotal.Inc()
+	s.wg.Add(2)
+	go c.readLoop()
+	go c.writeLoop()
+	return true
 }
 
 // track registers c unless the server is closing (the Accept/Close race:
@@ -275,11 +284,18 @@ func (s *Server) untrack(c *conn) {
 // conn is one client connection: a reader goroutine that decodes and
 // dispatches frames, and a writer goroutine that drains the bounded
 // reply queue. The reader owns all protocol state; they meet only at the
-// FIFO and the socket.
+// queue, the killed flag and the socket.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out *stream.FIFO[wire.Frame]
+	// out is the reply queue, Config.WriteQueue frames deep: the backlog a
+	// client may leave unread before it counts as a slow reader. The
+	// reader is its only sender and its only closer, and closes it exactly
+	// once, on its way out, so no send can race the close.
+	out chan wire.Frame
+	// killed is set by the reader before it closes the socket on a slow
+	// reader, so the writer's failed write is not counted a second time.
+	killed atomic.Bool
 
 	// Reader-owned session state.
 	session int
@@ -289,14 +305,6 @@ type conn struct {
 	// item and status views rebuilt per OBSERVE_BATCH frame.
 	bitems []fleet.Obs
 	bstat  []error
-}
-
-func newConn(s *Server, nc net.Conn) *conn {
-	out, err := stream.New[wire.Frame](s.cfg.WriteQueue)
-	if err != nil {
-		panic(err) // normalized WriteQueue > 0
-	}
-	return &conn{srv: s, nc: nc, out: out}
 }
 
 // wake forces a blocked Read to return so the reader can observe the
@@ -309,9 +317,9 @@ func (c *conn) readLoop() {
 	var sp wire.Splitter
 	var fr wire.Frame
 	defer func() {
-		// Drain ordering: closing the FIFO stops intake but keeps queued
+		// Drain ordering: closing the queue stops intake but keeps queued
 		// replies readable; the writer flushes them and closes the socket.
-		c.out.Close()
+		close(c.out)
 		c.srv.untrack(c)
 	}()
 	for {
@@ -367,11 +375,7 @@ func (c *conn) writeLoop() {
 	defer c.nc.Close()
 	bufs := make([][]byte, 0, flushFrames)
 	var nb net.Buffers
-	for {
-		f, err := c.out.Pop() // blocks; ErrClosed once closed and drained
-		if err != nil {
-			return
-		}
+	for f := range c.out { // ends once the queue is closed and drained
 		n, total := 0, 0
 		for {
 			if n == len(bufs) {
@@ -387,18 +391,23 @@ func (c *conn) writeLoop() {
 			if n >= flushFrames || total >= flushBytes {
 				break
 			}
-			next, ok, _ := c.out.TryPop()
-			if !ok {
-				break // queue momentarily empty: flush what we have
+			var ok bool
+			select {
+			case f, ok = <-c.out:
+			default:
 			}
-			f = next
+			if !ok {
+				break // queue momentarily empty or closed: flush what we have
+			}
 		}
 		// nb copies the slice headers: WriteTo consumes nb in place, while
 		// the byte buffers in bufs stay ours for the next gather.
 		nb = append(nb[:0], bufs[:n]...)
 		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		if _, err := nb.WriteTo(c.nc); err != nil {
-			c.srv.m.writeErrors.Inc()
+			if !c.killed.Load() {
+				c.srv.m.writeErrors.Inc()
+			}
 			return
 		}
 		c.srv.m.framesOut.Add(int64(n))
@@ -407,20 +416,19 @@ func (c *conn) writeLoop() {
 }
 
 // reply queues one frame for the writer. A full queue means the client
-// is not reading its replies: the connection is killed (queue closed,
-// socket closed to unblock a mid-write writer) and counted — the server
-// never lets a slow reader wedge the read loop. Returns false when the
-// connection should close.
+// is not reading its replies: the connection is killed (socket closed to
+// unblock a mid-write writer) and counted once, as a slow kill — the
+// server never lets a slow reader wedge the read loop. Returns false when
+// the connection should close; the reader then returns and closes the
+// queue.
 func (c *conn) reply(f wire.Frame) bool {
-	switch err := c.out.TryPush(f); {
-	case err == nil:
+	select {
+	case c.out <- f:
 		return true
-	case errors.Is(err, stream.ErrBackpressure):
+	default:
 		c.srv.m.slowKills.Inc()
-		c.out.Close()
+		c.killed.Store(true)
 		c.nc.Close()
-		return false
-	default: // ErrClosed: already shutting down
 		return false
 	}
 }
@@ -539,7 +547,7 @@ func (c *conn) observeBatch(fr *wire.Frame) bool {
 		c.count(0, 0, n)
 		return c.refuse(fr.Batch[0].Seq, err)
 	}
-	// Fresh bitmap per reply: the frame travels through the FIFO to the
+	// Fresh bitmap per reply: the frame travels through the queue to the
 	// writer, so the reader must not reuse its backing.
 	bitmap := make([]byte, wire.BitmapLen(n))
 	acked, nacked := 0, 0

@@ -352,6 +352,60 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	leak()
 }
 
+// TestSlowReaderKillPipe pins reply's full-queue branch without socket
+// buffers in the way: over a synchronous net.Pipe whose client never
+// reads, the writer blocks on its first reply and the 4-slot queue fills
+// behind it. The next reply kills the connection, counted once as a slow
+// kill and not also as a write error, and Close still joins every
+// goroutine.
+func TestSlowReaderKillPipe(t *testing.T) {
+	leak := checkGoroutines(t)
+	f, err := fleet.New(testFleetConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(f, Config{WriteQueue: 4})
+	cli, sc := net.Pipe()
+	defer cli.Close()
+	if !srv.serveConn(sc) {
+		t.Fatal("open server refused a connection")
+	}
+	dim := f.FeatureDim()
+	vals := make([]float64, dim)
+	frames := 0
+	for fr := helloFrame(0, dim); ; fr = oneItem(uint64(frames), int64(frames), vals) {
+		b, err := wire.Append(nil, fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Write(b); err != nil {
+			break // the server hung up
+		}
+		if frames++; frames > 64 {
+			t.Fatalf("%d frames sent, 4-slot queue never overflowed: %+v", frames, srv.Counters())
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after a slow kill")
+	}
+	f.Close()
+	if c := srv.Counters(); c.SlowKills != 1 || c.WriteErrors != 0 || c.Conns != 0 {
+		t.Errorf("slow_kills %d write_errors %d conns %d, want 1, 0, 0", c.SlowKills, c.WriteErrors, c.Conns)
+	}
+	leak()
+}
+
 // TestServerCloseDrains pins the drain ordering: every observation ACKed
 // before Close is applied to its session once server and fleet have both
 // closed, and the listener refuses new work afterwards.

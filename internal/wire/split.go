@@ -7,10 +7,9 @@ import (
 
 // Splitter reassembles frames from a TCP byte stream: feed it whatever a
 // socket read returned and pull complete frames out, carry-buffered across
-// chunk boundaries the way the h264 progressive decoder carries partial
-// NAL units. The split is a pure function of the byte sequence — feeding
-// the same bytes in any fragmentation yields the same frames and the same
-// terminal error (pinned by FuzzFrameSplit).
+// chunk boundaries. The split is a pure function of the byte sequence —
+// feeding the same bytes in any fragmentation yields the same frames and
+// the same terminal error (pinned by FuzzFrameSplit).
 //
 // Memory is bounded: the head frame's declared length is validated against
 // MaxFrame before it is waited for, and errors are sticky, so a connection

@@ -41,8 +41,7 @@
 // observation frames fail decode with ErrBadType.
 //
 // Framing for partial reads lives in Splitter: feed arbitrary byte chunks
-// and complete frames come out, carry-buffered across chunk boundaries
-// exactly like the h264 progressive decoder carries partial NAL units.
+// and complete frames come out, carry-buffered across chunk boundaries.
 // Chunked decode is bit-identical to whole-buffer decode (fuzz-pinned by
 // FuzzFrameSplit).
 package wire

@@ -12,7 +12,6 @@ import (
 	"affectedge/internal/h264"
 	"affectedge/internal/nn"
 	"affectedge/internal/obs"
-	"affectedge/internal/stream"
 )
 
 // MetricsRegistry owns the library's named metrics. See internal/obs for
@@ -24,9 +23,9 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // WireMetrics routes every subsystem's instrumentation into reg under the
-// scopes affect, nn, h264, core, android, fleet, and stream. Pass nil to
-// unwire (the default state): unwired instrumentation is a nil-check and
-// costs nothing.
+// scopes affect, nn, h264, core, android, and fleet. Pass nil to unwire
+// (the default state): unwired instrumentation is a nil-check and costs
+// nothing.
 //
 // Wire before starting work — handle swaps are not synchronized with
 // running studies, decodes, or simulations, and a fleet registers its
@@ -39,7 +38,6 @@ func WireMetrics(reg *MetricsRegistry) {
 	core.WireMetrics(reg.Scope("core"))
 	android.WireMetrics(reg.Scope("android"))
 	fleet.WireMetrics(reg.Scope("fleet"))
-	stream.WireMetrics(reg.Scope("stream"))
 }
 
 // DumpMetrics writes reg's snapshot as indented JSON to path; "-" writes
