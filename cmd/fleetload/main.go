@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fleetload [-addr host:port] [-sessions N] [-obs N] [-shards N]
-//	          [-seed N] [-batch N] [-window N] [-linger D]
+//	          [-seed N] [-batch N] [-window N]
 //	          [-max-batch N] [-queue-depth N] [-timeout D] [-dial-burst N]
 //	          [-verify] [-control addr] [-metrics path]
 //
@@ -81,7 +81,6 @@ type options struct {
 	Seed        int64
 	Batch       int
 	Window      int
-	Linger      time.Duration
 	MaxBatch    int
 	QueueDepth  int
 	Timeout     time.Duration
@@ -136,7 +135,6 @@ func main() {
 	flag.Int64Var(&o.Seed, "seed", 1, "fleet and traffic seed")
 	flag.IntVar(&o.Batch, "batch", 0, "observations per OBSERVE_BATCH frame (0 = one, with one frame in flight)")
 	flag.IntVar(&o.Window, "window", 0, "in-flight OBSERVE_BATCH frames per session (0 = default 4, or 1 without -batch)")
-	flag.DurationVar(&o.Linger, "linger", 0, "partial-batch flush deadline (0 = size-triggered only)")
 	flag.IntVar(&o.MaxBatch, "max-batch", 0, "fleet MaxBatch (0 = default; -verify forces 1)")
 	flag.IntVar(&o.QueueDepth, "queue-depth", 0, "shard queue depth (0 = default; -verify forces no-drop sizing)")
 	flag.DurationVar(&o.Timeout, "timeout", 30*time.Second, "per round-trip deadline")
@@ -200,9 +198,9 @@ func run(o options, out *os.File) error {
 		Addr:      o.Addr,
 		Sessions:  o.Sessions,
 		Obs:       o.Obs,
+		Dim:       fleet.FeatureDim,
 		Batch:     o.Batch,
 		Window:    o.Window,
-		Linger:    o.Linger,
 		Seed:      o.Seed,
 		Timeout:   o.Timeout,
 		DialBurst: o.DialBurst,
@@ -229,17 +227,10 @@ func run(o options, out *os.File) error {
 			return err
 		}
 		load.Addr = addr.String()
-		load.Dim = f.FeatureDim()
 		if o.Control != "" {
 			ctl, _ := srv.ServeControl(o.Control, reg)
 			defer ctl.Close()
 		}
-	} else {
-		ncfg, err := fleet.Config{Sessions: 1}.Normalize()
-		if err != nil {
-			return err
-		}
-		load.Dim = ncfg.FeatureDim
 	}
 
 	res, err := server.RunLoad(load)

@@ -26,7 +26,7 @@ func observe(f *Fleet, id int, at time.Duration, x []float64) error {
 // arithmetic, so every result must be bitwise identical to the batched
 // call; only throughput differs.
 func serialInfer(f *Fleet) {
-	dim, classes := f.cfg.FeatureDim, len(f.stream.Protos)
+	dim, classes := FeatureDim, len(f.stream.Protos)
 	f.inferBatch = func(s *nn.QScratch, xq []int8, m int, out []float64) error {
 		for k := 0; k < m; k++ {
 			if err := f.model.InferBatchI8(s, xq[k*dim:(k+1)*dim], 1, out[k*classes:(k+1)*classes]); err != nil {
@@ -331,7 +331,7 @@ const fuzzMaxRows = 32
 // and ±0 included — is classified and applied without a worker panic,
 // and after Close the fleet reports exactly the admitted observations.
 func FuzzObserveBatchValues(fz *testing.F) {
-	const dim = 24 // Config.FeatureDim default
+	const dim = FeatureDim
 	word := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
 		for _, v := range vs {

@@ -39,11 +39,11 @@ func BenchmarkFleetObserve(b *testing.B) {
 				sh := f.shards[0]
 				// Pre-synthesize the shard's feature matrix once; the
 				// benchmark then times classification alone.
-				dim := f.cfg.FeatureDim
+				dim := FeatureDim
 				sh.feat = grow(sh.feat, rows*dim)
 				for k, id := range sh.order {
 					s := sh.sessions[id]
-					if err := f.stream.Sample(sh.feat[k*dim:(k+1)*dim], s.latent, f.cfg.Noise, s.rng); err != nil {
+					if err := f.stream.Sample(sh.feat[k*dim:(k+1)*dim], s.latent, noise, s.rng); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -13,7 +13,7 @@ import (
 )
 
 // Chaos harness: the session-lifecycle determinism contract says that NO
-// interleaving of disconnect, reconnect, session/shard/fleet snapshot and
+// interleaving of disconnect, reconnect, session/fleet snapshot and
 // restore — at any worker count, with or without the vector backend —
 // changes a deterministic run's fingerprint, as long as every session is
 // connected again when Stats is read. These tests drive randomized
@@ -53,9 +53,9 @@ func checkGoroutines(t *testing.T) func() {
 // chaosRun advances cfg.Ticks rounds one at a time, injecting a seeded
 // random schedule of lifecycle and snapshot operations between rounds:
 // disconnects, reconnects, session snapshot→remove→restore round trips,
-// in-place shard round trips, and occasional whole-fleet migrations onto a
-// freshly built fleet. Every parked session reconnects before the final
-// Stats, so the result must match the churn-free run bit for bit.
+// in-place whole-fleet round trips, and occasional whole-fleet migrations
+// onto a freshly built fleet. Every parked session reconnects before the
+// final Stats, so the result must match the churn-free run bit for bit.
 func chaosRun(t *testing.T, cfg Config, opSeed int64) *Stats {
 	t.Helper()
 	f, err := New(cfg)
@@ -86,13 +86,12 @@ func chaosRun(t *testing.T, cfg Config, opSeed int64) *Stats {
 					break
 				}
 				err = f.RestoreSession(&buf)
-			case 2: // in-place shard round trip
-				sh := id % cfg.Shards
+			case 2: // in-place whole-fleet round trip
 				buf.Reset()
-				if err = f.SnapshotShard(sh, &buf); err != nil {
+				if err = f.Snapshot(&buf); err != nil {
 					break
 				}
-				err = f.RestoreShard(sh, &buf)
+				err = f.Restore(&buf)
 			case 3: // whole-fleet migration onto a fresh process image
 				buf.Reset()
 				if err = f.Snapshot(&buf); err != nil {
@@ -168,8 +167,7 @@ func TestChaosLiveLifecycle(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	norm, _ := cfg.Normalize()
-	x := make([]float64, norm.FeatureDim)
+	x := make([]float64, FeatureDim)
 	churn := rand.New(rand.NewSource(42))
 	for i := 0; i < 400; i++ {
 		id := churn.Intn(cfg.Sessions)
@@ -205,8 +203,9 @@ func TestChaosLiveLifecycle(t *testing.T) {
 	leak()
 }
 
-// FuzzSnapshotRestore throws arbitrary bytes at all three restore entry
-// points. The contract under fuzz: never panic, and a failed restore never
+// FuzzSnapshotRestore throws arbitrary bytes at both restore entry
+// points; Restore validates every shard envelope inside a fleet snapshot.
+// The contract under fuzz: never panic, and a failed restore never
 // half-applies — the fleet's fingerprint is bit-identical before and
 // after any erroring call. Session id 0 is removed from the fixture fleet
 // so the pristine session envelope in the seed corpus exercises the
@@ -226,21 +225,29 @@ func FuzzSnapshotRestore(fz *testing.F) {
 	if _, err := fl.RunTicks(cfg.Ticks); err != nil {
 		fz.Fatal(err)
 	}
-	var session0, shard0, whole bytes.Buffer
+	var session0, whole bytes.Buffer
 	if err := fl.SnapshotSession(0, &session0); err != nil {
 		fz.Fatal(err)
 	}
 	if err := fl.RemoveSession(0); err != nil {
 		fz.Fatal(err)
 	}
-	if err := fl.SnapshotShard(0, &shard0); err != nil {
-		fz.Fatal(err)
-	}
 	if err := fl.Snapshot(&whole); err != nil {
 		fz.Fatal(err)
 	}
+	// A fleet snapshot with its two shard envelopes swapped: well-formed,
+	// but each envelope names the other stripe.
+	var env fleetEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(whole.Bytes())).Decode(&env); err != nil {
+		fz.Fatal(err)
+	}
+	env.Shards[0], env.Shards[1] = env.Shards[1], env.Shards[0]
+	var swapped bytes.Buffer
+	if err := gob.NewEncoder(&swapped).Encode(&env); err != nil {
+		fz.Fatal(err)
+	}
 	fz.Add(session0.Bytes())
-	fz.Add(shard0.Bytes())
+	fz.Add(swapped.Bytes())
 	fz.Add(whole.Bytes())
 	fz.Add(session0.Bytes()[:len(session0.Bytes())/2]) // truncated mid-stream
 	fz.Add([]byte{})
@@ -269,12 +276,6 @@ func FuzzSnapshotRestore(fz *testing.F) {
 			var env sessionEnvelope
 			if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); derr == nil {
 				_ = fl.RemoveSession(env.State.ID)
-			}
-		}
-		before = fl.Stats().Fingerprint()
-		if err := fl.RestoreShard(0, bytes.NewReader(data)); err != nil {
-			if got := fl.Stats().Fingerprint(); got != before {
-				t.Fatalf("failed RestoreShard mutated the fleet: %s -> %s", before, got)
 			}
 		}
 		before = fl.Stats().Fingerprint()

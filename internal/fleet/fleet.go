@@ -63,8 +63,17 @@ var (
 	ErrBadValue = errors.New("fleet: non-finite feature value")
 )
 
+// FeatureDim is the classifier input dimensionality: the length of every
+// feature vector a fleet synthesizes or admits.
+const FeatureDim = 24
+
+// noise is the feature jitter of the synthetic observation streams; the
+// int8 classifier is calibrated to it.
+const noise = 0.15
+
 // Config sizes the fleet. The zero value of every field except Sessions
-// has a sensible default; see Normalize.
+// has a sensible default; see Normalize. Every session's manager runs
+// core.DefaultManagerConfig (see newManager).
 type Config struct {
 	// Sessions is the number of device sessions created up front (ids
 	// 0..Sessions-1). More can be added later with AddSession.
@@ -78,11 +87,6 @@ type Config struct {
 	TickEvery time.Duration
 	// Seed drives every session's sub-seeded RNG and the stream model.
 	Seed int64
-	// FeatureDim is the classifier input dimensionality (default 24).
-	FeatureDim int
-	// Noise is the feature jitter of the synthetic observation streams
-	// (default 0.15).
-	Noise float64
 	// SwitchEvery is the mean number of ticks between a session's latent
 	// emotion changes (default 25).
 	SwitchEvery int
@@ -94,12 +98,6 @@ type Config struct {
 	// MaxBatch caps how many queued observations one live inference batch
 	// coalesces (default 256).
 	MaxBatch int
-	// Hysteresis and MinConfidence configure every session's manager
-	// (defaults from core.DefaultManagerConfig). Session managers always
-	// run with DisableHistory: per-session transition slices would grow
-	// without bound at fleet scale.
-	Hysteresis    int
-	MinConfidence float64
 	// Device configures every session's simulated phone (zero value:
 	// android.DefaultDeviceConfig).
 	Device android.DeviceConfig
@@ -155,18 +153,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.TickEvery <= 0 {
 		c.TickEvery = time.Second
 	}
-	if c.FeatureDim == 0 {
-		c.FeatureDim = 24
-	}
-	if c.FeatureDim < 2 {
-		return c, fmt.Errorf("fleet: feature dim %d, want >= 2", c.FeatureDim)
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.15
-	}
-	if c.Noise < 0 || c.Noise > 2 {
-		return c, fmt.Errorf("fleet: noise %g outside (0, 2]", c.Noise)
-	}
 	if c.SwitchEvery <= 0 {
 		c.SwitchEvery = 25
 	}
@@ -178,15 +164,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = core.DefaultManagerConfig().Hysteresis
-	}
-	if c.MinConfidence == 0 {
-		c.MinConfidence = core.DefaultManagerConfig().MinConfidence
-	}
-	if c.MinConfidence < 0 || c.MinConfidence > 1 {
-		return c, fmt.Errorf("fleet: min confidence %g outside [0,1]", c.MinConfidence)
 	}
 	if c.Device.RAMBytes == 0 {
 		c.Device = android.DefaultDeviceConfig()
@@ -302,7 +279,8 @@ type shard struct {
 	vpool   *h264.FramePool
 	vframes []*h264.Frame
 
-	// Deterministic-path aggregation.
+	// Batch and probe accounting, both paths: the one store of these
+	// facts. Stats reads them; the fleet snapshot carries them.
 	batches        int64
 	batchRows      int64
 	maxRows        int
@@ -360,11 +338,11 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := affect.NewStreamModel(cfg.FeatureDim, cfg.Seed)
+	stream, err := affect.NewStreamModel(FeatureDim, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	model, err := stream.QuantizedClassifier(cfg.Noise)
+	model, err := stream.QuantizedClassifier(noise)
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +415,20 @@ func sessionSeed(fleetSeed int64, id int) int64 {
 	return fleetSeed ^ (golden * int64(id+1))
 }
 
+// newManager builds a session's control loop: core.DefaultManagerConfig
+// with DisableHistory, because per-session transition slices would grow
+// without bound at fleet scale.
+func newManager() (*core.Manager, error) {
+	mc := core.DefaultManagerConfig()
+	mc.DisableHistory = true
+	return core.NewManager(mc)
+}
+
 // newSession builds a sub-seeded session. The RNG seed depends only on
 // the fleet seed and the session id — never on creation order or worker
 // scheduling — which is what makes N-worker runs bit-identical.
 func (f *Fleet) newSession(id int) (*session, error) {
-	mc := core.DefaultManagerConfig()
-	mc.Hysteresis = f.cfg.Hysteresis
-	mc.MinConfidence = f.cfg.MinConfidence
-	mc.DisableHistory = true
-	mgr, err := core.NewManager(mc)
+	mgr, err := newManager()
 	if err != nil {
 		return nil, err
 	}
@@ -528,9 +511,9 @@ func (f *Fleet) RemoveSession(id int) error {
 	return nil
 }
 
-// FeatureDim returns the normalized classifier input dimensionality —
-// what every submitted feature vector must measure.
-func (f *Fleet) FeatureDim() int { return f.cfg.FeatureDim }
+// FeatureDim returns the classifier input dimensionality (the FeatureDim
+// constant) — what every submitted feature vector must measure.
+func (f *Fleet) FeatureDim() int { return FeatureDim }
 
 // Sessions returns the current session count, including disconnected
 // sessions awaiting reconnect.
@@ -613,7 +596,7 @@ func (f *Fleet) ObserveBatch(items []Obs, statuses []error) error {
 // settled by the non-blocking send), and every item past the cap is NACKed
 // with ErrBackpressure instead of failing the run.
 func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
-	dim := f.cfg.FeatureDim
+	dim := FeatureDim
 	for i := range items {
 		switch x := items[i].X; {
 		case len(x) != dim:
@@ -775,7 +758,7 @@ full:
 	sh.reqs = reqs[:0] // retain capacity for the next batch
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dim := sh.f.cfg.FeatureDim
+	dim := FeatureDim
 	sh.batch = sh.batch[:0]
 	sh.ats = sh.ats[:0]
 	sh.xq = grow(sh.xq, rows*dim)
@@ -825,7 +808,7 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, xq []int8) int {
 		sh.late.Inc()
 		return m
 	}
-	dim := sh.f.cfg.FeatureDim
+	dim := FeatureDim
 	copy(sh.xq[m*dim:(m+1)*dim], xq)
 	sh.batch = append(sh.batch, s)
 	sh.ats = append(sh.ats, at)
@@ -835,7 +818,7 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, xq []int8) int {
 // infer classifies n int8 rows of sh.xq starting at row off into
 // sh.logits in one coalesced batched evaluation.
 func (sh *shard) infer(off, n int) error {
-	dim := sh.f.cfg.FeatureDim
+	dim := FeatureDim
 	classes := len(sh.f.stream.Protos)
 	sh.logits = grow(sh.logits, n*classes)
 	return sh.f.inferBatch(&sh.qs, sh.xq[off*dim:(off+n)*dim], n, sh.logits[:n*classes])
@@ -853,8 +836,6 @@ func (sh *shard) countBatch(rows, pop int) {
 	if pop > sh.maxRows {
 		sh.maxRows = pop
 	}
-	sh.f.m.batches.Inc()
-	sh.f.m.batchRows.Observe(int64(rows))
 }
 
 // applyRow feeds one classified observation into the session's control

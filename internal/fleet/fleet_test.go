@@ -26,18 +26,12 @@ func TestConfigNormalize(t *testing.T) {
 	if cfg.Shards != 3 {
 		t.Errorf("shards clamped to %d, want 3 (sessions)", cfg.Shards)
 	}
-	if cfg.TickEvery != time.Second || cfg.FeatureDim != 24 || cfg.QueueDepth != 1024 {
+	if cfg.TickEvery != time.Second || cfg.QueueDepth != 1024 {
 		t.Errorf("defaults not applied: %+v", cfg)
-	}
-	if cfg.Hysteresis != 2 || cfg.MinConfidence != 0.3 {
-		t.Errorf("manager defaults not applied: %+v", cfg)
 	}
 	for _, bad := range []Config{
 		{Sessions: -1},
 		{Sessions: 1, Ticks: -1},
-		{Sessions: 1, FeatureDim: 1},
-		{Sessions: 1, Noise: 3},
-		{Sessions: 1, MinConfidence: 2},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("config %+v accepted", bad)
@@ -158,8 +152,7 @@ func TestLiveServing(t *testing.T) {
 	if err := f.Start(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	norm, _ := cfg.Normalize()
-	x := make([]float64, norm.FeatureDim)
+	x := make([]float64, FeatureDim)
 	if err := observe(f, 0, time.Second, x[:3]); err == nil {
 		t.Error("short feature vector accepted")
 	}
@@ -216,8 +209,7 @@ func TestBackpressureDropsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Start: the queue only fills. Depth 4 ⇒ fifth enqueue drops.
-	norm, _ := cfg.Normalize()
-	x := make([]float64, norm.FeatureDim)
+	x := make([]float64, FeatureDim)
 	var drops int
 	for i := 0; i < 10; i++ {
 		if err := observe(f, 0, time.Second, x); errors.Is(err, ErrBackpressure) {
@@ -264,8 +256,7 @@ func TestLateDropSkipsRemovedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, _ := cfg.Normalize()
-	x := make([]float64, norm.FeatureDim)
+	x := make([]float64, FeatureDim)
 	for i := 0; i < 3; i++ {
 		if err := observe(f, 1, time.Second, x); err != nil {
 			t.Fatal(err)
@@ -294,7 +285,9 @@ func TestLateDropSkipsRemovedSession(t *testing.T) {
 // amount and then loses its queued rows to a removed session: every
 // Stats and every scope's snapshot shows its own fleet's drops and late
 // drops alone, and a Registry.Reset leaves Stats (Drops and LateDrops
-// are fingerprint fields) untouched.
+// are fingerprint fields) untouched. The batch and probe accounting has
+// one store, the shard's own fields that Stats reads, so no registry
+// copy of it exists.
 func TestMetricsPerInstance(t *testing.T) {
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), nil}
 	fleets := make([]*Fleet, len(regs))
@@ -348,6 +341,14 @@ func TestMetricsPerInstance(t *testing.T) {
 		}
 		if got := snap.Gauge("fleet.sessions"); got != int64(i) {
 			t.Errorf("fleet %d: fleet.sessions gauge %d, want %d", i, got, i)
+		}
+		for _, c := range snap.Counters {
+			if c.Name == "fleet.batches" || c.Name == "fleet.video_decodes" {
+				t.Errorf("fleet %d: registry holds a copy of Stats' %s", i, c.Name)
+			}
+		}
+		if _, ok := snap.Histogram("fleet.batch_rows"); ok {
+			t.Errorf("fleet %d: registry holds a copy of Stats' fleet.batch_rows", i)
 		}
 		fp := st.Fingerprint()
 		regs[i].Reset()

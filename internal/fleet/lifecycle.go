@@ -111,7 +111,7 @@ func (f *Fleet) Disconnected(id int) bool {
 // holds sh.mu (or has exclusive shard access).
 func (sh *shard) catchUp(s *session, to int) error {
 	f := sh.f
-	dim := f.cfg.FeatureDim
+	dim := FeatureDim
 	classes := len(f.stream.Protos)
 	for t := s.ticks; t < to; t++ {
 		now := f.cfg.TickEvery * time.Duration(t+1)
@@ -131,7 +131,6 @@ func (sh *shard) catchUp(s *session, to int) error {
 			return err
 		}
 		sh.batchRows++
-		sh.f.m.batchRows.Observe(1)
 		s.ticks = t + 1
 	}
 	return nil

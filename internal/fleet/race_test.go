@@ -23,7 +23,6 @@ func TestStressConcurrentServing(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	norm, _ := cfg.Normalize()
 
 	var accepted sync.WaitGroup // not a counter: just the goroutine join
 	var mu sync.Mutex
@@ -41,7 +40,7 @@ func TestStressConcurrentServing(t *testing.T) {
 		go func(g int) {
 			defer accepted.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			x := make([]float64, norm.FeatureDim)
+			x := make([]float64, FeatureDim)
 			var mine int64
 			for i := 0; i < perObs; i++ {
 				id := rng.Intn(cfg.Sessions)
@@ -129,7 +128,6 @@ func TestStressCloseDuringTraffic(t *testing.T) {
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	norm, _ := cfg.Normalize()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -138,7 +136,7 @@ func TestStressCloseDuringTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			x := make([]float64, norm.FeatureDim)
+			x := make([]float64, FeatureDim)
 			var mine int64
 			for i := 0; ; i++ {
 				err := observe(f, i%cfg.Sessions, time.Duration(i+1)*time.Microsecond, x)

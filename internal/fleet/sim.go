@@ -153,7 +153,7 @@ func (sh *shard) tick(t int) error {
 	if m+len(sh.parked) == 0 {
 		return nil
 	}
-	dim := sh.f.cfg.FeatureDim
+	dim := FeatureDim
 	now := sh.f.cfg.TickEvery * time.Duration(t+1)
 	if m > 0 {
 		sh.feat = grow(sh.feat, m*dim)
@@ -196,7 +196,7 @@ func (sh *shard) tick(t int) error {
 
 // ingestRow synthesizes s's next observation into dst.
 func (sh *shard) ingestRow(dst []float64, s *session) error {
-	return sh.f.stream.Sample(dst, s.latent, sh.f.cfg.Noise, s.rng)
+	return sh.f.stream.Sample(dst, s.latent, noise, s.rng)
 }
 
 // stepLatent advances the session's hidden emotional state: at the

@@ -16,7 +16,8 @@ import (
 // Snapshot/restore: gob envelopes carrying full session state — the
 // manager's hidden control-loop state, the device's process table and
 // metrics, the latent emotion schedule, and the RNG draw count — for hot
-// restart and cross-process shard migration. Every envelope is versioned
+// restart (Snapshot/Restore) and session migration
+// (SnapshotSession/RestoreSession). Every envelope is versioned
 // and records the configuration summary the state is only meaningful
 // under; restores validate the whole envelope and build every session
 // before committing anything, so a corrupt or mismatched snapshot errors
@@ -27,8 +28,9 @@ import (
 // Like the rest of the deterministic API, call these between RunTicks
 // rounds.
 
-// snapshotVersion is the wire version of all three fleet envelopes. Bump
-// it whenever any serialized field set changes meaning.
+// snapshotVersion is the wire version of the session and fleet envelopes
+// (a fleet envelope's shard envelopes share it). Bump it whenever any
+// serialized field set changes meaning.
 const snapshotVersion = 1
 
 // maxDrawsPerTick bounds how many RNG draws a snapshot may claim per
@@ -54,30 +56,22 @@ func (e *VersionError) Error() string {
 // under: everything that shapes a session's deterministic trajectory.
 // Restores reject a mismatch. Comparable by design.
 type snapMeta struct {
-	Seed          int64
-	FeatureDim    int
-	Noise         float64
-	SwitchEvery   int
-	LaunchEvery   int
-	TickEvery     time.Duration
-	Hysteresis    int
-	MinConfidence float64
-	Shards        int
-	Traffic       string
+	Seed        int64
+	SwitchEvery int
+	LaunchEvery int
+	TickEvery   time.Duration
+	Shards      int
+	Traffic     string
 }
 
 func (f *Fleet) meta() snapMeta {
 	return snapMeta{
-		Seed:          f.cfg.Seed,
-		FeatureDim:    f.cfg.FeatureDim,
-		Noise:         f.cfg.Noise,
-		SwitchEvery:   f.cfg.SwitchEvery,
-		LaunchEvery:   f.cfg.LaunchEvery,
-		TickEvery:     f.cfg.TickEvery,
-		Hysteresis:    f.cfg.Hysteresis,
-		MinConfidence: f.cfg.MinConfidence,
-		Shards:        len(f.shards),
-		Traffic:       f.cfg.Traffic.Name(),
+		Seed:        f.cfg.Seed,
+		SwitchEvery: f.cfg.SwitchEvery,
+		LaunchEvery: f.cfg.LaunchEvery,
+		TickEvery:   f.cfg.TickEvery,
+		Shards:      len(f.shards),
+		Traffic:     f.cfg.Traffic.Name(),
 	}
 }
 
@@ -104,12 +98,12 @@ type sessionEnvelope struct {
 	State   sessionState
 }
 
-// shardEnvelope is the SnapshotShard wire format: the shard's whole
-// session population plus its serving-plane accounting, so a migrated
-// shard's Stats contribution is identical to the original's.
+// shardEnvelope is one shard inside a fleet snapshot (the fleet envelope
+// carries the version and meta): the shard's whole session population
+// plus its serving-plane accounting — the one store of its batch and
+// probe counts — so a restored shard's Stats contribution is identical
+// to the original's.
 type shardEnvelope struct {
-	Version  int
-	Meta     snapMeta
 	Shard    int // stripe index; ids must map here
 	Base     int // fleet tick at snapshot
 	Apps     []string
@@ -176,11 +170,7 @@ func (f *Fleet) buildSession(sh *shard, st sessionState, base int) (*session, er
 	if st.Draws > (uint64(base)+2)*maxDrawsPerTick {
 		return nil, fmt.Errorf("fleet: snapshot session %d claims %d RNG draws by tick %d", st.ID, st.Draws, base)
 	}
-	mc := core.DefaultManagerConfig()
-	mc.Hysteresis = f.cfg.Hysteresis
-	mc.MinConfidence = f.cfg.MinConfidence
-	mc.DisableHistory = true
-	mgr, err := core.NewManager(mc)
+	mgr, err := newManager()
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +273,10 @@ func (f *Fleet) RestoreSession(r io.Reader) error {
 	return nil
 }
 
-// captureShard exports shard i's whole population. Caller holds the shard
-// lock.
+// captureShard exports sh's whole population and accounting. Caller holds
+// the shard lock.
 func (f *Fleet) captureShard(sh *shard) shardEnvelope {
 	env := shardEnvelope{
-		Version:        snapshotVersion,
-		Meta:           f.meta(),
 		Shard:          sh.idx,
 		Base:           f.base,
 		Apps:           append([]string(nil), sh.apps...),
@@ -312,23 +300,6 @@ func (f *Fleet) captureShard(sh *shard) shardEnvelope {
 		env.Sessions = append(env.Sessions, f.captureSession(sh.parked[id], false))
 	}
 	return env
-}
-
-// SnapshotShard writes shard i's whole session population and accounting
-// to w.
-func (f *Fleet) SnapshotShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(f.shards) {
-		return fmt.Errorf("fleet: shard %d of %d", i, len(f.shards))
-	}
-	sh := f.shards[i]
-	sh.mu.Lock()
-	env := f.captureShard(sh)
-	sh.mu.Unlock()
-	if err := gob.NewEncoder(w).Encode(&env); err != nil {
-		return err
-	}
-	f.m.snapshots.Inc()
-	return nil
 }
 
 // validateShardEnvelope checks an envelope against target shard sh and
@@ -388,47 +359,6 @@ func (sh *shard) commitShard(env *shardEnvelope, live, parked []*session) {
 	sh.videoDecodes = env.VideoDecodes
 	sh.videoFrames = env.VideoFrames
 	sh.videoConcealed = env.VideoConcealed
-}
-
-// RestoreShard replaces shard i's whole population with a snapshot
-// previously written by SnapshotShard — cross-process shard migration. The
-// envelope is validated and every session built before anything is
-// swapped; on error the shard is untouched. Live sessions snapshotted at
-// an earlier fleet tick are caught up to the current tick.
-func (f *Fleet) RestoreShard(i int, r io.Reader) error {
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	if i < 0 || i >= len(f.shards) {
-		return fmt.Errorf("fleet: shard %d of %d", i, len(f.shards))
-	}
-	var env shardEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return fmt.Errorf("fleet: shard snapshot decode: %w", err)
-	}
-	if env.Version != snapshotVersion {
-		return &VersionError{Got: env.Version, Want: snapshotVersion}
-	}
-	if env.Meta != f.meta() {
-		return fmt.Errorf("fleet: shard snapshot config %+v does not match fleet %+v", env.Meta, f.meta())
-	}
-	sh := f.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	live, parked, err := f.validateShardEnvelope(sh, &env, f.base)
-	if err != nil {
-		return err
-	}
-	delta := len(live) + len(parked) - len(sh.sessions) - len(sh.parked)
-	sh.commitShard(&env, live, parked)
-	for _, s := range live {
-		if err := sh.catchUp(s, f.base); err != nil {
-			return err
-		}
-	}
-	f.m.restores.Inc()
-	f.m.sessions.Add(int64(delta))
-	return nil
 }
 
 // Snapshot writes the whole fleet — every shard's population, accounting,

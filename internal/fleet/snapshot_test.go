@@ -185,8 +185,10 @@ func TestSessionSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotRoundTrip: in-place shard restore is invisible, and an
-// envelope restored into the wrong stripe is rejected without touching it.
+// TestShardSnapshotRoundTrip: Restore validates every shard envelope of
+// a fleet snapshot against its stripe — two envelopes swapped inside an
+// otherwise intact snapshot are rejected without touching the fleet — and
+// the pristine in-place restore is invisible.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	cfg := detCfg()
 	oracle, err := Run(cfg)
@@ -195,17 +197,27 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 	f := snapFleet(t, 25)
 	var buf bytes.Buffer
-	if err := f.SnapshotShard(2, &buf); err != nil {
+	if err := f.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	pristine := append([]byte(nil), buf.Bytes()...)
-	if err := f.RestoreShard(3, bytes.NewReader(pristine)); err == nil || !strings.Contains(err.Error(), "stripe") {
-		t.Fatalf("cross-stripe restore: %v", err)
+	var env fleetEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(pristine)).Decode(&env); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.RestoreShard(7, bytes.NewReader(pristine)); err == nil {
-		t.Fatal("out-of-range shard accepted")
+	env.Shards[2], env.Shards[3] = env.Shards[3], env.Shards[2]
+	var swapped bytes.Buffer
+	if err := gob.NewEncoder(&swapped).Encode(&env); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.RestoreShard(2, bytes.NewReader(pristine)); err != nil {
+	before := f.Stats().Fingerprint()
+	if err := f.Restore(&swapped); err == nil || !strings.Contains(err.Error(), "stripe") {
+		t.Fatalf("swapped shard envelopes: %v", err)
+	}
+	if got := f.Stats().Fingerprint(); got != before {
+		t.Fatalf("failed Restore mutated the fleet: %s -> %s", before, got)
+	}
+	if err := f.Restore(bytes.NewReader(pristine)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.RunTicks(cfg.Ticks - 25); err != nil {

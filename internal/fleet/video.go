@@ -81,7 +81,6 @@ func (sh *shard) probeVideo() error {
 		sh.videoConcealed += int64(after.Concealed - before.Concealed)
 		sh.vpool.PutAll(frames)
 		sh.vframes = frames[:0]
-		sh.f.m.videoDecodes.Inc()
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"testing"
 
 	"affectedge/internal/parallel"
@@ -41,6 +42,50 @@ func TestVideoProbeCounts(t *testing.T) {
 	}
 	if st.VideoConcealed < 0 || st.VideoConcealed > st.VideoFrames {
 		t.Errorf("video concealed %d outside [0,%d]", st.VideoConcealed, st.VideoFrames)
+	}
+}
+
+// TestVideoAccountingSurvivesRestore: the shard's own fields are the one
+// store of the probe counters and the fleet envelope carries them, so a
+// run snapshotted mid-way and restored into a fresh fleet ends with Stats
+// equal to the uninterrupted run's, field for field (WallTime aside).
+// Fingerprint leaves the video counters out, so this pins them across a
+// restore.
+func TestVideoAccountingSurvivesRestore(t *testing.T) {
+	cfg := videoCfg()
+	oracle, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 5
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RunTicks(cut); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fresh.RunTicks(cfg.Ticks - cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.WallTime, oracle.WallTime = 0, 0
+	if *st != *oracle {
+		t.Fatalf("restored run stats differ:\nrestored %+v\noracle   %+v", *st, *oracle)
+	}
+	if st.VideoDecodes == 0 {
+		t.Fatal("probe never ran")
 	}
 }
 

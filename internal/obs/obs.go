@@ -113,12 +113,11 @@ type Histogram struct {
 	count  atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
-	owned  bool // made by Scope.NewHistogram: Reset leaves it alone
 }
 
 // newHistogram panics on bounds that are not strictly ascending (bucket
 // layouts are static, so a bad one is a programming error).
-func newHistogram(bounds []int64, owned bool) *Histogram {
+func newHistogram(bounds []int64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("obs: histogram bounds not strictly ascending at %d (%d <= %d)",
@@ -127,7 +126,7 @@ func newHistogram(bounds []int64, owned bool) *Histogram {
 	}
 	cp := make([]int64, len(bounds))
 	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(bounds)+1), owned: owned}
+	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one value. Allocation-free; the bucket scan is linear
@@ -279,7 +278,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHistogram(bounds, false)
+		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h
@@ -314,9 +313,6 @@ func (r *Registry) Reset() {
 		}
 	}
 	for _, h := range r.hists {
-		if h.owned {
-			continue
-		}
 		for i := range h.counts {
 			h.counts[i].Store(0)
 		}
@@ -374,11 +370,6 @@ func (s *Scope) NewCounter(name string) *Counter {
 // NewGauge is NewCounter for a gauge.
 func (s *Scope) NewGauge(name string) *Gauge {
 	return own(s, name, &Gauge{owned: true}, func(r *Registry) map[string]*Gauge { return r.gauges })
-}
-
-// NewHistogram is NewCounter for a histogram with the given bounds.
-func (s *Scope) NewHistogram(name string, bounds []int64) *Histogram {
-	return own(s, name, newHistogram(bounds, true), func(r *Registry) map[string]*Histogram { return r.hists })
 }
 
 // own registers h under the scoped name in the map byName picks (nothing

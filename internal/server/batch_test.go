@@ -27,7 +27,7 @@ func TestLoopbackAccountingBatched(t *testing.T) {
 	cfg := LoadConfig{
 		Addr: addr, Sessions: sessions, Obs: obs,
 		Dim: f.FeatureDim(), Seed: 7,
-		Batch: 8, Window: 4, Linger: time.Millisecond,
+		Batch: 8, Window: 4,
 	}
 	res, err := RunLoad(cfg)
 	if err != nil {

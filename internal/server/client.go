@@ -32,7 +32,6 @@ type Client struct {
 	// pipelining state
 	bcfg      BatchConfig
 	pend      []wire.BatchObs // accumulating batch; Vals are owned copies
-	pendSince time.Time       // when pend went non-empty (linger clock)
 	inflight  []*sentBatch    // FIFO of unacknowledged batches
 	batchFree []*sentBatch    // recycled sentBatch shells
 	valsFree  [][]float64     // recycled observation payload buffers
@@ -41,14 +40,11 @@ type Client struct {
 	bFrames   int64
 }
 
-// BatchConfig tunes the pipeline. Zero fields default:
-// BatchSize 16, Window 4, Linger 0 (flushes are size-triggered only; a
-// positive Linger also flushes a partial batch once its oldest
-// observation has waited that long, trading latency for frame fill).
+// BatchConfig tunes the pipeline. Zero fields default: BatchSize 16,
+// Window 4. A batch is sent when it fills or on Flush.
 type BatchConfig struct {
 	BatchSize int
 	Window    int
-	Linger    time.Duration
 	// Latency, when non-nil, records the amortized per-observation cost
 	// in microseconds: each item of an acknowledged batch observes
 	// rtt/len(batch).
@@ -63,8 +59,10 @@ type sentBatch struct {
 }
 
 // RemoteError is a server ERR reply surfaced as a client-side error. The
-// Code preserves the protocol-level classification (backpressure vs
-// unknown session vs ...) so callers can retry or give up typedly.
+// Code preserves the protocol-level classification (unknown session,
+// dimension, bad value, ...) so callers can tell refusals apart. None is
+// retryable: backpressure arrives as ACK_BATCH NACK bits, which the
+// pipeline retries itself.
 type RemoteError struct {
 	Code wire.Code
 	Seq  uint64
@@ -73,13 +71,6 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("server: remote error code %d on seq %d: %s", e.Code, e.Seq, e.Msg)
-}
-
-// IsBackpressure reports whether err is a server NACK for a full shard
-// queue — the one retryable RemoteError.
-func IsBackpressure(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.Code == wire.CodeBackpressure
 }
 
 // Dial connects to addr, performs the HELLO handshake for session id with
@@ -124,20 +115,12 @@ func (c *Client) StartBatching(cfg BatchConfig) {
 }
 
 // ObserveQueued appends one observation to the accumulating batch
-// (copying vals) and flushes when the batch fills or the linger deadline
-// passes. It blocks only when the in-flight window is full, and then
-// exactly until the oldest batch resolves. A returned error is hard
+// (copying vals) and flushes when the batch fills. It blocks only when
+// the in-flight window is full, and then exactly until the oldest batch
+// resolves. A returned error is hard
 // (protocol or I/O) — backpressure never surfaces here; NACKed items are
 // requeued and retried transparently.
 func (c *Client) ObserveQueued(at time.Duration, vals []float64) error {
-	if c.bcfg.Linger > 0 && len(c.pend) > 0 && time.Since(c.pendSince) >= c.bcfg.Linger {
-		if err := c.flushBatch(); err != nil {
-			return err
-		}
-	}
-	if len(c.pend) == 0 {
-		c.pendSince = time.Now()
-	}
 	var v []float64
 	if n := len(c.valsFree); n > 0 && cap(c.valsFree[n-1]) >= len(vals) {
 		v = c.valsFree[n-1][:len(vals)]
@@ -245,9 +228,6 @@ func (c *Client) awaitBatch() error {
 				c.valsFree = append(c.valsFree, sb.items[i].Vals)
 				continue
 			}
-			if len(c.pend) == 0 {
-				c.pendSince = time.Now()
-			}
 			c.pend = slices.Insert(c.pend, nacked, wire.BatchObs{At: sb.items[i].At, Vals: sb.items[i].Vals})
 			nacked++
 		}
@@ -277,9 +257,6 @@ func (c *Client) Snapshot() ([]byte, error) {
 	f := wire.Frame{Type: wire.SnapshotReq, Seq: c.seq}
 	return c.roundTrip(&f, c.seq)
 }
-
-// Seq returns the last sequence number used.
-func (c *Client) Seq() uint64 { return c.seq }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.nc.Close() }

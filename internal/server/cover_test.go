@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -27,28 +26,6 @@ func TestTruncMsg(t *testing.T) {
 	}
 }
 
-func TestIsBackpressure(t *testing.T) {
-	re := &RemoteError{Code: wire.CodeBackpressure, Seq: 7, Msg: "queue full"}
-	if !IsBackpressure(re) {
-		t.Fatal("bare backpressure RemoteError not recognized")
-	}
-	if !IsBackpressure(fmt.Errorf("observe: %w", re)) {
-		t.Fatal("wrapped backpressure RemoteError not recognized")
-	}
-	if IsBackpressure(nil) {
-		t.Fatal("nil is not backpressure")
-	}
-	if IsBackpressure(errors.New("plain")) {
-		t.Fatal("plain error is not backpressure")
-	}
-	if IsBackpressure(&RemoteError{Code: wire.CodeDim}) {
-		t.Fatal("dim refusal is not backpressure")
-	}
-	if msg := re.Error(); !strings.Contains(msg, "queue full") {
-		t.Fatalf("RemoteError.Error() lost the message: %q", msg)
-	}
-}
-
 func TestListenErrors(t *testing.T) {
 	f, srv, _ := newTestServer(t, testFleetConfig(2), Config{})
 	if srv.Addr() == nil {
@@ -57,27 +34,6 @@ func TestListenErrors(t *testing.T) {
 	bad := New(f, Config{})
 	if _, err := bad.Listen("256.256.256.256:0"); err == nil {
 		t.Fatal("Listen on a bogus address succeeded")
-	}
-}
-
-// TestClientSeq pins that the client's sequence counter advances once
-// per accepted observation — the value retries reuse.
-func TestClientSeq(t *testing.T) {
-	f, _, addr := newTestServer(t, testFleetConfig(2), Config{})
-	dim := f.FeatureDim()
-	cli, err := Dial(addr, 0, dim, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if got := cli.Seq(); got != 0 {
-		t.Fatalf("fresh client at seq %d, want 0", got)
-	}
-	if err := observeSync(cli, time.Millisecond, make([]float64, dim)); err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.Seq(); got != 1 {
-		t.Fatalf("after one observe at seq %d, want 1", got)
 	}
 }
 

@@ -28,8 +28,7 @@ type LoadConfig struct {
 	// (BatchConfig{BatchSize: 1, Window: 1}). DirectLoad ignores both —
 	// the in-process twin is the semantic baseline either way.
 	Batch   int
-	Window  int           // in-flight OBSERVE_BATCH frames (default 4; 1 when Batch is 0)
-	Linger  time.Duration // partial-batch flush deadline (0: size-only)
+	Window  int // in-flight OBSERVE_BATCH frames (default 4; 1 when Batch is 0)
 	Seed    int64
 	Timeout time.Duration // per round trip (default 30s)
 	// DialBurst bounds concurrent dial attempts while ramping (default
@@ -126,8 +125,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			defer cli.Close()
 			<-start
 			cli.StartBatching(BatchConfig{
-				BatchSize: cfg.Batch, Window: cfg.Window,
-				Linger: cfg.Linger, Latency: cfg.Latency,
+				BatchSize: cfg.Batch, Window: cfg.Window, Latency: cfg.Latency,
 			})
 			rng := trafficRNG(cfg.Seed, id)
 			vals := make([]float64, cfg.Dim)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -518,6 +519,9 @@ func TestObserveDimMismatch(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != wire.CodeDim {
 		t.Fatalf("got %v, want RemoteError CodeDim", err)
+	}
+	if re.Msg == "" || !strings.Contains(re.Error(), re.Msg) {
+		t.Fatalf("RemoteError.Error() %q lost the server's message %q", re.Error(), re.Msg)
 	}
 	if err := observeSync(cli, 2*time.Millisecond, make([]float64, dim)); err != nil {
 		t.Fatalf("connection dead after dim refusal: %v", err)

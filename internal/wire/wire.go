@@ -33,8 +33,9 @@
 // should be retried). Per-item bits keep one full shard from failing a
 // whole connection's frame; any non-retryable condition answers with a
 // plain Err. Ack confirms a SnapshotReq (Data carries the snapshot) or a
-// Hello; Err rejects a frame with a Code — CodeBackpressure is the
-// protocol image of fleet.ErrBackpressure.
+// Hello; Err rejects a frame with a Code. Backpressure
+// (fleet.ErrBackpressure) travels only as the AckBatch NACK bit: this
+// server never sends CodeBackpressure, whose number stays reserved.
 //
 // Version 2 retired the per-observation OBSERVE (0x02) and OBSERVE_CHUNK
 // (0x03) frames. Their type bytes stay unassigned, so a version-1 peer's
@@ -104,7 +105,7 @@ type Code uint16
 
 // Err codes.
 const (
-	CodeBackpressure   Code = 1 // shard ingress queue full: retry later (fleet.ErrBackpressure)
+	CodeBackpressure   Code = 1 // reserved: never sent; a full shard queue is the AckBatch NACK bit
 	CodeUnknownSession Code = 2 // session not connected (never added, removed, or parked)
 	CodeBadFrame       Code = 3 // malformed or out-of-protocol frame
 	CodeVersion        Code = 4 // Hello version mismatch
