@@ -44,11 +44,12 @@ test-noavx:
 
 # The fleet chaos harness under the race detector: randomized
 # disconnect/reconnect/snapshot/restore interleavings checked against a
-# churn-free oracle fingerprint, plus the live-mode lifecycle storm and
-# the snapshot fuzz corpus as regression seeds. Fast enough to run on
-# every serving-layer change.
+# churn-free oracle fingerprint, plus the live-mode lifecycle storm, the
+# drop accounting across a snapshot round trip, and the snapshot fuzz
+# corpus as regression seeds. Fast enough to run on every serving-layer
+# change.
 chaos-smoke:
-	$(GO) test -race -run 'TestChurnFingerprintStable|TestChaosLiveLifecycle|FuzzSnapshotRestore' ./internal/fleet/
+	$(GO) test -race -run 'TestChurnFingerprintStable|TestChaosLiveLifecycle|TestDropsSurviveRestore|FuzzSnapshotRestore' ./internal/fleet/
 
 # The network serving layer under the race detector: wire protocol
 # round-trip/golden/fuzz-seed suites plus the loopback TCP integration

@@ -174,9 +174,6 @@ func TestObserveBatchStatuses(t *testing.T) {
 	if got := snap.Counter("fleet.ingress"); got != 4 {
 		t.Errorf("fleet.ingress %d, want 4", got)
 	}
-	if got := snap.Counter("fleet.shard00.drops"); got != 2 {
-		t.Errorf("fleet.shard00.drops %d, want 2", got)
-	}
 
 	// Draining applies exactly the admitted items.
 	if err := f.Start(); err != nil {

@@ -279,18 +279,20 @@ type shard struct {
 	vpool   *h264.FramePool
 	vframes []*h264.Frame
 
-	// Batch and probe accounting, both paths: the one store of these
-	// facts. Stats reads them; the fleet snapshot carries them.
+	// Batch, probe and drop accounting: the one store of these facts.
+	// Stats reads them; the fleet snapshot carries them. All but drops
+	// are guarded by mu; drops is atomic because submitRun counts its
+	// NACKs after releasing mu.
 	batches        int64
 	batchRows      int64
 	maxRows        int
 	videoDecodes   int64
 	videoFrames    int64
 	videoConcealed int64
+	drops          atomic.Int64 // live observations dropped (backpressure)
+	late           int64        // queued observations whose session was removed
 
-	depth *obs.Gauge   // ingress high-water mark
-	drops *obs.Counter // live observations dropped (backpressure)
-	late  *obs.Counter // queued observations whose session was removed
+	depth *obs.Gauge // ingress high-water mark
 }
 
 // Fleet is the sharded session manager.
@@ -332,7 +334,7 @@ type Fleet struct {
 // are started; use Run for the deterministic simulation or
 // Start/ObserveBatch/Close for live serving. The fleet builds its own
 // metric handles under the scope last passed to WireMetrics, per-shard
-// ones as "shardNN.*"; Stats reads its drop counts from them.
+// ones as "shardNN.*".
 func New(cfg Config) (*Fleet, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -377,8 +379,6 @@ func New(cfg Config) (*Fleet, error) {
 			devcfg:   cfg.Device,
 			queue:    make(chan *request, cfg.QueueDepth),
 			depth:    ss.NewGauge("queue_depth_high"),
-			drops:    ss.NewCounter("drops"),
-			late:     ss.NewCounter("late_drops"),
 		}
 		if len(cfg.Profiles) > 0 {
 			p := cfg.Profiles[i%len(cfg.Profiles)]
@@ -657,7 +657,9 @@ func (f *Fleet) submitRun(sh *shard, items []Obs, statuses []error) {
 			}
 		}
 	}
-	sh.drops.Add(nacked)
+	if nacked > 0 {
+		sh.drops.Add(nacked)
+	}
 }
 
 // Finite reports whether x holds no NaN or ±Inf — the value domain
@@ -805,7 +807,7 @@ func (sh *shard) gatherRow(m, id int, at time.Duration, xq []int8) int {
 	s, ok := sh.sessions[id]
 	if !ok {
 		// Removed while queued: the request outlived its session.
-		sh.late.Inc()
+		sh.late++
 		return m
 	}
 	dim := FeatureDim

@@ -270,8 +270,8 @@ func (f *Fleet) Stats() *Stats {
 		st.VideoDecodes += sh.videoDecodes
 		st.VideoFrames += sh.videoFrames
 		st.VideoConcealed += sh.videoConcealed
-		st.Drops += sh.drops.Value()
-		st.LateDrops += sh.late.Value()
+		st.Drops += sh.drops.Load()
+		st.LateDrops += sh.late
 		for _, id := range sh.order {
 			accumulate(sh.sessions[id])
 		}

@@ -100,8 +100,8 @@ type sessionEnvelope struct {
 
 // shardEnvelope is one shard inside a fleet snapshot (the fleet envelope
 // carries the version and meta): the shard's whole session population
-// plus its serving-plane accounting — the one store of its batch and
-// probe counts — so a restored shard's Stats contribution is identical
+// plus its serving-plane accounting — the one store of its batch, probe
+// and drop counts — so a restored shard's Stats contribution is identical
 // to the original's.
 type shardEnvelope struct {
 	Shard    int // stripe index; ids must map here
@@ -116,6 +116,8 @@ type shardEnvelope struct {
 	VideoDecodes   int64
 	VideoFrames    int64
 	VideoConcealed int64
+	Drops          int64
+	LateDrops      int64
 }
 
 // fleetEnvelope is the whole-fleet Snapshot wire format.
@@ -287,6 +289,8 @@ func (f *Fleet) captureShard(sh *shard) shardEnvelope {
 		VideoDecodes:   sh.videoDecodes,
 		VideoFrames:    sh.videoFrames,
 		VideoConcealed: sh.videoConcealed,
+		Drops:          sh.drops.Load(),
+		LateDrops:      sh.late,
 	}
 	for _, id := range sh.order {
 		env.Sessions = append(env.Sessions, f.captureSession(sh.sessions[id], true))
@@ -319,7 +323,7 @@ func (f *Fleet) validateShardEnvelope(sh *shard, env *shardEnvelope, base int) (
 			return nil, nil, fmt.Errorf("fleet: shard snapshot catalog differs at %q", name)
 		}
 	}
-	if env.Batches < 0 || env.BatchRows < 0 || env.MaxRows < 0 {
+	if env.Batches < 0 || env.BatchRows < 0 || env.MaxRows < 0 || env.Drops < 0 || env.LateDrops < 0 {
 		return nil, nil, fmt.Errorf("fleet: shard snapshot has negative accounting")
 	}
 	seen := map[int]bool{}
@@ -359,6 +363,8 @@ func (sh *shard) commitShard(env *shardEnvelope, live, parked []*session) {
 	sh.videoDecodes = env.VideoDecodes
 	sh.videoFrames = env.VideoFrames
 	sh.videoConcealed = env.VideoConcealed
+	sh.drops.Store(env.Drops)
+	sh.late = env.LateDrops
 }
 
 // Snapshot writes the whole fleet — every shard's population, accounting,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // snapFleet builds a detCfg fleet advanced `ticks` rounds.
@@ -225,6 +226,56 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 	if got, want := f.Stats().Fingerprint(), oracle.Fingerprint(); got != want {
 		t.Fatalf("shard round trip fingerprint %s, oracle %s", got, want)
+	}
+}
+
+// TestDropsSurviveRestore: a fleet's backpressure and late drops are
+// shard accounting the snapshot carries, so a restored fleet reports the
+// same Drops, LateDrops and fingerprint as the one it was taken from.
+func TestDropsSurviveRestore(t *testing.T) {
+	cfg := Config{Sessions: 2, Shards: 1, QueueDepth: 1}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Start: the depth-1 queue admits the first of five, drops four.
+	x := make([]float64, FeatureDim)
+	for i := 0; i < 5; i++ {
+		if err := observe(f, 0, time.Second, x); err != nil && !errors.Is(err, ErrBackpressure) {
+			t.Fatal(err)
+		}
+	}
+	// The queued row outlives its session: one late drop on drain.
+	if err := f.RemoveSession(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := f.Stats()
+	if want.Drops != 4 || want.LateDrops != 1 {
+		t.Fatalf("drops %d late %d, want 4 and 1", want.Drops, want.LateDrops)
+	}
+	var buf bytes.Buffer
+	if err := f.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := fresh.Stats()
+	if got.Drops != want.Drops || got.LateDrops != want.LateDrops {
+		t.Errorf("restored drops %d late %d, want %d and %d", got.Drops, got.LateDrops, want.Drops, want.LateDrops)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("restored fingerprint %s, want %s", got.Fingerprint(), want.Fingerprint())
 	}
 }
 

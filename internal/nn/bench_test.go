@@ -121,15 +121,13 @@ func BenchmarkTrainStepBatched(b *testing.B) {
 		idx[i] = i
 	}
 	bw := batchWorker{net: n}
-	var loss float64
-	var hit int
-	if err := bw.step(examples, idx, &loss, &hit); err != nil { // warm scratch
+	if err := bw.step(examples, idx); err != nil { // warm scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bw.step(examples, idx, &loss, &hit); err != nil {
+		if err := bw.step(examples, idx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,15 +149,13 @@ func BenchmarkTrainStepBatchedMetrics(b *testing.B) {
 		idx[i] = i
 	}
 	bw := batchWorker{net: n}
-	var loss float64
-	var hit int
-	if err := bw.step(examples, idx, &loss, &hit); err != nil { // warm scratch
+	if err := bw.step(examples, idx); err != nil { // warm scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bw.step(examples, idx, &loss, &hit); err != nil {
+		if err := bw.step(examples, idx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,11 +103,23 @@ type TrainConfig struct {
 }
 
 // Fit trains the network on examples with mini-batch gradient descent and
-// returns the final epoch's mean loss. When every layer supports the
-// batched path (BatchCapable) each mini-batch runs through the GEMM
-// kernels in one call; gradient accumulation stays in example order, so
-// results are bit-identical to the per-example path.
+// returns the final epoch's mean loss. It is the one-replica case of
+// Replicated.Fit; see fit.
 func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
+	return fit([]*Sequential{n}, examples, cfg)
+}
+
+// fit is the training loop behind Fit and Replicated.Fit. nets[0] is the
+// master: the optimizer steps its parameters, which are then copied into
+// nets[1:]. Each mini-batch is striped across the nets (net w takes batch
+// elements w, w+R, ...) and runs through the batched GEMM path when every
+// layer supports it (BatchCapable), the per-example path otherwise. The
+// batched kernels keep gradient accumulation in stripe order and replica
+// gradients merge in replica order, so weights are bit-identical to the
+// per-example path at any replica count. Each worker sums its loss over
+// the whole epoch and the sums add in worker order; with one net that is
+// the serial example-order sum.
+func fit(nets []*Sequential, examples []Example, cfg TrainConfig) (float64, error) {
 	if len(examples) == 0 {
 		return 0, fmt.Errorf("nn: no training examples")
 	}
@@ -120,18 +132,19 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = NewAdam(1e-3)
 	}
+	master := nets[0]
 	_, uniform := uniformWidth(examples)
-	useBatch := !cfg.perExample && uniform && n.BatchCapable()
-	var bw batchWorker
-	if useBatch {
-		bw.net = n
+	batched := !cfg.perExample && uniform && master.BatchCapable()
+	workers := make([]batchWorker, len(nets))
+	for w := range workers {
+		workers[w] = batchWorker{net: nets[w], idx: make([]int, 0, cfg.BatchSize)}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(examples))
 	for i := range order {
 		order[i] = i
 	}
-	params := n.Params()
+	params := master.Params()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var epochStart time.Time
@@ -139,41 +152,29 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 			epochStart = time.Now()
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for w := range workers {
+			workers[w].loss, workers[w].hits = 0, 0
+		}
+		for start := 0; start < len(order); start += cfg.BatchSize {
+			batch := order[start:min(start+cfg.BatchSize, len(order))]
+			err := stripe(min(len(workers), len(batch)), func(w int) error {
+				return workers[w].run(examples, batch, w, len(workers), batched)
+			})
+			if err != nil {
+				return 0, err
+			}
+			mergeGrads(params, nets[1:])
+			if master.ClipNorm > 0 {
+				ClipGradients(params, master.ClipNorm*float64(len(batch)))
+			}
+			cfg.Optimizer.Step(params, len(batch))
+			broadcast(params, nets[1:])
+		}
 		var epochLoss float64
 		var correct int
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			if useBatch {
-				if err := bw.step(examples, order[start:end], &epochLoss, &correct); err != nil {
-					return 0, err
-				}
-			} else {
-				for _, idx := range order[start:end] {
-					ex := examples[idx]
-					y, err := n.Forward(ex.X, true)
-					if err != nil {
-						return 0, err
-					}
-					loss, grad, err := CrossEntropy(y.Data, ex.Y)
-					if err != nil {
-						return 0, err
-					}
-					epochLoss += loss
-					if Argmax(y.Data) == ex.Y {
-						correct++
-					}
-					if err := n.backward(FromVector(grad)); err != nil {
-						return 0, err
-					}
-				}
-			}
-			if n.ClipNorm > 0 {
-				ClipGradients(params, n.ClipNorm*float64(end-start))
-			}
-			cfg.Optimizer.Step(params, end-start)
+		for _, bw := range workers {
+			epochLoss += bw.loss
+			correct += bw.hits
 		}
 		lastLoss = epochLoss / float64(len(order))
 		if mtr.epochTime.Enabled() {
@@ -186,19 +187,58 @@ func (n *Sequential) Fit(examples []Example, cfg TrainConfig) (float64, error) {
 	return lastLoss, nil
 }
 
-// batchWorker bundles a network with the reusable batch-assembly scratch
-// for one training goroutine, so steady-state steps allocate nothing.
+// batchWorker is one replica's share of training: its network, the
+// reusable batch-assembly scratch (steady-state steps allocate nothing)
+// and its running loss and correct-prediction tallies for the epoch.
 type batchWorker struct {
 	net     *Sequential
 	x, grad Tensor
+	idx     []int
+	loss    float64
+	hits    int
+}
+
+// run trains on this worker's stripe of batch (elements w, w+stride, ...),
+// accumulating gradients into its network's parameters.
+func (bw *batchWorker) run(examples []Example, batch []int, w, stride int, batched bool) error {
+	bw.idx = bw.idx[:0]
+	for bi := w; bi < len(batch); bi += stride {
+		bw.idx = append(bw.idx, batch[bi])
+	}
+	if batched {
+		return bw.step(examples, bw.idx)
+	}
+	for _, id := range bw.idx {
+		if err := bw.stepOne(examples[id]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stepOne runs the rank-1 forward/loss/backward pass for one example.
+func (bw *batchWorker) stepOne(ex Example) error {
+	y, err := bw.net.Forward(ex.X, true)
+	if err != nil {
+		return err
+	}
+	loss, grad, err := CrossEntropy(y.Data, ex.Y)
+	if err != nil {
+		return err
+	}
+	bw.loss += loss
+	if Argmax(y.Data) == ex.Y {
+		bw.hits++
+	}
+	return bw.net.backward(FromVector(grad))
 }
 
 // step runs one forward/loss/backward pass over examples[idx] (rows in
 // idx order), accumulating gradients into the network parameters. Loss
-// and correct-prediction tallies add into *lossAcc/*hitAcc one example at
-// a time in idx order — the same summation tree as the per-example path,
-// so running totals match it bit for bit.
-func (bw *batchWorker) step(examples []Example, idx []int, lossAcc *float64, hitAcc *int) error {
+// and correct-prediction tallies add one example at a time in idx order —
+// the same summation tree as stepOne, so running totals match it bit for
+// bit.
+func (bw *batchWorker) step(examples []Example, idx []int) error {
 	m := len(idx)
 	mtr.trainSteps.Inc()
 	mtr.kernelRows.Observe(int64(m))
@@ -219,9 +259,9 @@ func (bw *batchWorker) step(examples []Example, idx []int, lossAcc *float64, hit
 		if err != nil {
 			return err
 		}
-		*lossAcc += l
+		bw.loss += l
 		if Argmax(row) == target {
-			*hitAcc++
+			bw.hits++
 		}
 	}
 	return bw.net.backwardBatch(g)
@@ -242,84 +282,50 @@ func uniformWidth(examples []Example) (int, bool) {
 	return w, true
 }
 
-// Evaluate returns classification accuracy on examples, using the batched
-// forward path when the architecture supports it (identical predictions:
-// per-row arithmetic matches the rank-1 path bit for bit).
+// Evaluate returns classification accuracy on examples. It is the
+// one-replica case of Replicated.Evaluate; see predict.
 func (n *Sequential) Evaluate(examples []Example) (float64, error) {
-	if len(examples) == 0 {
-		return 0, fmt.Errorf("nn: no evaluation examples")
-	}
-	if _, uniform := uniformWidth(examples); uniform && n.BatchCapable() {
-		idx := make([]int, len(examples))
-		for i := range idx {
-			idx[i] = i
-		}
-		preds := make([]int, len(examples))
-		if err := n.predictClasses(examples, idx, preds); err != nil {
-			return 0, err
-		}
-		var correct int
-		for i, ex := range examples {
-			if preds[i] == ex.Y {
-				correct++
-			}
-		}
-		return float64(correct) / float64(len(examples)), nil
-	}
-	var correct int
-	for _, ex := range examples {
-		c, err := n.PredictClass(ex.X)
-		if err != nil {
-			return 0, err
-		}
-		if c == ex.Y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(examples)), nil
+	return accuracy([]*Sequential{n}, examples)
 }
 
 // evalChunk is the batch size used for batched evaluation; large enough
 // to amortize the GEMM, small enough to keep scratch cache-resident.
 const evalChunk = 64
 
-// predictClasses fills preds[k] with the predicted class of
-// examples[idx[k]], batching through the GEMM path when possible and
-// falling back to per-example inference otherwise. Softmax is applied
-// per row before the argmax so tie-breaking matches PredictClass exactly.
+// predictClasses sets preds[id] to the predicted class of examples[id] for
+// each id in idx, batching through the GEMM path when possible and
+// falling back to per-example inference otherwise (the batched per-row
+// arithmetic matches the rank-1 path bit for bit). Softmax is applied per
+// row before the argmax so tie-breaking matches PredictClass exactly.
 func (n *Sequential) predictClasses(examples []Example, idx []int, preds []int) error {
 	_, uniform := uniformWidth(examples)
 	if !uniform || !n.BatchCapable() {
-		for k, id := range idx {
+		for _, id := range idx {
 			c, err := n.PredictClass(examples[id].X)
 			if err != nil {
 				return err
 			}
-			preds[k] = c
+			preds[id] = c
 		}
 		return nil
 	}
 	var x Tensor
 	var probs []float64
 	for start := 0; start < len(idx); start += evalChunk {
-		end := start + evalChunk
-		if end > len(idx) {
-			end = len(idx)
-		}
-		m := end - start
-		inW := len(examples[idx[start]].X.Data)
-		xb := x.reshape(m, inW)
-		for k := 0; k < m; k++ {
-			copy(xb.Data[k*inW:(k+1)*inW], examples[idx[start+k]].X.Data)
+		chunk := idx[start:min(start+evalChunk, len(idx))]
+		inW := len(examples[chunk[0]].X.Data)
+		xb := x.reshape(len(chunk), inW)
+		for k, id := range chunk {
+			copy(xb.Data[k*inW:(k+1)*inW], examples[id].X.Data)
 		}
 		y, err := n.ForwardBatch(xb, false)
 		if err != nil {
 			return err
 		}
 		probs = growF64(probs, y.Cols)
-		for r := 0; r < m; r++ {
+		for r, id := range chunk {
 			softmaxInto(probs, y.Row(r))
-			preds[start+r] = Argmax(probs)
+			preds[id] = Argmax(probs)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 )
@@ -10,13 +9,14 @@ import (
 // Replicated wraps N architecture-identical replicas of a network for
 // data-parallel training: each batch is split across replicas, per-replica
 // gradients are merged into the master, the optimizer steps the master, and
-// the updated weights are broadcast back.
+// the updated weights are broadcast back. A lone Sequential trains and
+// predicts through the same loops as the one-replica case.
 //
 // Layer forward caches make a single Sequential unsafe for concurrent use;
 // replication is the supported way to parallelize.
 type Replicated struct {
-	Master   *Sequential
-	replicas []*Sequential
+	Master *Sequential
+	nets   []*Sequential // Master first, then the replicas
 }
 
 // NewReplicated builds a master plus workers-1 replicas using build, which
@@ -27,38 +27,33 @@ func NewReplicated(build func() *Sequential, workers int) (*Replicated, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Replicated{Master: build()}
-	nMaster := r.Master.NumParams()
+	master := build()
+	r := &Replicated{Master: master, nets: []*Sequential{master}}
+	nMaster := master.NumParams()
 	for i := 1; i < workers; i++ {
 		rep := build()
 		if rep.NumParams() != nMaster {
 			return nil, fmt.Errorf("nn: replica %d has %d params, master has %d", i, rep.NumParams(), nMaster)
 		}
-		r.replicas = append(r.replicas, rep)
+		r.nets = append(r.nets, rep)
 	}
-	r.broadcast()
+	broadcast(master.Params(), r.nets[1:])
 	return r, nil
 }
 
-// all returns master plus replicas.
-func (r *Replicated) all() []*Sequential {
-	return append([]*Sequential{r.Master}, r.replicas...)
-}
-
-// broadcast copies master weights into every replica.
-func (r *Replicated) broadcast() {
-	mp := r.Master.Params()
-	for _, rep := range r.replicas {
+// broadcast copies the master parameters mp into every replica.
+func broadcast(mp []*Param, replicas []*Sequential) {
+	for _, rep := range replicas {
 		for i, p := range rep.Params() {
 			copy(p.W, mp[i].W)
 		}
 	}
 }
 
-// mergeGrads adds replica gradients into the master and zeroes them.
-func (r *Replicated) mergeGrads() {
-	mp := r.Master.Params()
-	for _, rep := range r.replicas {
+// mergeGrads adds replica gradients into the master parameters mp, in
+// replica order, and zeroes them.
+func mergeGrads(mp []*Param, replicas []*Sequential) {
+	for _, rep := range replicas {
 		for i, p := range rep.Params() {
 			for j, g := range p.Grad {
 				mp[i].Grad[j] += g
@@ -68,169 +63,63 @@ func (r *Replicated) mergeGrads() {
 	}
 }
 
-// Fit trains the master network with data-parallel mini-batches and returns
-// the final epoch's mean loss.
-//
-// Each replica processes the same strided slice of the batch it always
-// did (worker w takes batch elements w, w+R, ...), whether it runs the
-// per-example path or the batched GEMM path: the batched kernels keep
-// gradient accumulation in that stride order and replica gradients merge
-// in replica order, so results are bit-identical to the per-example path
-// at any worker count.
-func (r *Replicated) Fit(examples []Example, cfg TrainConfig) (float64, error) {
-	if len(examples) == 0 {
-		return 0, fmt.Errorf("nn: no training examples")
+// stripe runs f(0), ..., f(n-1) concurrently and returns the first error
+// in worker order. f(0) runs on the calling goroutine, and always runs, so
+// n <= 1 starts no goroutine.
+func stripe(n int, f func(w int) error) error {
+	if n <= 1 {
+		return f(0)
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdam(1e-3)
-	}
-	nets := r.all()
-	_, uniform := uniformWidth(examples)
-	useBatch := !cfg.perExample && uniform && r.Master.BatchCapable()
-	workers := make([]batchWorker, len(nets))
-	subsets := make([][]int, len(nets))
-	for w := range nets {
-		workers[w].net = nets[w]
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
-	}
-	masterParams := r.Master.Params()
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var epochLoss float64
-		var correct int
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := order[start:end]
-			losses := make([]float64, len(nets))
-			hits := make([]int, len(nets))
-			errs := make([]error, len(nets))
-			var wg sync.WaitGroup
-			for w := range nets {
-				if w >= len(batch) {
-					break
-				}
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					net := nets[w]
-					if useBatch {
-						idx := subsets[w][:0]
-						for bi := w; bi < len(batch); bi += len(nets) {
-							idx = append(idx, batch[bi])
-						}
-						subsets[w] = idx
-						if err := workers[w].step(examples, idx, &losses[w], &hits[w]); err != nil {
-							errs[w] = err
-						}
-						return
-					}
-					for bi := w; bi < len(batch); bi += len(nets) {
-						ex := examples[batch[bi]]
-						y, err := net.Forward(ex.X, true)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						loss, grad, err := CrossEntropy(y.Data, ex.Y)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						losses[w] += loss
-						if Argmax(y.Data) == ex.Y {
-							hits[w]++
-						}
-						if err := net.backward(FromVector(grad)); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return 0, err
-				}
-			}
-			for w := range nets {
-				epochLoss += losses[w]
-				correct += hits[w]
-			}
-			r.mergeGrads()
-			if r.Master.ClipNorm > 0 {
-				ClipGradients(masterParams, r.Master.ClipNorm*float64(len(batch)))
-			}
-			cfg.Optimizer.Step(masterParams, len(batch))
-			r.broadcast()
-		}
-		lastLoss = epochLoss / float64(len(order))
-		if cfg.Verbose != nil {
-			cfg.Verbose(epoch, lastLoss, float64(correct)/float64(len(order)))
-		}
-	}
-	return lastLoss, nil
-}
-
-// predictAll fills preds[i] with each example's predicted class, striping
-// examples across the replicas and using each replica's batched forward
-// path when available. Predictions are per-example independent, so the
-// striping cannot affect results.
-func (r *Replicated) predictAll(examples []Example) ([]int, error) {
-	nets := r.all()
-	preds := make([]int, len(examples))
-	errs := make([]error, len(nets))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := range nets {
+	for w := 1; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var idx []int
-			for i := w; i < len(examples); i += len(nets) {
-				idx = append(idx, i)
-			}
-			if len(idx) == 0 {
-				return
-			}
-			sub := make([]int, len(idx))
-			if err := nets[w].predictClasses(examples, idx, sub); err != nil {
-				errs[w] = err
-				return
-			}
-			for k, i := range idx {
-				preds[i] = sub[k]
-			}
+			errs[w] = f(w)
 		}(w)
 	}
+	errs[0] = f(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// Fit trains the master network with data-parallel mini-batches and returns
+// the final epoch's mean loss. Weights are bit-identical to the
+// per-example path at any worker count; see fit.
+func (r *Replicated) Fit(examples []Example, cfg TrainConfig) (float64, error) {
+	return fit(r.nets, examples, cfg)
+}
+
+// predict returns each example's predicted class, striping examples across
+// nets (example i goes to nets[i%len(nets)]). Predictions are per-example
+// independent, so the striping cannot affect results.
+func predict(nets []*Sequential, examples []Example) ([]int, error) {
+	preds := make([]int, len(examples))
+	err := stripe(min(len(nets), len(examples)), func(w int) error {
+		idx := make([]int, 0, (len(examples)-w+len(nets)-1)/len(nets))
+		for i := w; i < len(examples); i += len(nets) {
+			idx = append(idx, i)
+		}
+		return nets[w].predictClasses(examples, idx, preds)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return preds, nil
 }
 
-// Evaluate computes accuracy using all replicas in parallel.
-func (r *Replicated) Evaluate(examples []Example) (float64, error) {
+// accuracy is the fraction of examples whose predicted class is the label.
+func accuracy(nets []*Sequential, examples []Example) (float64, error) {
 	if len(examples) == 0 {
 		return 0, fmt.Errorf("nn: no evaluation examples")
 	}
-	preds, err := r.predictAll(examples)
+	preds, err := predict(nets, examples)
 	if err != nil {
 		return 0, err
 	}
@@ -243,10 +132,15 @@ func (r *Replicated) Evaluate(examples []Example) (float64, error) {
 	return float64(correct) / float64(len(examples)), nil
 }
 
+// Evaluate computes accuracy using all replicas in parallel.
+func (r *Replicated) Evaluate(examples []Example) (float64, error) {
+	return accuracy(r.nets, examples)
+}
+
 // ConfusionMatrix returns counts[target][predicted] over examples using the
 // replicas in parallel. numClasses rows/cols.
 func (r *Replicated) ConfusionMatrix(examples []Example, numClasses int) ([][]int, error) {
-	preds, err := r.predictAll(examples)
+	preds, err := predict(r.nets, examples)
 	if err != nil {
 		return nil, err
 	}

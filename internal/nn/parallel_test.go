@@ -3,6 +3,8 @@ package nn
 import (
 	"math/rand"
 	"testing"
+
+	"affectedge/internal/obs"
 )
 
 func TestReplicatedFitXOR(t *testing.T) {
@@ -27,7 +29,7 @@ func TestReplicatedFitXOR(t *testing.T) {
 	}
 	// Replicas stay in sync with the master after training.
 	mp := rep.Master.Params()
-	for ri, r := range rep.replicas {
+	for ri, r := range rep.nets[1:] {
 		for pi, p := range r.Params() {
 			for i := range p.W {
 				if p.W[i] != mp[pi].W[i] {
@@ -88,7 +90,8 @@ func TestReplicatedConfusionMatrix(t *testing.T) {
 }
 
 func TestReplicatedMatchesSingleThreadDirection(t *testing.T) {
-	// Replicated training with 1 worker is exactly Fit.
+	// Replicated training with 1 worker is exactly Fit: every weight, the
+	// returned loss and each Verbose value, bit for bit.
 	build := func() *Sequential {
 		r := rand.New(rand.NewSource(9))
 		return NewSequential(NewDense(2, 6, r), NewTanh(), NewDense(6, 2, r))
@@ -98,20 +101,49 @@ func TestReplicatedMatchesSingleThreadDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := build()
-	cfg := TrainConfig{Epochs: 50, BatchSize: 4, Optimizer: NewAdam(0.02), Seed: 7}
-	if _, err := rep.Fit(xorExamples(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := TrainConfig{Epochs: 50, BatchSize: 4, Optimizer: NewAdam(0.02), Seed: 7}
-	if _, err := single.Fit(xorExamples(), cfg2); err != nil {
-		t.Fatal(err)
-	}
-	mp, sp := rep.Master.Params(), single.Params()
-	for pi := range mp {
-		for i := range mp[pi].W {
-			if diff := mp[pi].W[i] - sp[pi].W[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("1-worker replicated diverges from Fit at param %d[%d]", pi, i)
-			}
+	train := func(fit func([]Example, TrainConfig) (float64, error)) (float64, []float64) {
+		var verbose []float64
+		loss, err := fit(xorExamples(), TrainConfig{
+			Epochs: 50, BatchSize: 4, Optimizer: NewAdam(0.02), Seed: 7,
+			Verbose: func(_ int, l, acc float64) { verbose = append(verbose, l, acc) },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return loss, verbose
+	}
+	repLoss, repVerbose := train(rep.Fit)
+	singleLoss, singleVerbose := train(single.Fit)
+	requireSameParams(t, rep.Master, single, "1-worker replicated vs Fit")
+	if !bitsEq(repLoss, singleLoss) {
+		t.Fatalf("returned loss: replicated %v vs Fit %v", repLoss, singleLoss)
+	}
+	if len(repVerbose) != 100 || len(singleVerbose) != 100 {
+		t.Fatalf("Verbose values: replicated %d, Fit %d, want 100", len(repVerbose), len(singleVerbose))
+	}
+	for i := range repVerbose {
+		if !bitsEq(repVerbose[i], singleVerbose[i]) {
+			t.Fatalf("Verbose value %d (epoch %d): replicated %v vs Fit %v", i, i/2, repVerbose[i], singleVerbose[i])
+		}
+	}
+}
+
+// TestReplicatedFitRecordsEpochs: every training epoch lands in
+// nn.train.epoch_us, whichever entry point ran it.
+func TestReplicatedFitRecordsEpochs(t *testing.T) {
+	reg := obs.NewRegistry()
+	WireMetrics(reg.Scope("nn"))
+	defer WireMetrics(nil)
+	rep, err := NewReplicated(func() *Sequential { return testMLP(30) }, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrainConfig{Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Seed: 31}
+	if _, err := rep.Fit(testExamples(20, 12, 4, 32), cfg); err != nil {
+		t.Fatal(err)
+	}
+	h, ok := reg.Snapshot().Histogram("nn.train.epoch_us")
+	if !ok || h.Count != 3 {
+		t.Fatalf("nn.train.epoch_us count %d (registered %v), want 3", h.Count, ok)
 	}
 }
