@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: all build vet fmt-check test test-short test-noavx test-race chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard repro figures fleet-smoke clean
+.PHONY: all build vet fmt-check test test-short test-noavx test-race chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard perf-ab repro figures fleet-smoke clean
 
 all: build vet fmt-check test
 
@@ -135,6 +135,18 @@ bench-guard:
 	set -- $$files; \
 	if [ $$# -lt 2 ]; then echo "need at least two BENCH_<n>.json files"; exit 1; fi; \
 	$(GO) run ./cmd/benchjson -compare -max-regress $(BENCH_MAX_REGRESS) -match '$(BENCH_GUARD_SET)' $$1 $$2
+
+# Interleaved A/B run of the repository benchmark: BASE (any git
+# revision, checked out in a temporary worktree) against the working
+# tree, PAIRS pairs of perfbench runs of WORKLOAD (each as long as
+# BENCHMARK.json's run_seconds), alternating and flipping the order each
+# pair. Prints every run's status, then per end-to-end metric both
+# medians, BASE's IQR and the working tree's win count; fails if any run
+# failed. See scripts/perf-ab.sh.
+PAIRS ?= 10
+perf-ab:
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make perf-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	bash scripts/perf-ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)'
 
 # Regenerate every figure of the paper (paper-vs-measured tables).
 repro:

@@ -2,6 +2,7 @@ package affect
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"affectedge/internal/affectdata"
@@ -74,9 +75,10 @@ func TestDatasetParallelMatchesSerial(t *testing.T) {
 // studyAt runs a miniature full study (all corpora, all model families) at
 // the given pool size. Workers=1 pins the replica count too, so the
 // training arithmetic is identical across pool sizes.
-func studyAt(t *testing.T, workers int) *StudyReport {
+func studyAt(t *testing.T, workers int) (*StudyReport, string) {
 	t.Helper()
 	var rep *StudyReport
+	var verbose strings.Builder
 	withWorkers(workers, func() {
 		cfg := StudyConfig{
 			ClipsPerCorpus: 64,
@@ -88,6 +90,7 @@ func studyAt(t *testing.T, workers int) *StudyReport {
 			Scale:          FastScale,
 			Seed:           3,
 			Feature:        FeatureConfig{SampleRate: 8000, NumFrames: 16, NumMFCC: 8, HistBins: 6},
+			Verbose:        &verbose,
 		}
 		var err error
 		rep, err = RunStudy(cfg)
@@ -95,7 +98,7 @@ func studyAt(t *testing.T, workers int) *StudyReport {
 			t.Fatal(err)
 		}
 	})
-	return rep
+	return rep, verbose.String()
 }
 
 // requireEqualReports compares two study reports field by field, demanding
@@ -134,13 +137,19 @@ func requireEqualReports(t *testing.T, serial, other *StudyReport, label string)
 }
 
 // TestRunStudyParallelMatchesSerial locks down the whole grid: datasets,
-// training, evaluation, confusion matrices, and quantization must agree
-// exactly between a serial and a wide pool.
+// training, evaluation, confusion matrices, quantization and the Verbose
+// progress lines must agree exactly between a serial and a wide pool.
 func TestRunStudyParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("miniature study training skipped in -short mode")
 	}
-	serial := studyAt(t, 1)
-	wide := studyAt(t, 8)
+	serial, serialLog := studyAt(t, 1)
+	wide, wideLog := studyAt(t, 8)
 	requireEqualReports(t, serial, wide, "workers 1 vs 8")
+	if serialLog != wideLog {
+		t.Errorf("Verbose output differs between workers 1 and 8:\n--- 1 ---\n%s--- 8 ---\n%s", serialLog, wideLog)
+	}
+	if want := len(serial.Results); strings.Count(serialLog, "\n") != want {
+		t.Errorf("Verbose wrote %d lines, want one per cell (%d)", strings.Count(serialLog, "\n"), want)
+	}
 }

@@ -104,7 +104,8 @@ func (s *StudyReport) MeanAccuracy(kind ModelKind) float64 {
 // pool. Every cell trains an independent model on shared read-only
 // example slices, and results land in corpus-major, model-order slots, so
 // the report is identical at any parallel.SetWorkers setting. Verbose
-// progress lines are serialized but may interleave across corpora.
+// progress lines come out in cell order, each as soon as every earlier
+// cell's line is out, so they too are identical at any setting.
 func RunStudy(cfg StudyConfig) (*StudyReport, error) {
 	if cfg.Feature.SampleRate == 0 {
 		cfg.Feature = DefaultFeatureConfig(8000)
@@ -133,17 +134,26 @@ func RunStudy(cfg StudyConfig) (*StudyReport, error) {
 		data[ci] = corpusData{spec.Name, trainEx, testEx, classList(classOf)}
 	}
 	kinds := ModelKinds()
-	var vmu sync.Mutex
-	results, err := parallel.Map(len(specs)*len(kinds), func(cell int) (ModelResult, error) {
+	cells := len(specs) * len(kinds)
+	var (
+		vmu   sync.Mutex
+		lines = make([]string, cells) // finished cells' lines not yet written
+		next  int                     // first cell whose line is not yet written
+	)
+	results, err := parallel.Map(cells, func(cell int) (ModelResult, error) {
 		d, kind := data[cell/len(kinds)], kinds[cell%len(kinds)]
 		res, err := trainOne(cfg, d.name, kind, d.trainEx, d.testEx, d.classes)
 		if err != nil {
 			return ModelResult{}, fmt.Errorf("affect: %s on %s: %w", kind, d.name, err)
 		}
 		if cfg.Verbose != nil {
-			vmu.Lock()
-			fmt.Fprintf(cfg.Verbose, "%-8s %-5s acc=%.3f quant=%.3f params=%d\n",
+			line := fmt.Sprintf("%-8s %-5s acc=%.3f quant=%.3f params=%d\n",
 				d.name, kind, res.Accuracy, res.QuantAccuracy, res.Params)
+			vmu.Lock()
+			lines[cell] = line
+			for ; next < cells && lines[next] != ""; next++ {
+				io.WriteString(cfg.Verbose, lines[next])
+			}
 			vmu.Unlock()
 		}
 		return res, nil

@@ -118,22 +118,16 @@ type Config struct {
 	// existed).
 	Traffic TrafficModel
 	// Profiles makes shards heterogeneous: shard i takes profile
-	// i%len(Profiles). Empty keeps every shard on Config.Device and the
-	// full app catalog.
+	// i%len(Profiles). Empty keeps every shard on Config.Device.
 	Profiles []ShardProfile
 }
 
-// ShardProfile customizes one shard's hardware class and app catalog,
-// modelling a fleet whose users carry different phones with different app
-// sets.
+// ShardProfile customizes one shard's hardware class, modelling a fleet
+// whose users carry different phones.
 type ShardProfile struct {
 	// Device is the hardware class for sessions on this shard; the zero
 	// value inherits Config.Device.
 	Device android.DeviceConfig
-	// Apps restricts the shard's launch catalog to this subset of
-	// android.CatalogNames(); empty inherits the full catalog. Normalize
-	// sorts it and rejects unknown or duplicate names.
-	Apps []string
 }
 
 // Normalize fills defaults and validates; returned config is self-contained.
@@ -178,27 +172,11 @@ func (c Config) Normalize() (Config, error) {
 		c.Traffic = UniformTraffic{}
 	}
 	if len(c.Profiles) > 0 {
-		catalog := android.CatalogByName()
 		profiles := append([]ShardProfile(nil), c.Profiles...)
 		for pi := range profiles {
-			p := &profiles[pi]
-			if p.Device.RAMBytes == 0 {
-				p.Device = c.Device
+			if profiles[pi].Device.RAMBytes == 0 {
+				profiles[pi].Device = c.Device
 			}
-			if len(p.Apps) == 0 {
-				continue
-			}
-			apps := append([]string(nil), p.Apps...)
-			sort.Strings(apps)
-			for i, name := range apps {
-				if _, ok := catalog[name]; !ok {
-					return c, fmt.Errorf("fleet: profile %d app %q not in catalog", pi, name)
-				}
-				if i > 0 && apps[i-1] == name {
-					return c, fmt.Errorf("fleet: profile %d duplicate app %q", pi, name)
-				}
-			}
-			p.Apps = apps
 		}
 		c.Profiles = profiles
 	}
@@ -251,10 +229,8 @@ type shard struct {
 	// the batching order, caught up on Reconnect.
 	parked map[int]*session
 
-	// apps is the shard's launch catalog and devcfg its hardware class
-	// (heterogeneous fleets via Config.Profiles; defaults to the full
-	// catalog and Config.Device). Read-only after New.
-	apps   []string
+	// devcfg is the shard's hardware class (heterogeneous fleets via
+	// Config.Profiles; defaults to Config.Device). Read-only after New.
 	devcfg android.DeviceConfig
 
 	queue chan *request
@@ -304,7 +280,7 @@ type Fleet struct {
 	// one call: model.InferBatchI8, unless a same-package test swaps in a
 	// row-at-a-time twin to pin batched ≡ serial evaluation.
 	inferBatch func(s *nn.QScratch, xq []int8, m int, out []float64) error
-	apps       []string
+	apps       []string           // launch catalog of every shard: android.CatalogNames()
 	policy     android.KillPolicy // read-only, shared by every device
 	shards     []*shard
 
@@ -375,17 +351,12 @@ func New(cfg Config) (*Fleet, error) {
 			idx:      i,
 			sessions: map[int]*session{},
 			parked:   map[int]*session{},
-			apps:     f.apps,
 			devcfg:   cfg.Device,
 			queue:    make(chan *request, cfg.QueueDepth),
 			depth:    ss.NewGauge("queue_depth_high"),
 		}
 		if len(cfg.Profiles) > 0 {
-			p := cfg.Profiles[i%len(cfg.Profiles)]
-			sh.devcfg = p.Device
-			if len(p.Apps) > 0 {
-				sh.apps = p.Apps
-			}
+			sh.devcfg = cfg.Profiles[i%len(cfg.Profiles)].Device
 		}
 		sh.free.New = func() any { return new(request) }
 		f.shards[i] = sh

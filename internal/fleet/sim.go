@@ -210,7 +210,7 @@ func (s *session) stepLatent(t, switchEvery int) {
 }
 
 // maybeLaunch fires the session's app-launch schedule: at the scheduled
-// tick it foregrounds an app picked by the traffic model from the shard's
+// tick it foregrounds an app picked by the traffic model from the fleet's
 // catalog (mean gap LaunchEvery ticks under the default model), exercising
 // the device's cold/warm start paths and — under memory pressure — its
 // mood-ranked kill policy. Both draws go through the session RNG, so the
@@ -220,7 +220,7 @@ func (s *session) maybeLaunch(sh *shard, t int, now time.Duration) error {
 		return nil
 	}
 	f := sh.f
-	app := f.cfg.Traffic.PickApp(s.rng, sh.apps, t)
+	app := f.cfg.Traffic.PickApp(s.rng, f.apps, t)
 	if _, err := s.dev.Launch(now, app); err != nil {
 		return err
 	}

@@ -106,7 +106,6 @@ type sessionEnvelope struct {
 type shardEnvelope struct {
 	Shard    int // stripe index; ids must map here
 	Base     int // fleet tick at snapshot
-	Apps     []string
 	Device   android.DeviceConfig
 	Sessions []sessionState
 
@@ -281,7 +280,6 @@ func (f *Fleet) captureShard(sh *shard) shardEnvelope {
 	env := shardEnvelope{
 		Shard:          sh.idx,
 		Base:           f.base,
-		Apps:           append([]string(nil), sh.apps...),
 		Device:         sh.devcfg,
 		Batches:        sh.batches,
 		BatchRows:      sh.batchRows,
@@ -314,14 +312,6 @@ func (f *Fleet) validateShardEnvelope(sh *shard, env *shardEnvelope, base int) (
 	}
 	if env.Device != sh.devcfg {
 		return nil, nil, fmt.Errorf("fleet: shard snapshot device class %+v does not match shard %+v", env.Device, sh.devcfg)
-	}
-	if len(env.Apps) != len(sh.apps) {
-		return nil, nil, fmt.Errorf("fleet: shard snapshot catalog has %d apps, shard %d", len(env.Apps), len(sh.apps))
-	}
-	for k, name := range env.Apps {
-		if sh.apps[k] != name {
-			return nil, nil, fmt.Errorf("fleet: shard snapshot catalog differs at %q", name)
-		}
 	}
 	if env.Batches < 0 || env.BatchRows < 0 || env.MaxRows < 0 || env.Drops < 0 || env.LateDrops < 0 {
 		return nil, nil, fmt.Errorf("fleet: shard snapshot has negative accounting")
@@ -386,9 +376,9 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 // Restore replaces the fleet's whole population and tick clock with a
 // snapshot previously written by Snapshot. The target must be built with
 // the same Config (Normalize'd scalars are checked via the envelope meta;
-// shard device classes and catalogs via each shard envelope) and must not
-// be started. Everything is validated and built before anything is
-// committed; on error the fleet is untouched.
+// shard device classes via each shard envelope) and must not be started.
+// Everything is validated and built before anything is committed; on
+// error the fleet is untouched.
 func (f *Fleet) Restore(r io.Reader) error {
 	if f.closed.Load() {
 		return ErrClosed

@@ -25,7 +25,7 @@ type TrafficModel interface {
 	// Config.LaunchEvery, t the current tick. Must return >= 1 so the
 	// schedule always advances.
 	NextGap(rng *rand.Rand, mean, t int) int
-	// PickApp selects the app to launch from the shard's catalog (always
+	// PickApp selects the app to launch from the fleet's catalog (always
 	// non-empty, sorted).
 	PickApp(rng *rand.Rand, apps []string, t int) string
 }
@@ -146,7 +146,7 @@ func (AdversarialTraffic) PickApp(rng *rand.Rand, apps []string, t int) string {
 	return heavy[rng.Intn(len(heavy))]
 }
 
-// heaviestQuarter returns the top len/4 (min 1) apps of the catalog subset
+// heaviestQuarter returns the top len/4 (min 1) apps of the catalog
 // by resident memory footprint, in deterministic order.
 func heaviestQuarter(apps []string) []string {
 	byName := android.CatalogByName()

@@ -344,7 +344,7 @@ func BenchmarkSADBlockScalar(b *testing.B) { benchmarkSAD(b, sadBlockRef) }
 // decoder, the output slice recycled, trailing deleted units concealed,
 // every frame returned to the pool. Allocations must be zero per op.
 func BenchmarkProbeDecode(b *testing.B) {
-	streams, total := probeClip(b, 6, false)
+	streams, total := probeClip(b, 6)
 	for _, mode := range Modes() {
 		b.Run("mode="+mode.String(), func(b *testing.B) {
 			dec := NewDecoder()

@@ -1,73 +1,13 @@
 package h264
 
 import (
-	"math"
+	"errors"
 	"testing"
 )
 
-func TestChromaRoundTrip(t *testing.T) {
-	cfg := DefaultVideoConfig(8)
-	cfg.Width, cfg.Height = 64, 48
-	src, err := GenerateVideo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := NewEncoder(EncoderConfig{
-		Width: 64, Height: 48, QP: 26, IntraPeriod: 4, BFrames: 1,
-		SearchWindow: 2, Chroma: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, _, err := enc.EncodeSequence(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewDecoder().DecodeStream(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(src) {
-		t.Fatalf("%d frames", len(out))
-	}
-	// Luma quality unaffected by chroma coding; chroma reconstructed well.
-	luma, err := MeanPSNR(src, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if luma < 30 {
-		t.Errorf("luma PSNR %.1f", luma)
-	}
-	var chromaSum float64
-	var n int
-	for i := range src {
-		p, err := ChromaPSNR(src[i], out[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsInf(p, 1) {
-			continue
-		}
-		chromaSum += p
-		n++
-	}
-	if n > 0 && chromaSum/float64(n) < 30 {
-		t.Errorf("chroma PSNR %.1f", chromaSum/float64(n))
-	}
-	// Decoded chroma must not be flat gray (i.e. it was really coded).
-	var varSum float64
-	mean := 0.0
-	for _, v := range out[0].Cb {
-		mean += float64(v)
-	}
-	mean /= float64(len(out[0].Cb))
-	for _, v := range out[0].Cb {
-		varSum += (float64(v) - mean) * (float64(v) - mean)
-	}
-	if varSum/float64(len(out[0].Cb)) < 10 {
-		t.Error("decoded chroma is nearly flat; chroma path not exercised")
-	}
-}
+// The model codes luma only: the encoder writes the SPS chroma bit as 0,
+// the decoders refuse a stream that sets it, and Frame's Cb/Cr planes
+// are carried through decoding untouched (zero).
 
 func TestChromaLumaOnlyStreamsUnaffected(t *testing.T) {
 	// Luma-only streams must decode exactly as before, leaving chroma at
@@ -99,38 +39,62 @@ func TestChromaLumaOnlyStreamsUnaffected(t *testing.T) {
 	}
 }
 
-func TestChromaQPMapping(t *testing.T) {
-	if chromaQP(20) != 20 || chromaQP(30) != 30 {
-		t.Error("low QPs should map identically")
+// chromaSPSStream returns encodeTinyStream's stream with the chroma bit
+// of its SPS set and everything else unchanged.
+func chromaSPSStream(tb testing.TB) []byte {
+	tb.Helper()
+	stream, err := encodeTinyStream()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if chromaQP(40) >= 40 {
-		t.Error("high QPs should map lower for chroma")
+	units, err := SplitStream(stream)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if chromaQP(51) > 51 {
-		t.Error("chroma QP out of range")
+	for i, u := range units {
+		if u.Type != NALSPS {
+			continue
+		}
+		r := NewBitReader(u.Payload)
+		mbw, err1 := r.ReadUE()
+		mbh, err2 := r.ReadUE()
+		if err1 != nil || err2 != nil {
+			tb.Fatal("unreadable SPS")
+		}
+		w := NewBitWriter()
+		w.WriteUE(mbw)
+		w.WriteUE(mbh)
+		w.WriteBit(1)
+		units[i].Payload = w.Bytes(true)
 	}
+	out, err := MarshalStream(units)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
-func TestFrameChromaAccessors(t *testing.T) {
-	f, err := NewFrame(32, 16)
+// TestDecodeRefusesChromaSPS requires both decoders to refuse the SPS
+// itself, not some later slice that fails to parse as chroma.
+func TestDecodeRefusesChromaSPS(t *testing.T) {
+	stream := chromaSPSStream(t)
+	units, err := SplitStream(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.CWidth() != 16 || f.CHeight() != 8 {
-		t.Fatalf("chroma dims %dx%d", f.CWidth(), f.CHeight())
+	if units[0].Type != NALSPS {
+		t.Fatalf("first unit is %v, want the SPS", units[0].Type)
 	}
-	f.SetC(0, 3, 2, 99)
-	f.SetC(1, 3, 2, 201)
-	if f.CAt(0, 3, 2) != 99 || f.CAt(1, 3, 2) != 201 {
-		t.Error("chroma get/set broken")
+	if _, err := NewDecoder().DecodeNAL(units[0]); !errors.Is(err, ErrBitstream) {
+		t.Errorf("Decoder SPS: error %v, want one wrapping ErrBitstream", err)
 	}
-	// Clamping.
-	if f.CAt(0, -5, -5) != f.CAt(0, 0, 0) {
-		t.Error("negative coordinates should clamp")
+	if _, err := (&refDecoder{}).decodeNAL(units[0], nil); !errors.Is(err, ErrBitstream) {
+		t.Errorf("refDecoder SPS: error %v, want one wrapping ErrBitstream", err)
 	}
-	f.SetC(0, 100, 100, 1) // ignored
-	f.FillChroma(128, 64)
-	if f.CAt(0, 0, 0) != 128 || f.CAt(1, 5, 5) != 64 {
-		t.Error("FillChroma wrong")
+	if _, err := NewDecoder().DecodeStream(stream); !errors.Is(err, ErrBitstream) {
+		t.Errorf("Decoder stream: error %v, want one wrapping ErrBitstream", err)
+	}
+	if _, err := (&refDecoder{deblock: true}).decodeStream(stream); !errors.Is(err, ErrBitstream) {
+		t.Errorf("refDecoder stream: error %v, want one wrapping ErrBitstream", err)
 	}
 }

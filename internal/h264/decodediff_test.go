@@ -9,18 +9,16 @@ import (
 
 // diffStreams encodes the genuine streams FuzzDecodeDiff starts from:
 // small clips with motion, B-frames and QPs that leave most residuals
-// zero but not all, with and without chroma, and the fleet's 6-frame
-// probe clip in every mode.
+// zero but not all, and the fleet's 6-frame probe clip in every mode.
+// It also returns the one stream the decoders must refuse: a tiny clip
+// whose SPS sets the chroma bit.
 func diffStreams(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
-	for _, c := range []struct {
-		w, h, frames, qp, bframes int
-		chroma                    bool
-	}{
-		{48, 32, 5, 30, 0, false},
-		{48, 32, 6, 24, 2, true},
-		{32, 48, 4, 40, 1, false},
+	for _, c := range []struct{ w, h, frames, qp, bframes int }{
+		{48, 32, 5, 30, 0},
+		{48, 32, 6, 24, 2},
+		{32, 48, 4, 40, 1},
 	} {
 		vc := DefaultVideoConfig(c.frames)
 		vc.Width, vc.Height, vc.Seed = c.w, c.h, int64(c.w*c.qp)
@@ -29,7 +27,7 @@ func diffStreams(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 		enc, err := NewEncoder(EncoderConfig{Width: c.w, Height: c.h, QP: c.qp, IntraPeriod: 4,
-			BFrames: c.bframes, SearchWindow: 3, Chroma: c.chroma})
+			BFrames: c.bframes, SearchWindow: 3})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -39,8 +37,8 @@ func diffStreams(tb testing.TB) [][]byte {
 		}
 		out = append(out, stream)
 	}
-	probe, _ := probeClip(tb, 6, false)
-	return append(out, probe[ModeStandard], probe[ModeDeletion])
+	probe, _ := probeClip(tb, 6)
+	return append(out, probe[ModeStandard], probe[ModeDeletion], chromaSPSStream(tb))
 }
 
 // maxDiffMBs bounds the picture size a fuzzed SPS may ask for, so a

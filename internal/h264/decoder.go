@@ -48,7 +48,6 @@ type Decoder struct {
 
 	width, height int
 	qp            int
-	chroma        bool
 	haveSPS       bool
 	havePPS       bool
 
@@ -103,7 +102,7 @@ func (d *Decoder) SetPool(p *FramePool) { d.pool = p }
 // so one decoder can run many streams back to back.
 func (d *Decoder) Reset() {
 	d.width, d.height, d.qp = 0, 0, 0
-	d.chroma, d.haveSPS, d.havePPS = false, false, false
+	d.haveSPS, d.havePPS = false, false
 	d.lastRef, d.lastOut = nil, nil
 	d.nextNum = 0
 }
@@ -184,7 +183,9 @@ func (d *Decoder) decodeNALInto(u NAL, out []*Frame) ([]*Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.chroma = chromaBit == 1
+		if chromaBit != 0 {
+			return nil, fmt.Errorf("%w: SPS signals chroma; only luma-only streams are supported", ErrBitstream)
+		}
 		d.width, d.height = (int(mbw)+1)*16, (int(mbh)+1)*16
 		d.haveSPS = true
 		d.activity.HeaderBits += r.BitsRead()
@@ -348,11 +349,6 @@ func (d *Decoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info *mb
 			addResidual4(recon.Y[off:], recon.Y[off:], w, w, &res)
 		}
 	}
-	if d.chroma {
-		if err := d.decodeChromaMB(r, recon, mx, my, true, MV{}); err != nil {
-			return err
-		}
-	}
 	d.activity.CodedMBs++
 	return nil
 }
@@ -378,9 +374,6 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 			return err
 		}
 		d.activity.InterBlocks += 16
-		if d.chroma {
-			copyChromaMB(recon, d.lastRef, mx, my)
-		}
 		return nil
 	}
 	mvx, err := r.ReadSE()
@@ -409,11 +402,6 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	}
 	if err := d.reconInterMB(recon, mx, my, mv, info.coded); err != nil {
 		return err
-	}
-	if d.chroma {
-		if err := d.decodeChromaMB(r, recon, mx, my, false, mv); err != nil {
-			return err
-		}
 	}
 	d.activity.CodedMBs++
 	return nil

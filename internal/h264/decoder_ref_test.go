@@ -15,7 +15,6 @@ type refDecoder struct {
 
 	width, height int
 	qp            int
-	chroma        bool
 	haveSPS       bool
 	havePPS       bool
 
@@ -70,7 +69,9 @@ func (d *refDecoder) decodeNAL(u NAL, out []*Frame) ([]*Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.chroma = chromaBit == 1
+		if chromaBit != 0 {
+			return nil, fmt.Errorf("%w: SPS signals chroma; only luma-only streams are supported", ErrBitstream)
+		}
 		d.width, d.height = (int(mbw)+1)*16, (int(mbh)+1)*16
 		d.haveSPS = true
 		d.activity.HeaderBits += r.BitsRead()
@@ -196,11 +197,6 @@ func (d *refDecoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info 
 			reconstructBlock(recon, x, y, pred, res)
 		}
 	}
-	if d.chroma {
-		if err := d.decodeChromaMB(r, recon, mx, my, true, MV{}); err != nil {
-			return err
-		}
-	}
 	d.activity.CodedMBs++
 	return nil
 }
@@ -220,9 +216,6 @@ func (d *refDecoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info 
 				reconstructBlock(recon, x, y, PredictInter4(d.lastRef, x, y, MV{}), Block4{})
 				d.activity.InterBlocks++
 			}
-		}
-		if d.chroma {
-			copyChromaMB(recon, d.lastRef, mx, my)
 		}
 		return nil
 	}
@@ -259,38 +252,8 @@ func (d *refDecoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info 
 			reconstructBlock(recon, x, y, pred, res)
 		}
 	}
-	if d.chroma {
-		if err := d.decodeChromaMB(r, recon, mx, my, false, mv); err != nil {
-			return err
-		}
-	}
 	d.activity.CodedMBs++
 	return nil
-}
-
-func (d *refDecoder) decodeChromaMB(r *BitReader, recon *Frame, mx, my int, intra bool, mv MV) error {
-	cqp := chromaQP(d.qp)
-	return chromaBlocksPerMB(mx, my, func(plane, bx, by int) error {
-		var pred Block4
-		if intra {
-			pred = predictChromaDC(recon, plane, bx, by)
-		} else {
-			pred = predictChromaInter(d.lastRef, plane, bx, by, mv)
-		}
-		var scan [16]int32
-		bits, _, err := decodeResidualScan(r, &scan)
-		if err != nil {
-			return err
-		}
-		d.activity.ResidualBits += bits
-		var res Block4
-		if err := iqitScanInto(&scan, cqp, &res); err != nil {
-			return err
-		}
-		d.activity.BlocksIQIT++
-		reconstructChroma(recon, plane, bx, by, pred, res)
-		return nil
-	})
 }
 
 // predictIntra4Ref is the historical PredictIntra4 body, read through

@@ -41,9 +41,6 @@ type EncoderConfig struct {
 	BFrames int
 	// SearchWindow is the full-pel motion search range.
 	SearchWindow int
-	// Chroma enables 4:2:0 chroma coding (signalled in the SPS). The
-	// Fig 6 power-calibration profile is luma-only.
-	Chroma bool
 }
 
 // DefaultEncoderConfig returns a QCIF-class configuration.
@@ -96,16 +93,13 @@ func NewEncoder(cfg EncoderConfig) (*Encoder, error) {
 	return &Encoder{cfg: cfg, pool: NewFramePool()}, nil
 }
 
-// writeSPS emits the sequence parameter set (dimensions in macroblocks).
+// writeSPS emits the sequence parameter set: the dimensions in
+// macroblocks, then the chroma bit, always 0 (the model codes luma only).
 func (e *Encoder) writeSPS() NAL {
 	w := NewBitWriter()
 	w.WriteUE(uint32(e.cfg.Width/16 - 1))
 	w.WriteUE(uint32(e.cfg.Height/16 - 1))
-	if e.cfg.Chroma {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
+	w.WriteBit(0)
 	return NAL{Type: NALSPS, RefIDC: 3, Payload: w.Bytes(true)}
 }
 
@@ -246,11 +240,6 @@ func (e *Encoder) encodeIntraMB(w *BitWriter, orig, recon *Frame, mx, my, qp int
 			reconstructBlock(recon, x, y, pred, rec)
 		}
 	}
-	if e.cfg.Chroma {
-		if err := e.encodeChromaMB(w, orig, recon, mx, my, qp, true, MV{}); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -307,9 +296,6 @@ func (e *Encoder) encodeInterMB(w *BitWriter, orig, recon *Frame, mx, my, qp int
 			off := top + row*fw + left
 			copy(recon.Y[off:off+16], ref.Y[off:off+16])
 		}
-		if e.cfg.Chroma {
-			copyChromaMB(recon, ref, mx, my)
-		}
 		return nil
 	}
 	w.WriteBit(0)
@@ -334,11 +320,6 @@ func (e *Encoder) encodeInterMB(w *BitWriter, orig, recon *Frame, mx, my, qp int
 				return err
 			}
 			reconstructBlock(recon, x, y, pred, rec)
-		}
-	}
-	if e.cfg.Chroma {
-		if err := e.encodeChromaMB(w, orig, recon, mx, my, qp, false, mv); err != nil {
-			return err
 		}
 	}
 	return nil

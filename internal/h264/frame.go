@@ -6,7 +6,8 @@ import (
 )
 
 // Frame is a YUV 4:2:0 picture. Luma is Width x Height; each chroma plane
-// is half resolution in both dimensions.
+// is half resolution in both dimensions. The codec codes luma only: the
+// decoder never writes Cb or Cr, so decoded frames carry zero chroma.
 type Frame struct {
 	Width, Height int
 	Y, Cb, Cr     []uint8

@@ -10,15 +10,13 @@ import (
 // Golden decoded output: the sha256 of every decoded plane (Y, Cb, Cr of
 // each output frame in order, concealment frames included) and the full
 // Activity record, per operating mode, for the calibration clips at 6 and
-// 24 frames plus a 6-frame clip with chroma coding on. The bitstream
-// goldens (goldenstream_test.go) pin the encoder; these pin what the
-// decoder makes of its streams, so a decoder refactor cannot move a pixel
-// or a modeled-work count. Values were recorded from the per-4x4-block
-// decoder and must never change.
+// 24 frames. The bitstream goldens (goldenstream_test.go) pin the
+// encoder; these pin what the decoder makes of its streams, so a decoder
+// refactor cannot move a pixel or a modeled-work count. Values were
+// recorded from the per-4x4-block decoder and must never change.
 var goldenDecodes = []struct {
 	name   string
 	frames int
-	chroma bool
 	planes [NumModes]string
 	act    [NumModes]string
 }{
@@ -52,34 +50,17 @@ var goldenDecodes = []struct {
 			ModeCombined: "{HeaderBits:17096 ResidualBits:37333 BlocksIQIT:22528 IntraBlocks:3168 InterBlocks:31680 SkipMBs:770 CodedMBs:1408 DF:{edgesConsidered:0 edgesExamined:0 edgesFiltered:0 samplesTouch:0} BufferBytes:0 FramesOut:24 Concealed:2}",
 		},
 	},
-	{
-		name: "chroma6", frames: 6, chroma: true,
-		planes: [NumModes]string{
-			ModeStandard: "d0a7ba2850d196ef6d45d02c377a79a331a79060beeacc1ee59699c1c01b8c47",
-			ModeDeletion: "d0a7ba2850d196ef6d45d02c377a79a331a79060beeacc1ee59699c1c01b8c47",
-			ModeDFOff:    "422b7b7d03efad6c46d090750b9929010b29e708487d62772dc16c809927911d",
-			ModeCombined: "422b7b7d03efad6c46d090750b9929010b29e708487d62772dc16c809927911d",
-		},
-		act: [NumModes]string{
-			ModeStandard: "{HeaderBits:6337 ResidualBits:18477 BlocksIQIT:10560 IntraBlocks:1584 InterBlocks:7920 SkipMBs:154 CodedMBs:440 DF:{edgesConsidered:18528 edgesExamined:27392 edgesFiltered:26269 samplesTouch:109968} BufferBytes:0 FramesOut:6 Concealed:0}",
-			ModeDeletion: "{HeaderBits:6337 ResidualBits:18477 BlocksIQIT:10560 IntraBlocks:1584 InterBlocks:7920 SkipMBs:154 CodedMBs:440 DF:{edgesConsidered:18528 edgesExamined:27392 edgesFiltered:26269 samplesTouch:109968} BufferBytes:0 FramesOut:6 Concealed:0}",
-			ModeDFOff:    "{HeaderBits:6337 ResidualBits:18477 BlocksIQIT:10560 IntraBlocks:1584 InterBlocks:7920 SkipMBs:154 CodedMBs:440 DF:{edgesConsidered:0 edgesExamined:0 edgesFiltered:0 samplesTouch:0} BufferBytes:0 FramesOut:6 Concealed:0}",
-			ModeCombined: "{HeaderBits:6337 ResidualBits:18477 BlocksIQIT:10560 IntraBlocks:1584 InterBlocks:7920 SkipMBs:154 CodedMBs:440 DF:{edgesConsidered:0 edgesExamined:0 edgesFiltered:0 samplesTouch:0} BufferBytes:0 FramesOut:6 Concealed:0}",
-		},
-	},
 }
 
 // probeClip encodes a calibration clip and pre-applies every mode's
 // Input Selector, as the fleet's video probe does at set-up.
-func probeClip(tb testing.TB, frames int, chroma bool) (streams [NumModes][]byte, total int) {
+func probeClip(tb testing.TB, frames int) (streams [NumModes][]byte, total int) {
 	tb.Helper()
 	src, err := GenerateVideo(CalibrationVideoConfig(frames))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ec := CalibrationEncoderConfig()
-	ec.Chroma = chroma
-	enc, err := NewEncoder(ec)
+	enc, err := NewEncoder(CalibrationEncoderConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -119,7 +100,7 @@ func hashPlanes(h hash.Hash, frames []*Frame) {
 
 func TestGoldenDecode(t *testing.T) {
 	for _, g := range goldenDecodes {
-		streams, total := probeClip(t, g.frames, g.chroma)
+		streams, total := probeClip(t, g.frames)
 		for _, mode := range Modes() {
 			dec := NewDecoder()
 			frames, err := probeDecode(dec, mode, streams[mode], total, nil)

@@ -96,15 +96,6 @@ func GenerateVideo(cfg VideoConfig) ([]*Frame, error) {
 				f.Y[y*cfg.Width+x] = clampU8(int32(math.Round(v)))
 			}
 		}
-		// Chroma: a slow hue gradient following the pan (half resolution).
-		cw, ch := f.CWidth(), f.CHeight()
-		for y := 0; y < ch; y++ {
-			for x := 0; x < cw; x++ {
-				fx := (float64(2*x) + panX) / 48
-				f.Cb[y*cw+x] = clampU8(int32(128 + 30*math.Sin(fx+phase)))
-				f.Cr[y*cw+x] = clampU8(int32(128 + 30*math.Cos(float64(2*y)/48-phase)))
-			}
-		}
 		moving := true
 		if cycle := cfg.MoveFrames + cfg.PauseFrames; cfg.PauseFrames > 0 && cycle > 0 {
 			moving = n%cycle < cfg.MoveFrames
@@ -114,9 +105,6 @@ func GenerateVideo(cfg VideoConfig) ([]*Frame, error) {
 			for dy := 0; dy < o.size; dy++ {
 				for dx := 0; dx < o.size; dx++ {
 					f.SetY(int(o.x)+dx, int(o.y)+dy, o.lum)
-					// Objects carry a saturated color.
-					f.SetC(0, (int(o.x)+dx)/2, (int(o.y)+dy)/2, 90)
-					f.SetC(1, (int(o.x)+dx)/2, (int(o.y)+dy)/2, 170)
 				}
 			}
 			if !moving {

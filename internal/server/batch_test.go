@@ -182,8 +182,21 @@ func TestObserveBatchWire(t *testing.T) {
 	}
 
 	// Connection still works: drain the queue, then a clean batch ACKs clean.
+	// Start only launches the worker, so wait until it has applied the
+	// four queued items; otherwise the batch can race the drain and find
+	// the queue still partly full.
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		st := f.Stats()
+		if st.Observations+st.LateDrops == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue not drained: applied %d, late %d, want 4 in all", st.Observations, st.LateDrops)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	send(batch(20, 4))
 	r = recv()

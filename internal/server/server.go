@@ -324,6 +324,14 @@ func (c *conn) readLoop() {
 	}()
 	for {
 		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+		// Checked after the deadline is armed: either this sees Close's
+		// flag, or Close's wake lands after this pass's deadline and the
+		// Read below returns at once. A reader busy with a chunk when
+		// Close runs would otherwise re-arm past the wake and keep
+		// admitting frames for as long as its client keeps sending.
+		if c.srv.closed.Load() {
+			return
+		}
 		n, err := c.nc.Read(buf)
 		if n > 0 {
 			if ferr := sp.Feed(buf[:n]); ferr != nil {

@@ -446,6 +446,83 @@ func TestServerCloseDrains(t *testing.T) {
 	leak()
 }
 
+// TestCloseStopsBusyReader pins Close against clients that never
+// pause: pipelined uploaders (batch 64, window 4) keep their readers
+// busy with one chunk after another, and Close, called mid-upload, must
+// still return within a bound, with no observation admitted after it
+// returns. A trial whose Close overruns hangs up its own clients, so a
+// regression fails instead of hanging.
+func TestCloseStopsBusyReader(t *testing.T) {
+	leak := checkGoroutines(t)
+	const trials, clients = 20, 4
+	const bound = 2 * time.Second
+	for trial := 0; trial < trials; trial++ {
+		f, err := fleet.New(testFleetConfig(clients))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Start(); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(f, Config{})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim := f.FeatureDim()
+		var clis []*Client
+		uploading := make(chan struct{}, clients)
+		for id := 0; id < clients; id++ {
+			cli, err := Dial(addr.String(), id, dim, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli.StartBatching(BatchConfig{BatchSize: 64, Window: 4})
+			clis = append(clis, cli)
+			go func() {
+				defer func() { uploading <- struct{}{} }()
+				vals := make([]float64, dim)
+				for i := 1; ; i++ {
+					if cli.ObserveQueued(time.Duration(i)*time.Microsecond, vals) != nil {
+						return // the server hung up
+					}
+				}
+			}()
+		}
+		hangUp := func() {
+			for _, cli := range clis {
+				cli.Close()
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(bound):
+			t.Errorf("trial %d: Close still blocked %v after it was called", trial, bound)
+			hangUp()
+			<-closed
+		}
+		accepted := srv.Counters().Accepted
+		hangUp()
+		for range clis {
+			<-uploading
+		}
+		if got := srv.Counters().Accepted; got != accepted {
+			t.Errorf("trial %d: %d observations admitted after Close returned", trial, got-accepted)
+		}
+		f.Close()
+		if t.Failed() {
+			break
+		}
+	}
+	leak()
+}
+
 // TestSnapshotOverTCP round-trips a session through the wire snapshot
 // path: SNAPSHOT_REQ (which first drains the client's queued
 // observations) → remove → RestoreSession(bytes) revives it, and the
