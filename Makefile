@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: all build vet fmt-check test test-short test-noavx test-race chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard perf-ab repro figures fleet-smoke clean
+.PHONY: all build vet fmt-check test test-short test-noavx test-race chaos-smoke server-smoke cover bench bench-json bench-compare bench-guard bench-ab perf-ab repro figures fleet-smoke clean
 
 all: build vet fmt-check test
 
@@ -136,13 +136,25 @@ bench-guard:
 	if [ $$# -lt 2 ]; then echo "need at least two BENCH_<n>.json files"; exit 1; fi; \
 	$(GO) run ./cmd/benchjson -compare -max-regress $(BENCH_MAX_REGRESS) -match '$(BENCH_GUARD_SET)' $$1 $$2
 
+# Interleaved A/B run of micro-benchmarks: BASE (any git revision,
+# checked out in a temporary worktree) against the working tree, one
+# package PKG compiled on both sides with go test -c, the benchmarks
+# matching BENCH run -count 1 per side for ROUNDS rounds, alternating and
+# flipping the order each round. Prints per benchmark both ns/op medians
+# and ranges, the working tree's win count with a two-sided sign-test p,
+# and both sides' allocs/op. See scripts/bench-ab.sh.
+ROUNDS ?= 10
+bench-ab:
+	@[ -n "$(BASE)" ] && [ -n "$(PKG)" ] && [ -n "$(BENCH)" ] || { echo "usage: make bench-ab BASE=<rev> PKG=<pkg> BENCH=<regex> [ROUNDS=10]"; exit 2; }
+	bash scripts/bench-ab.sh '$(BASE)' '$(PKG)' '$(BENCH)' '$(ROUNDS)'
+
 # Interleaved A/B run of the repository benchmark: BASE (any git
 # revision, checked out in a temporary worktree) against the working
 # tree, PAIRS pairs of perfbench runs of WORKLOAD (each as long as
 # BENCHMARK.json's run_seconds), alternating and flipping the order each
 # pair. Prints every run's status, then per end-to-end metric both
-# medians, BASE's IQR and the working tree's win count; fails if any run
-# failed. See scripts/perf-ab.sh.
+# medians, BASE's IQR, the working tree's win count and its sign-test p;
+# fails if any run failed. See scripts/perf-ab.sh.
 PAIRS ?= 10
 perf-ab:
 	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make perf-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }

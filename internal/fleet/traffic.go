@@ -3,7 +3,9 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"affectedge/internal/android"
@@ -142,9 +144,20 @@ func (AdversarialTraffic) NextGap(rng *rand.Rand, mean, t int) int { return 1 + 
 
 // PickApp implements TrafficModel.
 func (AdversarialTraffic) PickApp(rng *rand.Rand, apps []string, t int) string {
-	heavy := heaviestQuarter(apps)
+	heavy := catalogHeavy()
+	if !slices.Equal(apps, catalogNames()) {
+		heavy = heaviestQuarter(apps)
+	}
 	return heavy[rng.Intn(len(heavy))]
 }
+
+// catalogNames and catalogHeavy are the full catalog and its heaviest
+// quarter, computed once: every fleet launches from the full catalog, so
+// a launch needs neither the catalog map nor a sort.
+var (
+	catalogNames = sync.OnceValue(android.CatalogNames)
+	catalogHeavy = sync.OnceValue(func() []string { return heaviestQuarter(catalogNames()) })
+)
 
 // heaviestQuarter returns the top len/4 (min 1) apps of the catalog
 // by resident memory footprint, in deterministic order.

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +98,40 @@ func TestHeaviestQuarter(t *testing.T) {
 	}
 	if got := heaviestQuarter(apps[:1]); len(got) != 1 || got[0] != apps[0] {
 		t.Fatalf("single-app subset: %v", got)
+	}
+}
+
+// TestAdversarialPicksPinned pins the adversarial model's launch targets
+// for a fixed seed, over the full catalog (the memoised quarter) and over
+// a subset (computed per call): the sequences were recorded when every
+// launch rebuilt the catalog map and re-sorted.
+func TestAdversarialPicksPinned(t *testing.T) {
+	apps := android.CatalogNames()
+	for _, c := range []struct {
+		apps []string
+		want string
+	}{
+		{apps, "805bdf89272dc9b3ff5f082b0e5d3f4c70ee1e2b8932db0506dadd834f3395a0"},
+		{apps[:9], "eda21894a1d942a16c13efc2b5175763a9400d5c5505e19567900296b18345c8"},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		picks := make([]string, 256)
+		for tick := range picks {
+			picks[tick] = AdversarialTraffic{}.PickApp(rng, c.apps, tick)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(picks, ",")))); got != c.want {
+			t.Errorf("%d apps: picks hash %s, want %s (first picks %v)", len(c.apps), got, c.want, picks[:8])
+		}
+	}
+}
+
+// TestAdversarialPickAppAllocs: a launch from the full catalog allocates
+// nothing.
+func TestAdversarialPickAppAllocs(t *testing.T) {
+	apps := android.CatalogNames()
+	rng := rand.New(rand.NewSource(1))
+	if n := testing.AllocsPerRun(100, func() { AdversarialTraffic{}.PickApp(rng, apps, 0) }); n != 0 {
+		t.Fatalf("PickApp allocates %.1f times per launch, want 0", n)
 	}
 }
 

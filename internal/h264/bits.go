@@ -254,6 +254,17 @@ func (r *BitReader) peek16() (uint32, int) {
 	return uint32(r.cache >> 48), n
 }
 
+// leadingOnes returns how many of the upcoming bits, up to max (<= 56),
+// are ones, without consuming them. It refills first when fewer than max
+// bits are cached; since the bits below nbits are zero, the count never
+// runs past the valid bits, so skip(leadingOnes(max)) is always legal.
+func (r *BitReader) leadingOnes(max int) int {
+	if r.nbits < max {
+		r.refill()
+	}
+	return min(bits.LeadingZeros64(^r.cache), max)
+}
+
 // skip discards n cached bits; callers must have established n <= r.nbits.
 func (r *BitReader) skip(n int) {
 	r.cache <<= uint(n)

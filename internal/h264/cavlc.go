@@ -1,6 +1,9 @@
 package h264
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CAVLC-style residual coding.
 //
@@ -224,20 +227,22 @@ func writeLevel(w *BitWriter, levelCode int32, suffixLength int) {
 	w.WriteBits(uint64(levelCode-(15<<uint(suffixLength))), 12)
 }
 
-// readLevel decodes level_prefix / level_suffix into a level code.
+// readLevel decodes level_prefix / level_suffix into a level code. The
+// prefix is the count of leading zeros of the reader's cache; a prefix
+// past 15 or one that runs into the end of the stream takes the
+// bit-at-a-time loop, which consumes exactly what the original decoder
+// did before failing.
 func readLevel(r *BitReader, suffixLength int) (int32, error) {
-	prefix := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
+	if r.nbits < 16 {
+		r.refill()
+	}
+	prefix := bits.LeadingZeros64(r.cache)
+	if prefix < r.nbits && prefix <= 15 {
+		r.skip(prefix + 1)
+	} else {
+		var err error
+		if prefix, err = readLevelPrefixSlow(r); err != nil {
 			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		prefix++
-		if prefix > 15 {
-			return 0, fmt.Errorf("%w: level prefix too long", ErrBitstream)
 		}
 	}
 	if suffixLength == 0 {
@@ -272,41 +277,70 @@ func readLevel(r *BitReader, suffixLength int) (int32, error) {
 	return int32(15)<<uint(suffixLength) + int32(s), nil
 }
 
+// readLevelPrefixSlow reads level_prefix one bit at a time.
+func readLevelPrefixSlow(r *BitReader) (int, error) {
+	prefix := 0
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 1 {
+			return prefix, nil
+		}
+		prefix++
+		if prefix > 15 {
+			return 0, fmt.Errorf("%w: level prefix too long", ErrBitstream)
+		}
+	}
+}
+
 // DecodeResidual reads one 4x4 residual block from r and returns it with
 // the number of bits consumed.
 func DecodeResidual(r *BitReader) (Block4, int, error) {
 	var scan [16]int32
-	n, _, err := decodeResidualScan(r, &scan)
-	if err != nil {
+	start := r.BitsRead()
+	if _, err := decodeResidualScan(r, &scan); err != nil {
 		return Block4{}, 0, err
 	}
-	return FromZigZag(scan), n, nil
+	return FromZigZag(scan), r.BitsRead() - start, nil
 }
 
 // decodeResidualScan reads one residual block into zig-zag order without
-// allocating; the decoder's fused IQIT path consumes the scan directly.
-// scan is fully overwritten. Bit consumption and errors are identical to
-// the original slice-based decoder.
-func decodeResidualScan(r *BitReader, scan *[16]int32) (bits, nz int, err error) {
-	startBits := r.BitsRead()
-	*scan = [16]int32{}
+// allocating and returns its number of nonzero levels. A block without
+// levels is the single coeff_token bit 1: it is consumed and scan is left
+// as it was. A block with levels overwrites all of scan. Bit consumption
+// and errors are identical to the original slice-based decoder.
+//
+// The empty-block check is small enough to inline: the cache's bits past
+// nbits are zero, so a set top bit is a cached 1. An empty cache falls
+// through to readCoeffToken, which refills and decodes the 1 itself.
+func decodeResidualScan(r *BitReader, scan *[16]int32) (nz int, err error) {
+	if r.cache>>63 != 0 {
+		r.skip(1)
+		return 0, nil
+	}
+	return decodeCodedResidual(r, scan)
+}
+
+// decodeCodedResidual is decodeResidualScan past its empty-block check.
+func decodeCodedResidual(r *BitReader, scan *[16]int32) (nz int, err error) {
 	totalCoeff, trailingOnes, err := readCoeffToken(r)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if totalCoeff == 0 {
-		return r.BitsRead() - startBits, 0, nil
+		return 0, nil
 	}
 	var levels [16]int32 // reverse scan order
-	for i := 0; i < trailingOnes; i++ {
-		b, err := r.ReadBit()
+	if trailingOnes > 0 {
+		// One sign bit per trailing one, first level first: 1 = negative.
+		signs, err := r.ReadBits(trailingOnes)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		if b == 1 {
-			levels[i] = -1
-		} else {
-			levels[i] = 1
+		for i := 0; i < trailingOnes; i++ {
+			levels[i] = 1 - 2*int32(signs>>uint(trailingOnes-1-i)&1)
 		}
 	}
 	suffixLength := 0
@@ -316,7 +350,7 @@ func decodeResidualScan(r *BitReader, scan *[16]int32) (bits, nz int, err error)
 	for i := trailingOnes; i < totalCoeff; i++ {
 		code, err := readLevel(r, suffixLength)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		level := codeToLevel(code, i == trailingOnes && trailingOnes < 3)
 		levels[i] = level
@@ -333,36 +367,37 @@ func decodeResidualScan(r *BitReader, scan *[16]int32) (bits, nz int, err error)
 	}
 	tz, err := r.ReadUE()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	totalZeros := int(tz)
 	if totalCoeff+totalZeros > 16 {
-		return 0, 0, fmt.Errorf("%w: coeff+zeros %d exceeds block", ErrBitstream, totalCoeff+totalZeros)
+		return 0, fmt.Errorf("%w: coeff+zeros %d exceeds block", ErrBitstream, totalCoeff+totalZeros)
 	}
 	var runs [16]int
 	zerosLeft := totalZeros
 	for i := 0; i < totalCoeff-1 && zerosLeft > 0; i++ {
 		rb, err := r.ReadUE()
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if int(rb) > zerosLeft {
-			return 0, 0, fmt.Errorf("%w: run_before %d exceeds zeros left %d", ErrBitstream, rb, zerosLeft)
+			return 0, fmt.Errorf("%w: run_before %d exceeds zeros left %d", ErrBitstream, rb, zerosLeft)
 		}
 		runs[i] = int(rb)
 		zerosLeft -= int(rb)
 	}
 	runs[totalCoeff-1] = zerosLeft
 	// Rebuild the scan: place levels from the highest position downward.
+	*scan = [16]int32{}
 	pos := totalCoeff + totalZeros - 1
 	for i := 0; i < totalCoeff; i++ {
 		if pos < 0 || pos > 15 {
-			return 0, 0, fmt.Errorf("%w: scan position %d", ErrBitstream, pos)
+			return 0, fmt.Errorf("%w: scan position %d", ErrBitstream, pos)
 		}
 		scan[pos] = levels[i]
 		pos -= 1 + runs[i]
 	}
-	return r.BitsRead() - startBits, totalCoeff, nil
+	return totalCoeff, nil
 }
 
 // readCoeffToken decodes the nC<2 coeff_token. The fast path peeks 16 bits

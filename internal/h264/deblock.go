@@ -82,60 +82,6 @@ type filterStats struct {
 	samplesTouch    int // samples written
 }
 
-// filterEdge16 filters one 16-sample luma macroblock edge: the vertical
-// edge at column x covering rows y..y+15, or the horizontal edge at row y
-// covering columns x..x+15. mbInfo is per macroblock, so one bS holds
-// along the whole edge; bS > 0 and the thresholds decide, segment by
-// segment (a sample row of a vertical edge, a column of a horizontal
-// one), whether filtering occurs.
-//
-// Every sample this touches is in-frame by construction: DeblockFrame
-// only emits vertical edges with 4 <= x <= width-4 and horizontal edges
-// with 4 <= y <= height-4, so the four samples on each side sit inside
-// the plane, and the frame width (a multiple of 16) is the stride.
-//
-// The whole edge — threshold decisions and tap arithmetic for all
-// sixteen segments — is evaluated by one simd.DeblockEdge16 call, which
-// is bit-identical to the spec's sequential per-segment filter: integer
-// taps are exact, and a segment's writes stay on its own row (vertical)
-// or column (horizontal), never feeding another segment's reads. The
-// returned write masks reproduce the per-segment filter statistics.
-// The caller skips edges with bS == 0.
-func filterEdge16(f *Frame, x, y int, vertical bool, bS, qp int, st *filterStats) {
-	alpha := alphaTable[clampQP(qp)]
-	beta := betaTable[clampQP(qp)]
-	st.edgesExamined += 16
-	if alpha == 0 || beta == 0 {
-		// |d| >= 0 always fails a zero threshold: nothing can filter.
-		return
-	}
-	strong := bS >= 4
-	var tc0 int32
-	if !strong {
-		tc0 = tc0Table[bS-1][clampQP(qp)]
-	}
-	w := f.Width
-	var base int
-	if vertical {
-		base = y*w + x - 4
-	} else {
-		base = (y-4)*w + x
-	}
-	m0, mP, mQ := simd.DeblockEdge16(f.Y, base, w, vertical, alpha, beta, tc0, strong)
-	n := bits.OnesCount16(m0)
-	if n == 0 {
-		return
-	}
-	st.edgesFiltered += n
-	// Each filtered segment writes p0 and q0; mP/mQ flag the extra
-	// one-sample (normal) or two-sample (strong) side writes.
-	extra := 1
-	if strong {
-		extra = 2
-	}
-	st.samplesTouch += 2*n + extra*(bits.OnesCount16(mP)+bits.OnesCount16(mQ))
-}
-
 func clampQP(qp int) int {
 	if qp < 0 {
 		return 0
@@ -146,53 +92,93 @@ func clampQP(qp int) int {
 	return qp
 }
 
+// deblockParams are one frame's filter thresholds: alpha and beta at
+// the frame's QP, and tc0 indexed by bS (0 and 4 unused).
+type deblockParams struct {
+	alpha, beta int32
+	tc0         [5]int32
+}
+
 // DeblockFrame runs the in-loop filter over a reconstructed frame using
 // per-macroblock decode info (row-major, MBWidth x MBHeight). It returns
 // filter activity statistics for the power model.
+//
+// Per spec order, each macroblock's vertical edges are filtered, then
+// its horizontal edges, edges every 4 samples; a macroblock-boundary edge
+// gets mbEdge treatment, and every edge counts as four 4-sample edges.
+// mbInfo is per macroblock, so the three internal edges of a direction
+// share one bS, and one simd.DeblockMB call filters all of a direction's
+// edges.
 func DeblockFrame(f *Frame, mbs []mbInfo, qp int) filterStats {
 	var st filterStats
 	mbw, mbh := f.MBWidth(), f.MBHeight()
 	if len(mbs) != mbw*mbh {
 		return st
 	}
-	// Vertical edges then horizontal edges, per spec order; edges every 4
-	// samples, macroblock-boundary edges get mbEdge treatment. Each edge
-	// spans the macroblock: one filterEdge16 call, counted as four
-	// 4-sample edges.
+	q := clampQP(qp)
+	p := deblockParams{alpha: alphaTable[q], beta: betaTable[q],
+		tc0: [5]int32{1: tc0Table[0][q], 2: tc0Table[1][q], 3: tc0Table[2][q]}}
+	w := f.Width
 	for my := 0; my < mbh; my++ {
 		for mx := 0; mx < mbw; mx++ {
 			cur := mbs[my*mbw+mx]
-			for ex := 0; ex < 16; ex += 4 {
-				x := mx*16 + ex
-				if x == 0 {
-					continue
-				}
-				nb := cur
-				mbEdge := ex == 0
-				if mbEdge {
-					nb = mbs[my*mbw+mx-1]
-				}
+			inner := BoundaryStrength(cur, cur, false)
+			st.edgesConsidered += 24
+			// The frame's left and top borders are not edges.
+			left, top := 0, 0
+			if mx > 0 {
+				left = BoundaryStrength(mbs[my*mbw+mx-1], cur, true)
 				st.edgesConsidered += 4
-				if bS := BoundaryStrength(nb, cur, mbEdge); bS > 0 {
-					filterEdge16(f, x, my*16, true, bS, qp, &st)
-				}
 			}
-			for ey := 0; ey < 16; ey += 4 {
-				y := my*16 + ey
-				if y == 0 {
-					continue
-				}
-				nb := cur
-				mbEdge := ey == 0
-				if mbEdge {
-					nb = mbs[(my-1)*mbw+mx]
-				}
+			if my > 0 {
+				top = BoundaryStrength(mbs[(my-1)*mbw+mx], cur, true)
 				st.edgesConsidered += 4
-				if bS := BoundaryStrength(nb, cur, mbEdge); bS > 0 {
-					filterEdge16(f, mx*16, y, false, bS, qp, &st)
-				}
 			}
+			off := my*16*w + mx*16
+			filterMB(f.Y, off, w, true, left, inner, &p, &st)
+			filterMB(f.Y, off, w, false, top, inner, &p, &st)
 		}
 	}
 	return st
+}
+
+// filterMB filters one direction of the macroblock at f.Y[off]: its
+// boundary edge at strength edge0 (0 on the frame border) and its three
+// internal edges at strength inner. Edges with bS > 0 count their sixteen
+// segments as examined; the kernel's write masks give the segments
+// filtered and the samples written. Every sample this touches is
+// in-frame: the boundary edge runs only away from the frame border, so
+// the rows above (or the columns left) that it reads exist.
+func filterMB(y []uint8, off, stride int, vertical bool, edge0, inner int, p *deblockParams, st *filterStats) {
+	var edges, strong uint8
+	var tc0 [4]int32
+	if edge0 > 0 {
+		edges = 1
+		if edge0 == 4 {
+			strong = 1
+		}
+		tc0[0] = p.tc0[edge0]
+	}
+	if inner > 0 { // never 4: that needs a macroblock edge
+		edges |= 0xe
+		tc0[1], tc0[2], tc0[3] = p.tc0[inner], p.tc0[inner], p.tc0[inner]
+	}
+	if edges == 0 {
+		return
+	}
+	st.edgesExamined += 16 * bits.OnesCount8(edges)
+	if p.alpha == 0 || p.beta == 0 {
+		// |d| >= 0 always fails a zero threshold: nothing can filter.
+		return
+	}
+	m0, mP, mQ := simd.DeblockMB(y, off, stride, vertical, p.alpha, p.beta, &tc0, edges, strong)
+	n := bits.OnesCount64(m0)
+	st.edgesFiltered += n
+	// Each filtered segment writes p0 and q0; mP/mQ flag the extra
+	// one-sample (normal) or two-sample (strong, edge 0 only) side writes.
+	extra := bits.OnesCount64(mP) + bits.OnesCount64(mQ)
+	if strong != 0 {
+		extra += bits.OnesCount16(uint16(mP)) + bits.OnesCount16(uint16(mQ))
+	}
+	st.samplesTouch += 2*n + extra
 }

@@ -9,9 +9,12 @@ import (
 
 // diffStreams encodes the genuine streams FuzzDecodeDiff starts from:
 // small clips with motion, B-frames and QPs that leave most residuals
-// zero but not all, and the fleet's 6-frame probe clip in every mode.
-// It also returns the one stream the decoders must refuse: a tiny clip
-// whose SPS sets the chroma bit.
+// zero but not all, the fleet's 6-frame probe clip in every mode, and a
+// flat panning clip whose every inter macroblock is coded with a
+// nonzero vector and almost no residual: long runs of empty blocks, and
+// border macroblocks predicted past the reference's edge. It also
+// returns the one stream the decoders must refuse: a tiny clip whose SPS
+// sets the chroma bit.
 func diffStreams(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -37,8 +40,20 @@ func diffStreams(tb testing.TB) [][]byte {
 		}
 		out = append(out, stream)
 	}
+	pan, err := GenerateVideo(VideoConfig{Width: 64, Height: 48, Frames: 5, PanSpeed: 3, Detail: 0.3, Seed: 5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := NewEncoder(EncoderConfig{Width: 64, Height: 48, QP: 36, IntraPeriod: 8, SearchWindow: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	panStream, _, err := enc.EncodeSequence(pan)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	probe, _ := probeClip(tb, 6)
-	return append(out, probe[ModeStandard], probe[ModeDeletion], chromaSPSStream(tb))
+	return append(out, probe[ModeStandard], probe[ModeDeletion], chromaSPSStream(tb), panStream)
 }
 
 // maxDiffMBs bounds the picture size a fuzzed SPS may ask for, so a

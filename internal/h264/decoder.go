@@ -3,6 +3,7 @@ package h264
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Activity is the decoder's per-run activity accounting; the power model
@@ -59,15 +60,10 @@ type Decoder struct {
 	pool        *FramePool // optional frame recycling; nil means plain allocation
 	mbScratch   []mbInfo   // per-slice macroblock info, reused across slices
 	unitScratch []NAL      // split-stream scratch, reused across streams
-	mb          mbResidual // the current macroblock's parsed luma residual
-}
-
-// mbResidual is one macroblock's parsed luma residual: the zig-zag
-// levels of its sixteen 4x4 blocks in raster block order, and each
-// block's nonzero-level count.
-type mbResidual struct {
-	scan [16][16]int32
-	nz   [16]int
+	// The current macroblock's parsed luma residual: the zig-zag levels
+	// of its sixteen 4x4 blocks in raster block order. A block's scan is
+	// valid only when the block has nonzero levels.
+	scans [16][16]int32
 }
 
 // maxConcealGap bounds how many consecutive missing frame numbers the
@@ -317,60 +313,75 @@ func (d *Decoder) ConcealTo(n int) []*Frame {
 // predicted straight into the plane (its neighbours are the blocks
 // reconstructed before it), and the residual is added in place only
 // where the block has nonzero levels.
+//
+// Bit accounting: a block's header is its ue(v) mode code, whose length
+// follows from the value; the residual bits are the rest of what the
+// macroblock consumed. On an error only the syntax elements read whole
+// count, so each block's start position is kept.
 func (d *Decoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info *mbInfo) error {
 	info.intra = true
 	w := recon.Width
-	scan := &d.mb.scan[0]
+	scan := &d.scans[0]
+	start := r.BitsRead()
+	hdr, res := 0, 0
+	var err error
 	for blk := 0; blk < 16; blk++ {
-		x, y := mx*16+blk%4*4, my*16+blk/4*4
-		before := r.BitsRead()
-		modeVal, err := r.ReadUE()
-		if err != nil {
-			return err
+		mark := r.BitsRead()
+		res = mark - start - hdr
+		var modeVal uint32
+		if modeVal, err = r.ReadUE(); err != nil {
+			break
 		}
-		d.activity.HeaderBits += r.BitsRead() - before
+		hdr += 2*bits.Len64(uint64(modeVal)+1) - 1
+		x, y := mx*16+blk%4*4, my*16+blk/4*4
 		off := y*w + x
-		if err := predictIntraInto(recon.Y, off, w, x > 0, y > 0, IntraMode(modeVal)); err != nil {
-			return err
+		if err = predictIntraInto(recon.Y, off, w, x > 0, y > 0, IntraMode(modeVal)); err != nil {
+			break
 		}
 		d.activity.IntraBlocks++
-		bits, nz, err := decodeResidualScan(r, scan)
-		if err != nil {
-			return err
+		var nz int
+		if nz, err = decodeResidualScan(r, scan); err != nil {
+			break
 		}
-		d.activity.ResidualBits += bits
 		d.activity.BlocksIQIT++
 		if nz > 0 {
 			info.coded = true
-			var res Block4
-			if err := iqitScanInto(scan, d.qp, &res); err != nil {
-				return err
+			var resid Block4
+			if err = iqitScanInto(scan, d.qp, &resid); err != nil {
+				res = r.BitsRead() - start - hdr
+				break
 			}
-			addResidual4(recon.Y[off:], recon.Y[off:], w, w, &res)
+			addResidual4(recon.Y[off:], recon.Y[off:], w, w, &resid)
 		}
 	}
-	d.activity.CodedMBs++
-	return nil
+	if err == nil {
+		res = r.BitsRead() - start - hdr
+		d.activity.CodedMBs++
+	}
+	d.activity.HeaderBits += hdr
+	d.activity.ResidualBits += res
+	return err
 }
 
 // decodeInterMB mirrors Encoder.encodeInterMB. All sixteen residual
 // blocks are parsed before any sample is written: motion-compensated
 // prediction reads only the reference frame, never this macroblock's
 // own reconstruction, so the order of parsing and reconstruction is
-// free.
+// free. A block without levels is the single bit 1, so a run of k such
+// blocks is k leading ones of the reader's cache, taken in one step.
 func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mbInfo) error {
-	before := r.BitsRead()
+	start := r.BitsRead()
 	skip, err := r.ReadBit()
 	if err != nil {
 		return err
 	}
 	if skip == 1 {
-		d.activity.HeaderBits += r.BitsRead() - before
+		d.activity.HeaderBits++
 		d.activity.SkipMBs++
 		// A skip MB is zero-MV prediction plus zero residual; the sixteen
 		// 4x4 motion-compensated predictions it stands for still count
 		// toward InterBlocks.
-		if err := d.reconInterMB(recon, mx, my, MV{}, false); err != nil {
+		if err := d.reconInterMB(recon, mx, my, MV{}, 0); err != nil {
 			return err
 		}
 		d.activity.InterBlocks += 16
@@ -384,84 +395,93 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	if err != nil {
 		return err
 	}
-	d.activity.HeaderBits += r.BitsRead() - before
+	hdrEnd := r.BitsRead()
+	d.activity.HeaderBits += hdrEnd - start
 	mv := MV{int(mvx), int(mvy)}
 	info.mv = mv
-	for blk := range d.mb.scan {
-		d.activity.InterBlocks++
-		bits, nz, err := decodeResidualScan(r, &d.mb.scan[blk])
-		if err != nil {
+	var coded uint16
+	for blk := 0; blk < 16; {
+		if k := r.leadingOnes(16 - blk); k > 0 {
+			r.skip(k)
+			blk += k
+			continue
+		}
+		mark := r.BitsRead()
+		if _, err := decodeCodedResidual(r, &d.scans[blk]); err != nil {
+			// As when each block was counted on its own: the failing
+			// block's prediction counts, its residual does not.
+			d.activity.InterBlocks += blk + 1
+			d.activity.BlocksIQIT += blk
+			d.activity.ResidualBits += mark - hdrEnd
 			return err
 		}
-		d.activity.ResidualBits += bits
-		d.activity.BlocksIQIT++
-		d.mb.nz[blk] = nz
-		if nz > 0 {
-			info.coded = true
-		}
+		coded |= 1 << blk // a block that is not the bit 1 has levels
+		blk++
 	}
-	if err := d.reconInterMB(recon, mx, my, mv, info.coded); err != nil {
+	d.activity.InterBlocks += 16
+	d.activity.BlocksIQIT += 16
+	d.activity.ResidualBits += r.BitsRead() - hdrEnd
+	info.coded = coded != 0
+	if err := d.reconInterMB(recon, mx, my, mv, coded); err != nil {
 		return err
 	}
 	d.activity.CodedMBs++
 	return nil
 }
 
-// reconInterMB writes the luma of inter macroblock (mx, my): prediction
-// from the reference displaced by mv plus the parsed residual in d.mb,
-// or no residual at all when coded is false. Residual-free blocks are
-// exact copies of their prediction (clamp(pred+0) == pred for uint8
-// samples), so they skip the inverse transform; an uncoded macroblock
-// whose whole 16x16 prediction lies inside the reference is sixteen row
-// copies. Only blocks whose prediction reaches past the reference's edge
-// go through PredictInter4's edge extension.
-func (d *Decoder) reconInterMB(recon *Frame, mx, my int, mv MV, coded bool) error {
+// reconInterMB writes the luma of inter macroblock (mx, my): the 16x16
+// prediction from the reference displaced by mv, then the parsed
+// residual in d.scans added in place to the blocks flagged in coded.
+// Residual-free blocks are exact copies of their prediction
+// (clamp(pred+0) == pred for uint8 samples), so they skip the inverse
+// transform. A prediction inside the reference is sixteen row copies;
+// one that reaches past its edge is gathered through clamped
+// coordinates (edge extension), each column's once.
+func (d *Decoder) reconInterMB(recon *Frame, mx, my int, mv MV, coded uint16) error {
 	ref := d.lastRef
 	dw, sw := recon.Width, ref.Width
 	x0, y0 := mx*16+mv.X, my*16+mv.Y
-	if !coded && x0 >= 0 && y0 >= 0 && x0+16 <= ref.Width && y0+16 <= ref.Height {
-		dst := recon.Y[my*16*dw+mx*16:]
+	dst := recon.Y[my*16*dw+mx*16:]
+	if x0 >= 0 && y0 >= 0 && x0+16 <= sw && y0+16 <= ref.Height {
 		src := ref.Y[y0*sw+x0:]
 		for row := 0; row < 16; row++ {
 			copy16(dst[row*dw:], src[row*sw:])
 		}
-		return nil
-	}
-	for blk := 0; blk < 16; blk++ {
-		bx, by := blk%4*4, blk/4*4
-		x, y := mx*16+bx, my*16+by
-		var res Block4
-		hasRes := coded && d.mb.nz[blk] > 0
-		if hasRes {
-			if err := iqitScanInto(&d.mb.scan[blk], d.qp, &res); err != nil {
-				return err
+	} else {
+		var xs [16]int
+		for c := range xs {
+			xs[c] = min(max(x0+c, 0), sw-1)
+		}
+		for row := 0; row < 16; row++ {
+			sy := min(max(y0+row, 0), ref.Height-1)
+			s, d := ref.Y[sy*sw:sy*sw+sw], dst[row*dw:row*dw+16]
+			for c := range d {
+				d[c] = s[xs[c]]
 			}
 		}
-		sx, sy := x0+bx, y0+by
-		if sx < 0 || sy < 0 || sx+4 > ref.Width || sy+4 > ref.Height {
-			reconstructBlock(recon, x, y, PredictInter4(ref, x, y, mv), res)
-			continue
+	}
+	for m := coded; m != 0; m &= m - 1 {
+		blk := bits.TrailingZeros16(m)
+		var res Block4
+		if err := iqitScanInto(&d.scans[blk], d.qp, &res); err != nil {
+			return err
 		}
-		bd, bs := recon.Y[y*dw+x:], ref.Y[sy*sw+sx:]
-		if hasRes {
-			addResidual4(bd, bs, dw, sw, &res)
-			continue
-		}
-		for row := 0; row < 4; row++ {
-			copy4(bd[row*dw:], bs[row*sw:])
-		}
+		bd := dst[blk/4*4*dw+blk%4*4:]
+		addResidual4(bd, bd, dw, dw, &res)
 	}
 	return nil
 }
 
 // copy4 and copy16 copy one 4- or 16-sample row segment as word moves
 // (a slice copy this short costs more in the memmove call than in the
-// move).
+// move). Reslicing both operands to the segment first leaves one bounds
+// check each.
 func copy4(dst, src []uint8) {
-	binary.LittleEndian.PutUint32(dst, binary.LittleEndian.Uint32(src))
+	binary.LittleEndian.PutUint32(dst[:4], binary.LittleEndian.Uint32(src[:4]))
 }
 
 func copy16(dst, src []uint8) {
-	binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
-	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+	d, s := dst[:16], src[:16]
+	binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
 }

@@ -4,12 +4,14 @@ import "fmt"
 
 // refDecoder is the per-4x4-block decoder from before the
 // macroblock-granular rewrite (the bits_ref_test.go pattern): every luma
-// block, skip macroblocks included, is predicted into a Block4 (intra
-// through predictIntra4Ref), run through iqitScanInto whatever its
-// residual, and reconstructed through reconstructBlock; the frame is
-// deblocked by deblockFrameRef's per-segment scalar filter. It is the
-// oracle FuzzDecodeDiff and TestDecodeResizedReference hold the Decoder
-// to: same frames, same Activity, same errors.
+// block, skip macroblocks included, is predicted into a Block4 (through
+// predictIntra4Ref and predictInter4Ref), its residual parsed one syntax
+// element and one bit at a time (decodeResidualScanRef) and measured on
+// its own, run through iqitScanInto whatever its residual, and
+// reconstructed through reconstructBlock; the frame is deblocked by
+// deblockFrameRef's per-segment scalar filter. It is the oracle
+// FuzzDecodeDiff and TestDecodeResizedReference hold the Decoder to:
+// same frames, same Activity, same errors.
 type refDecoder struct {
 	deblock bool
 
@@ -181,7 +183,7 @@ func (d *refDecoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info 
 			}
 			d.activity.IntraBlocks++
 			var scan [16]int32
-			bits, nz, err := decodeResidualScan(r, &scan)
+			bits, nz, err := decodeResidualScanRef(r, &scan)
 			if err != nil {
 				return err
 			}
@@ -213,7 +215,7 @@ func (d *refDecoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info 
 		for by := 0; by < 16; by += 4 {
 			for bx := 0; bx < 16; bx += 4 {
 				x, y := mx*16+bx, my*16+by
-				reconstructBlock(recon, x, y, PredictInter4(d.lastRef, x, y, MV{}), Block4{})
+				reconstructBlock(recon, x, y, predictInter4Ref(d.lastRef, x, y, MV{}), Block4{})
 				d.activity.InterBlocks++
 			}
 		}
@@ -233,10 +235,10 @@ func (d *refDecoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info 
 	for by := 0; by < 16; by += 4 {
 		for bx := 0; bx < 16; bx += 4 {
 			x, y := mx*16+bx, my*16+by
-			pred := PredictInter4(d.lastRef, x, y, mv)
+			pred := predictInter4Ref(d.lastRef, x, y, mv)
 			d.activity.InterBlocks++
 			var scan [16]int32
-			bits, nz, err := decodeResidualScan(r, &scan)
+			bits, nz, err := decodeResidualScanRef(r, &scan)
 			if err != nil {
 				return err
 			}
@@ -308,4 +310,135 @@ func predictIntra4Ref(f *Frame, bx, by int, mode IntraMode) (Block4, error) {
 		return pred, fmt.Errorf("h264: unknown intra mode %d", int(mode))
 	}
 	return pred, nil
+}
+
+// decodeResidualScanRef is the residual parser from before the
+// run-of-ones and count-leading-zeros fast paths: every block clears its
+// scan, trailing-one signs and level prefixes are read one bit at a
+// time, and the block's bit count is measured around it.
+func decodeResidualScanRef(r *BitReader, scan *[16]int32) (bits, nz int, err error) {
+	startBits := r.BitsRead()
+	*scan = [16]int32{}
+	totalCoeff, trailingOnes, err := readCoeffToken(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	if totalCoeff == 0 {
+		return r.BitsRead() - startBits, 0, nil
+	}
+	var levels [16]int32 // reverse scan order
+	for i := 0; i < trailingOnes; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, 0, err
+		}
+		if b == 1 {
+			levels[i] = -1
+		} else {
+			levels[i] = 1
+		}
+	}
+	suffixLength := 0
+	if totalCoeff > 10 && trailingOnes < 3 {
+		suffixLength = 1
+	}
+	for i := trailingOnes; i < totalCoeff; i++ {
+		code, err := readLevelRef(r, suffixLength)
+		if err != nil {
+			return 0, 0, err
+		}
+		level := codeToLevel(code, i == trailingOnes && trailingOnes < 3)
+		levels[i] = level
+		if suffixLength == 0 {
+			suffixLength = 1
+		}
+		abs := level
+		if abs < 0 {
+			abs = -abs
+		}
+		if abs > (3<<(suffixLength-1)) && suffixLength < 6 {
+			suffixLength++
+		}
+	}
+	tz, err := r.ReadUE()
+	if err != nil {
+		return 0, 0, err
+	}
+	totalZeros := int(tz)
+	if totalCoeff+totalZeros > 16 {
+		return 0, 0, fmt.Errorf("%w: coeff+zeros %d exceeds block", ErrBitstream, totalCoeff+totalZeros)
+	}
+	var runs [16]int
+	zerosLeft := totalZeros
+	for i := 0; i < totalCoeff-1 && zerosLeft > 0; i++ {
+		rb, err := r.ReadUE()
+		if err != nil {
+			return 0, 0, err
+		}
+		if int(rb) > zerosLeft {
+			return 0, 0, fmt.Errorf("%w: run_before %d exceeds zeros left %d", ErrBitstream, rb, zerosLeft)
+		}
+		runs[i] = int(rb)
+		zerosLeft -= int(rb)
+	}
+	runs[totalCoeff-1] = zerosLeft
+	pos := totalCoeff + totalZeros - 1
+	for i := 0; i < totalCoeff; i++ {
+		if pos < 0 || pos > 15 {
+			return 0, 0, fmt.Errorf("%w: scan position %d", ErrBitstream, pos)
+		}
+		scan[pos] = levels[i]
+		pos -= 1 + runs[i]
+	}
+	return r.BitsRead() - startBits, totalCoeff, nil
+}
+
+// readLevelRef is readLevel with its prefix read one bit at a time.
+func readLevelRef(r *BitReader, suffixLength int) (int32, error) {
+	prefix, err := readLevelPrefixSlow(r)
+	if err != nil {
+		return 0, err
+	}
+	if suffixLength == 0 {
+		switch {
+		case prefix < 14:
+			return int32(prefix), nil
+		case prefix == 14:
+			s, err := r.ReadBits(4)
+			if err != nil {
+				return 0, err
+			}
+			return 14 + int32(s), nil
+		default:
+			s, err := r.ReadBits(12)
+			if err != nil {
+				return 0, err
+			}
+			return 30 + int32(s), nil
+		}
+	}
+	if prefix < 15 {
+		s, err := r.ReadBits(suffixLength)
+		if err != nil {
+			return 0, err
+		}
+		return int32(prefix)<<uint(suffixLength) | int32(s), nil
+	}
+	s, err := r.ReadBits(12)
+	if err != nil {
+		return 0, err
+	}
+	return int32(15)<<uint(suffixLength) + int32(s), nil
+}
+
+// predictInter4Ref is the historical PredictInter4 body: every sample
+// read through the clamping YAt accessor.
+func predictInter4Ref(ref *Frame, bx, by int, mv MV) Block4 {
+	var pred Block4
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			pred[r*4+c] = int32(ref.YAt(bx+c+mv.X, by+r+mv.Y))
+		}
+	}
+	return pred
 }

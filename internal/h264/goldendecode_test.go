@@ -124,3 +124,28 @@ func TestGoldenDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeDecodeAllocs guards the fleet's probe loop: with a pool
+// attached and the frames handed back after each decode, a probe decode
+// allocates nothing in any mode (the steady state BenchmarkProbeDecode
+// measures).
+func TestProbeDecodeAllocs(t *testing.T) {
+	streams, total := probeClip(t, 6)
+	for _, mode := range Modes() {
+		dec := NewDecoder()
+		pool := NewFramePool()
+		dec.SetPool(pool)
+		var out []*Frame
+		probe := func() {
+			var err error
+			if out, err = probeDecode(dec, mode, streams[mode], total, out[:0]); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			pool.PutAll(out)
+		}
+		probe() // fill the pool and size the scratch buffers
+		if n := testing.AllocsPerRun(10, probe); n != 0 {
+			t.Errorf("%s: %.1f allocations per probe decode, want 0", mode, n)
+		}
+	}
+}

@@ -53,6 +53,9 @@ func flattenFrame(src *Frame, base, spread uint8) *Frame {
 	return f
 }
 
+// TestSADBlockMatchesRef holds sadBlock and PredictInter4 to their
+// YAt-based references over every block and a spread of vectors, many
+// reaching past the frame's edges.
 func TestSADBlockMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	orig := randFrame(rng, 48, 32)
@@ -70,6 +73,9 @@ func TestSADBlockMatchesRef(t *testing.T) {
 					if got != want {
 						t.Fatalf("enabled=%v block (%d,%d) mv %+v: sad %d want %d",
 							on, bx, by, mv, got, want)
+					}
+					if p, w := PredictInter4(ref, bx, by, mv), predictInter4Ref(ref, bx, by, mv); p != w {
+						t.Fatalf("block (%d,%d) mv %+v: PredictInter4 %v want %v", bx, by, mv, p, w)
 					}
 				}
 			}

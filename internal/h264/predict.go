@@ -136,10 +136,18 @@ func PredictInter4(ref *Frame, bx, by int, mv MV) Block4 {
 		}
 		return pred
 	}
+	// Edge extension: clamp the four source columns once, then each row.
+	w, h := ref.Width, ref.Height
+	var xs [4]int
+	for c := range xs {
+		xs[c] = min(max(x0+c, 0), w-1)
+	}
 	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			pred[r*4+c] = int32(ref.YAt(bx+c+mv.X, by+r+mv.Y))
-		}
+		row := ref.Y[min(max(y0+r, 0), h-1)*w:]
+		pred[r*4] = int32(row[xs[0]])
+		pred[r*4+1] = int32(row[xs[1]])
+		pred[r*4+2] = int32(row[xs[2]])
+		pred[r*4+3] = int32(row[xs[3]])
 	}
 	return pred
 }

@@ -390,69 +390,77 @@ func SAD4x4Ref(a []byte, astride int, b []byte, bstride int) int32 {
 	return sad
 }
 
-// DeblockEdge16 applies the H.264 in-loop luma deblocking filter to all
-// sixteen segments of one macroblock edge in y, in place. The sample
-// layout is fixed by the caller-supplied base:
+// DeblockMB applies the H.264 in-loop luma deblocking filter to the
+// edges of one 16x16 macroblock in one direction, in place and in the
+// spec's order. The macroblock's top-left sample is y[off], rows stride
+// apart. Edge e (0..3) is the vertical edge left of column 4e
+// (vertical) or the horizontal edge above row 4e; edge 0 is the
+// macroblock boundary. Bit e of edges selects edge e; bit e of strong
+// gives it the bS == 4 filter, and otherwise tc0[e] is its clipping
+// bound. Segment i of an edge is row i (vertical) or column i
+// (horizontal).
 //
-//   - vertical edge: segment i reads the eight contiguous bytes
-//     [p3 p2 p1 p0 q0 q1 q2 q3] at y[base+i·stride .. base+i·stride+8),
-//     i = 0..15; stride must be at least 8
-//   - horizontal edge: row k = y[base+k·stride .. base+k·stride+16)
-//     holds p3..q3 for k = 0..7, and segment i is column i; stride must
-//     be at least 16
+// Reads: every row's sixteen samples; with edge 0, a vertical call also
+// reads the eight samples left of each row and a horizontal one the
+// four rows above. stride must be at least 16, and at least 24 for a
+// vertical call with edge 0. alpha and beta must be in [1, 255] (the
+// caller screens the zero thresholds, under which nothing can filter),
+// and tc0 in [0, 25], the range of the spec's table 8-17.
 //
-// alpha and beta must be in [1, 255] (the caller screens the zero
-// thresholds, under which nothing can filter). For bS < 4, strong is
-// false and tc0 is the spec's clipping bound; for bS == 4, strong is
-// true and tc0 is ignored. The returned masks drive the caller's
-// filter statistics: bit i of m0 is segment i's filterSamplesFlag (p0
-// and q0 written), and mP/mQ flag the extra p-side/q-side writes (one
-// sample each for the normal filter, two for the strong one).
+// The returned masks drive the caller's filter statistics: bit 16e+i of
+// m0 is edge e's segment i filterSamplesFlag (p0 and q0 written), and
+// mP/mQ flag the extra p-side/q-side writes (one sample each for the
+// normal filter, two for the strong one).
 //
-// Every tap is integer arithmetic that fits int16 lanes, so the packed
-// kernel is bit-identical to the scalar reference; segments write only
-// their own row (vertical) or column (horizontal) and never feed
-// another segment's reads, so evaluating all sixteen at once matches
-// the reference's sequential order exactly.
-func DeblockEdge16(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint16) {
+// The packed kernel is bit-identical to the scalar reference: every tap
+// is exact integer arithmetic (byte-lane forms of the normal filter,
+// int16 lanes for the strong one). A segment writes only its own row
+// (vertical) or column (horizontal) and never feeds another segment's
+// reads, so the kernel evaluates an edge's sixteen segments at once and
+// each segment still sees the edges in order, as in the reference's
+// edge-by-edge loop.
+func DeblockMB(y []byte, off, stride int, vertical bool, alpha, beta int32, tc0 *[4]int32, edges, strong uint8) (m0, mP, mQ uint64) {
 	if enabled {
-		var s, v int32
-		if strong {
-			s = 1
-		}
+		var v int32
+		lo := off
 		if vertical {
 			v = 1
-			_ = y[base+15*stride+7]
-		} else {
-			_ = y[base+7*stride+15]
+			if edges&1 != 0 {
+				lo = off - 8
+			}
+		} else if edges&1 != 0 {
+			lo = off - 4*stride
 		}
-		m := deblockEdge16AVX(&y[base], stride, alpha, beta, tc0, s, v)
-		return uint16(m), uint16(m >> 16), uint16(m >> 32)
+		_ = y[lo]
+		_ = y[off+15*stride+15]
+		return deblockMBAVX(&y[off], stride, alpha, beta, tc0, int32(edges), int32(strong), v)
 	}
-	return DeblockEdge16Ref(y, base, stride, vertical, alpha, beta, tc0, strong)
+	return DeblockMBRef(y, off, stride, vertical, alpha, beta, tc0, edges, strong)
 }
 
-// DeblockEdge16Ref is the portable DeblockEdge16 body: the spec's
-// per-segment filter, applied to the sixteen segments in order.
-func DeblockEdge16Ref(y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) (m0, mP, mQ uint16) {
-	for i := 0; i < 16; i++ {
-		var p0idx, step int
-		if vertical {
-			p0idx = base + i*stride + 3
-			step = 1
-		} else {
-			p0idx = base + 3*stride + i
-			step = stride
+// DeblockMBRef is the portable DeblockMB body: the spec's per-segment
+// filter, edge by edge, each edge's sixteen segments in order.
+func DeblockMBRef(y []byte, off, stride int, vertical bool, alpha, beta int32, tc0 *[4]int32, edges, strong uint8) (m0, mP, mQ uint64) {
+	for e := 0; e < 4; e++ {
+		if edges>>e&1 == 0 {
+			continue
 		}
-		f0, fP, fQ := deblockSegment(y, p0idx, step, alpha, beta, tc0, strong)
-		if f0 {
-			m0 |= 1 << i
-		}
-		if fP {
-			mP |= 1 << i
-		}
-		if fQ {
-			mQ |= 1 << i
+		for i := 0; i < 16; i++ {
+			p0idx, step := off+i*stride+4*e-1, 1
+			if !vertical {
+				p0idx, step = off+(4*e-1)*stride+i, stride
+			}
+			f0, fP, fQ := deblockSegment(y, p0idx, step, alpha, beta, tc0[e], strong>>e&1 != 0)
+			bit := uint64(1) << (16*e + i)
+			if f0 {
+				m0 |= bit
+			}
+			if fP {
+				mP |= bit
+			}
+			if fQ {
+				mQ |= bit
+			}
 		}
 	}
 	return

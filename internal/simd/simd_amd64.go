@@ -46,7 +46,7 @@ func fftStage2AVX(x *complex128, n int, w complex128)
 func sad4x4SSE(a *byte, astride int, b *byte, bstride int) int32
 
 //go:noescape
-func deblockEdge16AVX(p *byte, stride int, alpha, beta, tc0, strong, vertical int32) uint64
+func deblockMBAVX(p *byte, stride int, alpha, beta int32, tc0 *[4]int32, edges, strong, vertical int32) (m0, mP, mQ uint64)
 
 //go:noescape
 func qgemmAVX(acc *int32, x *int8, wp *int16, bp *int32, m, in, out int)

@@ -39,7 +39,7 @@ func sad4x4SSE(a *byte, astride int, b *byte, bstride int) int32 {
 	panic("simd: no vector backend")
 }
 
-func deblockEdge16AVX(p *byte, stride int, alpha, beta, tc0, strong, vertical int32) uint64 {
+func deblockMBAVX(p *byte, stride int, alpha, beta int32, tc0 *[4]int32, edges, strong, vertical int32) (m0, mP, mQ uint64) {
 	panic("simd: no vector backend")
 }
 

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -332,12 +333,13 @@ func TestSAD4x4Diff(t *testing.T) {
 	})
 }
 
-// deblockBuf returns a random edge buffer for DeblockEdge16: stride is
-// at least 16, so a horizontal edge's 16-byte rows and a vertical
-// edge's 8-byte segments never alias, as in a frame of width >= 16.
+// deblockBuf returns a random plane for DeblockMB: stride is at least
+// 24, so a vertical call's 24-sample row windows never alias, and the
+// macroblock at deblockOff(stride) has the eight columns and four rows
+// that edge 0 reads to its left and above.
 func deblockBuf(rng *rand.Rand, trial int) (y []byte, stride int) {
-	stride = 16 + rng.Intn(16)
-	y = make([]byte, 16*stride+16)
+	stride = 24 + rng.Intn(16)
+	y = make([]byte, 21*stride+16)
 	rng.Read(y)
 	switch trial % 3 {
 	case 0:
@@ -347,10 +349,11 @@ func deblockBuf(rng *rand.Rand, trial int) (y []byte, stride int) {
 			y[i] = base + byte(rng.Intn(5))
 		}
 	case 1:
-		// Step edge: large p/q gap exercises the clips.
+		// Steps every four columns and rows: large p/q gaps exercise
+		// the clips on every edge.
 		for i := range y {
 			y[i] = byte(40 + rng.Intn(3))
-			if i%stride >= 4 {
+			if (i%stride/4+i/stride/4)%2 == 1 {
 				y[i] = byte(200 + rng.Intn(3))
 			}
 		}
@@ -358,46 +361,81 @@ func deblockBuf(rng *rand.Rand, trial int) (y []byte, stride int) {
 	return y, stride
 }
 
-// checkDeblockEdge16 runs the kernel and the reference on copies of y
-// and fails on any difference in the masks or the bytes.
-func checkDeblockEdge16(t *testing.T, y []byte, base, stride int, vertical bool, alpha, beta, tc0 int32, strong bool) {
+// deblockOff is the macroblock's top-left sample in a deblockBuf plane.
+func deblockOff(stride int) int { return 4*stride + 8 }
+
+// checkDeblockMB runs the kernel and the reference on copies of y and
+// fails on any difference in the masks or the bytes.
+func checkDeblockMB(t *testing.T, y []byte, stride int, vertical bool, alpha, beta int32, tc0 *[4]int32, edges, strong uint8) {
 	t.Helper()
+	off := deblockOff(stride)
 	got := append([]byte(nil), y...)
 	want := append([]byte(nil), y...)
-	g0, gP, gQ := DeblockEdge16(got, base, stride, vertical, alpha, beta, tc0, strong)
-	w0, wP, wQ := DeblockEdge16Ref(want, base, stride, vertical, alpha, beta, tc0, strong)
+	g0, gP, gQ := DeblockMB(got, off, stride, vertical, alpha, beta, tc0, edges, strong)
+	w0, wP, wQ := DeblockMBRef(want, off, stride, vertical, alpha, beta, tc0, edges, strong)
+	ctx := fmt.Sprintf("enabled=%v v=%v edges=%04b strong=%04b a=%d b=%d tc0=%v", Enabled(), vertical, edges, strong, alpha, beta, *tc0)
 	if g0 != w0 || gP != wP || gQ != wQ {
-		t.Fatalf("enabled=%v v=%v strong=%v a=%d b=%d tc0=%d: masks got %016b/%016b/%016b want %016b/%016b/%016b",
-			Enabled(), vertical, strong, alpha, beta, tc0, g0, gP, gQ, w0, wP, wQ)
+		t.Fatalf("%s: masks got %016x/%016x/%016x want %016x/%016x/%016x", ctx, g0, gP, gQ, w0, wP, wQ)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("enabled=%v v=%v strong=%v a=%d b=%d tc0=%d: byte %d (row %d col %d) got %d want %d (orig %d)",
-				Enabled(), vertical, strong, alpha, beta, tc0, i, i/stride, i%stride, got[i], want[i], y[i])
+			t.Fatalf("%s: byte %d (row %d col %d) got %d want %d (orig %d)",
+				ctx, i, i/stride, i%stride, got[i], want[i], y[i])
 		}
 	}
 }
 
+// TestDeblockMBDiff holds DeblockMB to DeblockMBRef over random planes
+// at every edge mask and every strong-filter pattern, both directions.
+func TestDeblockMBDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	thresholds := []int32{1, 2, 4, 17, 100, 254, 255}
+	withBothDispatch(t, func(t *testing.T, on bool) {
+		trial := 0
+		for edges := 0; edges < 16; edges++ {
+			for strong := 0; strong < 16; strong++ {
+				for _, vertical := range []bool{false, true} {
+					y, stride := deblockBuf(rng, trial)
+					trial++
+					var tc0 [4]int32
+					for e := range tc0 {
+						tc0[e] = int32(rng.Intn(26))
+					}
+					alpha := thresholds[rng.Intn(len(thresholds))]
+					beta := thresholds[rng.Intn(len(thresholds))]
+					checkDeblockMB(t, y, stride, vertical, alpha, beta, &tc0, uint8(edges), uint8(strong))
+				}
+			}
+		}
+	})
+}
+
+// TestDeblockEdge16Diff drives DeblockMB one edge at a time: a single
+// 16-segment edge at each position, normal and strong, both directions.
 func TestDeblockEdge16Diff(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	thresholds := []int32{1, 2, 4, 17, 100, 254, 255}
 	withBothDispatch(t, func(t *testing.T, on bool) {
 		for trial := 0; trial < 600; trial++ {
 			y, stride := deblockBuf(rng, trial)
-			base := rng.Intn(4)
+			edges := uint8(1) << rng.Intn(4)
 			alpha := thresholds[rng.Intn(len(thresholds))]
 			beta := thresholds[rng.Intn(len(thresholds))]
 			tc0 := int32(rng.Intn(26))
-			strong := trial%2 == 1
+			var strong uint8
+			if trial%2 == 1 {
+				strong = edges
+			}
 			vertical := trial%4 < 2
-			checkDeblockEdge16(t, y, base, stride, vertical, alpha, beta, tc0, strong)
+			checkDeblockMB(t, y, stride, vertical, alpha, beta, &[4]int32{tc0, tc0, tc0, tc0}, edges, strong)
 		}
 	})
 }
 
-// FuzzDeblockEdge16Diff drives the packed kernel against
-// DeblockEdge16Ref over fuzz-chosen samples, thresholds, clipping bound,
-// filter strength and edge direction, at both dispatch settings.
+// FuzzDeblockEdge16Diff drives DeblockMB against DeblockMBRef over
+// fuzz-chosen samples, thresholds, clipping bound, filter strength and
+// edge direction, at both dispatch settings; baser picks which of the
+// macroblock's four edges runs.
 func FuzzDeblockEdge16Diff(f *testing.F) {
 	f.Add([]byte{100, 101, 103, 99, 100, 102}, uint8(0), uint8(40), uint8(6), uint8(4), false, false)
 	f.Add([]byte{100, 101, 103, 99, 100, 102}, uint8(3), uint8(40), uint8(6), uint8(4), true, true)
@@ -408,11 +446,11 @@ func FuzzDeblockEdge16Diff(f *testing.F) {
 			return
 		}
 		const stride = 24
-		y := make([]byte, 16*stride+16)
+		y := make([]byte, 21*stride+16)
 		for i := range y {
 			y[i] = data[i%len(data)]
 		}
-		base := int(baser % 4)
+		edges := uint8(1) << (baser % 4)
 		alpha := int32(alphar)
 		if alpha == 0 {
 			alpha = 1
@@ -422,11 +460,15 @@ func FuzzDeblockEdge16Diff(f *testing.F) {
 			beta = 1
 		}
 		tc0 := int32(tc0r % 26)
+		var s uint8
+		if strong {
+			s = edges
+		}
 		prev := Enabled()
 		defer SetEnabled(prev)
 		for _, on := range []bool{true, false} {
 			SetEnabled(on)
-			checkDeblockEdge16(t, y, base, stride, vertical, alpha, beta, tc0, strong)
+			checkDeblockMB(t, y, stride, vertical, alpha, beta, &[4]int32{tc0, tc0, tc0, tc0}, edges, s)
 		}
 	})
 }

@@ -20,8 +20,9 @@
 # on sim_video, its fingerprint and concealed-frame count). The
 # summary gives, for each end-to-end metric that BENCHMARK.json lists
 # (in the working tree): the base and head medians, the base's
-# interquartile range and the number of pairs the head won (strictly
-# better in the metric's direction). The script exits 1 if any run
+# interquartile range, the number of pairs the head won (strictly
+# better in the metric's direction) and the two-sided sign-test p over
+# the pairs that were not tied. The script exits 1 if any run
 # exited nonzero, reported correct=false or failed > 0.
 set -euo pipefail
 
@@ -108,23 +109,29 @@ quartiles() {
 }
 
 echo
-printf '%-20s %14s %14s %9s %14s %9s\n' metric base_median head_median delta base_iqr head_wins
+printf '%-20s %14s %14s %9s %14s %9s %8s\n' metric base_median head_median delta base_iqr head_wins sign_p
 while read -r name better; do
 	read -r bq1 bmed bq3 <<<"$(awk -v m="$name" '$2 == m { print $3 }' "$tmp/base.vals" | quartiles)"
 	read -r _ hmed _ <<<"$(awk -v m="$name" '$2 == m { print $3 }' "$tmp/head.vals" | quartiles)"
 	[ -n "${bmed:-}" ] && [ -n "${hmed:-}" ] || { printf '%-20s %14s\n' "$name" "(missing)"; continue; }
-	wins=$(awk -v m="$name" -v better="$better" '
+	# Head wins (strictly better) out of the pairs, and the two-sided
+	# sign-test p over the pairs that were not tied.
+	read -r wins signp <<<"$(awk -v m="$name" -v better="$better" '
 		NR == FNR && $2 == m { b[$1] = $3 }
 		NR != FNR && $2 == m { h[$1] = $3 }
 		END {
 			for (p in b) if (p in h) {
 				n++
-				if ((better == "lower" && h[p] < b[p]) || (better == "higher" && h[p] > b[p])) w++
+				if (h[p] == b[p]) continue
+				if ((better == "lower") == (h[p] < b[p])) w++; else l++
 			}
-			printf "%d/%d", w, n
-		}' "$tmp/base.vals" "$tmp/head.vals")
+			lo = (w < l) ? w : l; s = 0; c = 1
+			for (k = 0; k <= lo; k++) { s += c; c = c * (w + l - k) / (k + 1) }
+			pv = (w + l) ? 2 * s / 2 ^ (w + l) : 1
+			printf "%d/%d %.3g\n", w, n, (pv > 1 ? 1 : pv)
+		}' "$tmp/base.vals" "$tmp/head.vals")"
 	delta=$(awk -v b="$bmed" -v h="$hmed" 'BEGIN { if (b == 0) print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
 	iqr=$(awk -v a="$bq1" -v c="$bq3" 'BEGIN { printf "%.6g", c - a }')
-	printf '%-20s %14s %14s %9s %14s %9s\n' "$name" "$bmed" "$hmed" "$delta" "$iqr" "$wins"
+	printf '%-20s %14s %14s %9s %14s %9s %8s\n' "$name" "$bmed" "$hmed" "$delta" "$iqr" "$wins" "$signp"
 done <<<"$metrics"
 exit "$bad"
