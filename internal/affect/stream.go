@@ -57,11 +57,16 @@ func NewStreamModel(dim int, seed int64) (*StreamModel, error) {
 	return m, nil
 }
 
+// Normal is a source of standard normal deviates; *rand.Rand is one.
+type Normal interface {
+	NormFloat64() float64
+}
+
 // Sample writes one observation feature vector for label into dst (length
 // Dim): the label prototype plus N(0, noise²) jitter per coordinate, drawn
 // from rng. The caller owns rng, so per-session sub-seeded streams stay
 // deterministic under any scheduling.
-func (m *StreamModel) Sample(dst []float64, label emotion.Label, noise float64, rng *rand.Rand) error {
+func (m *StreamModel) Sample(dst []float64, label emotion.Label, noise float64, rng Normal) error {
 	if !label.Valid() {
 		return fmt.Errorf("affect: stream sample for invalid label %d", int(label))
 	}

@@ -24,7 +24,7 @@ func TestCatalogValid(t *testing.T) {
 	}
 }
 
-func newTestDevice(t *testing.T, policy KillPolicy) *Device {
+func newTestDevice(t testing.TB, policy KillPolicy) *Device {
 	t.Helper()
 	d, err := NewDevice(DefaultDeviceConfig(), policy)
 	if err != nil {

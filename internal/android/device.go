@@ -1,8 +1,11 @@
 package android
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"affectedge/internal/emotion"
@@ -69,13 +72,23 @@ type Metrics struct {
 type Device struct {
 	cfg        DeviceConfig
 	policy     KillPolicy
-	apps       map[string]App
+	apps       map[string]App // shared read-only catalog index (catalogIndex)
 	procs      map[string]*Process
 	foreground string
 	mood       emotion.Mood
 	metrics    Metrics
 	log        *trace.Log
+	candidates []*Process // pickVictim scratch
 }
+
+// catalogIndex validates the standard catalog and indexes it by name,
+// once: every device shares the one map and only reads it.
+var catalogIndex = sync.OnceValues(func() (map[string]App, error) {
+	if err := ValidateCatalog(); err != nil {
+		return nil, err
+	}
+	return CatalogByName(), nil
+})
 
 // NewDevice boots a device with the given policy over the standard
 // catalog.
@@ -86,13 +99,14 @@ func NewDevice(cfg DeviceConfig, policy KillPolicy) (*Device, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("android: nil kill policy")
 	}
-	if err := ValidateCatalog(); err != nil {
+	apps, err := catalogIndex()
+	if err != nil {
 		return nil, err
 	}
 	return &Device{
 		cfg:    cfg,
 		policy: policy,
-		apps:   CatalogByName(),
+		apps:   apps,
 		procs:  map[string]*Process{},
 		mood:   emotion.CalmMood,
 		log:    trace.New(),
@@ -228,22 +242,24 @@ func (d *Device) enforceLimits(now time.Duration) {
 // policy. System and periodic apps are exempt, matching stock Android's
 // behavior for system processes and periodically woken apps.
 func (d *Device) pickVictim(now time.Duration) *Process {
-	var candidates []*Process
+	candidates := d.candidates[:0]
 	for _, p := range d.procs {
 		if p.State != StateBackground || p.App.System || p.App.Periodic {
 			continue
 		}
 		candidates = append(candidates, p)
 	}
+	d.candidates = candidates
 	if len(candidates) == 0 {
 		return nil
 	}
-	// Stable order independent of map iteration.
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].StartedAt != candidates[j].StartedAt {
-			return candidates[i].StartedAt < candidates[j].StartedAt
+	// Stable order independent of map iteration: app names are unique,
+	// so (StartedAt, Name) is a total order.
+	slices.SortFunc(candidates, func(a, b *Process) int {
+		if c := cmp.Compare(a.StartedAt, b.StartedAt); c != 0 {
+			return c
 		}
-		return candidates[i].App.Name < candidates[j].App.Name
+		return strings.Compare(a.App.Name, b.App.Name)
 	})
 	return d.policy.Victim(candidates, now, d.mood)
 }

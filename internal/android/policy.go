@@ -12,7 +12,8 @@ import (
 
 // KillPolicy selects which background process to evict under pressure.
 // Candidates arrive pre-filtered (background, killable) and pre-sorted by
-// creation time then name.
+// creation time then name. The slice is the device's scratch: Victim
+// only reads it, and must not keep it past the call.
 type KillPolicy interface {
 	Name() string
 	Victim(candidates []*Process, now time.Duration, mood emotion.Mood) *Process

@@ -41,9 +41,8 @@ func BenchmarkFleetObserve(b *testing.B) {
 				// benchmark then times classification alone.
 				dim := FeatureDim
 				sh.feat = grow(sh.feat, rows*dim)
-				for k, id := range sh.order {
-					s := sh.sessions[id]
-					if err := f.stream.Sample(sh.feat[k*dim:(k+1)*dim], s.latent, noise, s.rng); err != nil {
+				for k, s := range sh.order {
+					if err := f.stream.Sample(sh.feat[k*dim:(k+1)*dim], s.latent, noise, s.src); err != nil {
 						b.Fatal(err)
 					}
 				}

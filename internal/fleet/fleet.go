@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,8 +191,8 @@ func (c Config) Normalize() (Config, error) {
 // what makes a parked session's missed rounds exactly replayable.
 type session struct {
 	id  int
-	rng *rand.Rand
-	src *countingSource // rng's source; draw count is the RNG snapshot state
+	rng *rand.Rand     // Intn over src: latent schedule and traffic models
+	src *sessionSource // draw count is the RNG snapshot state
 	mgr *core.Manager
 	dev *android.Device
 
@@ -224,7 +225,7 @@ type shard struct {
 	idx      int // shard index (stripe number)
 	mu       sync.Mutex
 	sessions map[int]*session
-	order    []int // sorted ids: deterministic iteration
+	order    []*session // live sessions sorted by id: deterministic iteration
 	// parked holds disconnected sessions: frozen at session.ticks, out of
 	// the batching order, caught up on Reconnect.
 	parked map[int]*session
@@ -407,7 +408,7 @@ func (f *Fleet) newSession(id int) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := newCountingSource(sessionSeed(f.cfg.Seed, id))
+	src := newSessionSource(sessionSeed(f.cfg.Seed, id))
 	rng := rand.New(src)
 	s := &session{
 		id:     id,
@@ -455,10 +456,20 @@ func (f *Fleet) AddSession(id int) error {
 // sh.mu; id must not already be present.
 func (sh *shard) insert(s *session) {
 	sh.sessions[s.id] = s
-	i := sort.SearchInts(sh.order, s.id)
-	sh.order = append(sh.order, 0)
-	copy(sh.order[i+1:], sh.order[i:])
-	sh.order[i] = s.id
+	sh.order = slices.Insert(sh.order, sh.orderPos(s.id), s)
+}
+
+// unlink takes live session id out of the live set and sorted order.
+// Caller holds sh.mu; id must be present.
+func (sh *shard) unlink(id int) {
+	delete(sh.sessions, id)
+	i := sh.orderPos(id)
+	sh.order = slices.Delete(sh.order, i, i+1)
+}
+
+// orderPos is the index of id in sh.order, or where it would be inserted.
+func (sh *shard) orderPos(id int) int {
+	return sort.Search(len(sh.order), func(i int) bool { return sh.order[i].id >= id })
 }
 
 // RemoveSession tears down session id, connected or disconnected.
@@ -469,9 +480,7 @@ func (f *Fleet) RemoveSession(id int) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.sessions[id]; ok {
-		delete(sh.sessions, id)
-		i := sort.SearchInts(sh.order, id)
-		sh.order = append(sh.order[:i], sh.order[i+1:]...)
+		sh.unlink(id)
 	} else if _, ok := sh.parked[id]; ok {
 		delete(sh.parked, id)
 	} else {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -39,9 +38,7 @@ func (f *Fleet) Disconnect(id int) error {
 		}
 		return fmt.Errorf("%w %d", ErrUnknownSession, id)
 	}
-	delete(sh.sessions, id)
-	i := sort.SearchInts(sh.order, id)
-	sh.order = append(sh.order[:i], sh.order[i+1:]...)
+	sh.unlink(id)
 	s.ticks = f.base
 	sh.parked[id] = s
 	f.m.disconnects.Inc()

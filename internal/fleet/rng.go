@@ -1,54 +1,169 @@
 package fleet
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
-// countingSource wraps a math/rand source and counts how many values have
-// been drawn. That count IS the serializable RNG state: math/rand's
-// lagged-Fibonacci generator advances exactly one internal step per Int63
-// or Uint64 call, so a source rebuilt from the same seed and fast-forwarded
-// the same number of steps produces the identical remaining stream. Session
-// snapshots therefore carry a (seed-derivable, draw-count) pair instead of
-// the generator's private state, which math/rand does not expose.
+// sessionSource is a session's random stream: math/rand's seeded stream,
+// carried in a concrete type so the hot path (24 Gaussian draws per
+// observation) makes direct, inlinable calls instead of going through
+// rand.Rand and the rand.Source interface on every draw.
 //
-// The wrapper implements rand.Source64, the same interface the raw
-// rand.NewSource value satisfies, so rand.Rand takes the identical code
-// paths with or without it — the generated stream (and every pinned golden
-// fingerprint) is unchanged.
-type countingSource struct {
-	src rand.Source64
-	n   uint64 // values drawn since seeding
+// The generator is math/rand's additive lagged-Fibonacci recurrence
+//
+//	x_n = x_{n-607} + x_{n-273}  (mod 2^64)
+//
+// seeded by math/rand's own rule: newSessionSource draws the first 607
+// outputs of rand.NewSource(seed) and recovers the 607-value history
+// that precedes them, so every value this source returns is the value
+// rand.NewSource(seed) would return at the same position. Go 1's
+// compatibility promise freezes that seeded stream (and the ziggurat
+// normals of NormFloat64), which is what makes carrying it here safe;
+// TestSessionSourceMatchesMathRand pins it.
+//
+// The draw count is the serializable RNG state: the seed derives from
+// (fleet seed, session id), and one Int63 or Uint64 call is one step of
+// the recurrence, so a source rebuilt from the seed and fast-forwarded
+// by the same number of draws (skip) produces the identical remaining
+// stream. Owning the generator's 607 words would let a snapshot carry
+// them instead, but the count is 8 bytes against 4856 and keeps the
+// snapshot envelope unchanged. The source implements rand.Source64, so a
+// rand.Rand over it serves Intn to the latent schedule and the traffic
+// models unchanged.
+type sessionSource struct {
+	// vec holds rngLen consecutive values of the stream; vec[pos:] are
+	// the ones not yet drawn. refill advances all of them at once.
+	vec [rngLen]uint64
+	pos uint
+	n   uint64 // values refill has produced; draws() subtracts the undrawn
 }
 
-// newCountingSource seeds a fresh counted source.
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+const (
+	rngLen = 607 // long lag of the recurrence
+	rngTap = 273 // short lag
+)
+
+// newSessionSource seeds a source with rand.NewSource(seed)'s stream.
+func newSessionSource(seed int64) *sessionSource {
+	// out[k] = x_{k+1}: the stream's first rngLen values.
+	var out [rngLen]uint64
+	ref := rand.NewSource(seed).(rand.Source64)
+	for k := range out {
+		out[k] = ref.Uint64()
+	}
+	// Recover the history x_{-606}..x_0 into vec[0..606] from the newest
+	// value down, as x_{n-607} = x_n - x_{n-273} for n = 607..1. x_{n-273}
+	// is an output for n > 273 and an already recovered history value
+	// (vec[n+333]) otherwise. The history counts as drawn, so the first
+	// draw refills the ring with x_1..x_607.
+	s := &sessionSource{pos: rngLen}
+	for n := rngLen; n >= 1; n-- {
+		short := n - rngTap
+		var tap uint64
+		if short >= 1 {
+			tap = out[short-1]
+		} else {
+			tap = s.vec[short+rngLen-1]
+		}
+		s.vec[n-1] = out[n-1] - tap
+	}
+	return s
 }
 
-// Int63 implements rand.Source.
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
+// refill replaces the ring's values x_{n-607}..x_{n-1} with the next
+// rngLen values x_n..x_{n+606}. In place, vec[i] (x_{n-607+i}) becomes
+// x_{n+i} = vec[i] + x_{n+i-273}: the short-lag term is the old
+// vec[i+334] for i < 273 and the just-computed vec[i-273] after. Kept out
+// of line so Uint64 stays small enough to inline.
+//
+//go:noinline
+func (s *sessionSource) refill() {
+	v := &s.vec
+	for i := 0; i < rngTap; i++ {
+		v[i] += v[i+rngLen-rngTap]
+	}
+	for i := rngTap; i < rngLen; i++ {
+		v[i] += v[i-rngTap]
+	}
+	s.pos = 0
+	s.n += rngLen
 }
 
-// Uint64 implements rand.Source64.
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
+// Uint64 implements rand.Source64: the stream's next value.
+func (s *sessionSource) Uint64() uint64 {
+	if s.pos == rngLen {
+		s.refill()
+	}
+	x := s.vec[s.pos]
+	s.pos++
+	return x
 }
 
-// Seed implements rand.Source, resetting the draw count.
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
-}
+// Int63 implements rand.Source: the value's low 63 bits, as math/rand.
+func (s *sessionSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
+// Seed implements rand.Source, restarting the stream at seed.
+func (s *sessionSource) Seed(seed int64) { *s = *newSessionSource(seed) }
 
 // draws returns the number of values drawn since seeding.
-func (c *countingSource) draws() uint64 { return c.n }
+func (s *sessionSource) draws() uint64 { return s.n - uint64(rngLen-s.pos) }
 
-// skip fast-forwards the source by n draws (restore path).
-func (c *countingSource) skip(n uint64) {
+// skip fast-forwards a freshly seeded source by n draws (restore path).
+func (s *sessionSource) skip(n uint64) {
 	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
+		s.Uint64()
 	}
-	c.n = n
+}
+
+// float64 is rand.Rand.Float64 over the source: Int63/2^63, resampled in
+// the (once in 2^53) case that the division rounds up to 1.
+func (s *sessionSource) float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// NormFloat64 is rand.Rand.NormFloat64 over the source: the ziggurat of
+// Marsaglia and Tsang (2000) with math/rand's tables, drawing in the
+// same order, so it returns the same values as
+// rand.New(rand.NewSource(seed)).NormFloat64 at the same stream position.
+func (s *sessionSource) NormFloat64() float64 {
+	for {
+		// rand.Rand.Uint32 as an int32, possibly negative: bits 31..62
+		// of the value, Int63's masked bit 63 falling off the top.
+		j := int32(s.Uint64() >> 31)
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x // better than 99% of draws
+		}
+		if i == 0 {
+			// The base strip: sample the tail beyond rn.
+			for {
+				x = -math.Log(s.float64()) * (1.0 / rn)
+				y := -math.Log(s.float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		// A wedge: accept under the density, else draw again.
+		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+	}
+}
+
+func absInt32(i int32) uint32 {
+	if i < 0 {
+		return uint32(-i)
+	}
+	return uint32(i)
 }

@@ -157,14 +157,11 @@ func (sh *shard) tick(t int) error {
 	now := sh.f.cfg.TickEvery * time.Duration(t+1)
 	if m > 0 {
 		sh.feat = grow(sh.feat, m*dim)
-		sh.batch = sh.batch[:0]
-		for k, id := range sh.order {
-			s := sh.sessions[id]
+		for k, s := range sh.order {
 			s.stepLatent(t, sh.f.cfg.SwitchEvery)
 			if err := sh.ingestRow(sh.feat[k*dim:(k+1)*dim], s); err != nil {
 				return err
 			}
-			sh.batch = append(sh.batch, s)
 		}
 		sh.xq = grow(sh.xq, m*dim)
 		sh.f.model.QuantizeInput(sh.xq, sh.feat)
@@ -172,7 +169,7 @@ func (sh *shard) tick(t int) error {
 			return err
 		}
 		classes := len(sh.f.stream.Protos)
-		for k, s := range sh.batch {
+		for k, s := range sh.order {
 			if err := sh.applyRow(s, now, sh.logits[k*classes:(k+1)*classes]); err != nil {
 				return err
 			}
@@ -196,7 +193,7 @@ func (sh *shard) tick(t int) error {
 
 // ingestRow synthesizes s's next observation into dst.
 func (sh *shard) ingestRow(dst []float64, s *session) error {
-	return sh.f.stream.Sample(dst, s.latent, noise, s.rng)
+	return sh.f.stream.Sample(dst, s.latent, noise, s.src)
 }
 
 // stepLatent advances the session's hidden emotional state: at the
@@ -272,8 +269,8 @@ func (f *Fleet) Stats() *Stats {
 		st.VideoConcealed += sh.videoConcealed
 		st.Drops += sh.drops.Load()
 		st.LateDrops += sh.late
-		for _, id := range sh.order {
-			accumulate(sh.sessions[id])
+		for _, s := range sh.order {
+			accumulate(s)
 		}
 		// Parked sessions still count; sums are order-independent, but
 		// iterate sorted anyway so debug walks are reproducible.

@@ -77,8 +77,8 @@ func (f *Fleet) meta() snapMeta {
 
 // sessionState is one session in exportable form. The RNG is captured as
 // its draw count alone: the seed is derivable from (fleet seed, id), and
-// math/rand's generator advances one internal step per draw, so seed +
-// fast-forward reproduces the exact remaining stream (see countingSource).
+// the generator advances one step of its recurrence per draw, so seed +
+// fast-forward reproduces the exact remaining stream (see sessionSource).
 type sessionState struct {
 	ID         int
 	Ticks      int // deterministic round the session has advanced to
@@ -185,7 +185,7 @@ func (f *Fleet) buildSession(sh *shard, st sessionState, base int) (*session, er
 	if err := dev.ImportState(st.Device); err != nil {
 		return nil, fmt.Errorf("fleet: snapshot session %d: %w", st.ID, err)
 	}
-	src := newCountingSource(sessionSeed(f.cfg.Seed, st.ID))
+	src := newSessionSource(sessionSeed(f.cfg.Seed, st.ID))
 	src.skip(st.Draws)
 	return &session{
 		id:         st.ID,
@@ -290,8 +290,8 @@ func (f *Fleet) captureShard(sh *shard) shardEnvelope {
 		Drops:          sh.drops.Load(),
 		LateDrops:      sh.late,
 	}
-	for _, id := range sh.order {
-		env.Sessions = append(env.Sessions, f.captureSession(sh.sessions[id], true))
+	for _, s := range sh.order {
+		env.Sessions = append(env.Sessions, f.captureSession(s, true))
 	}
 	parked := make([]int, 0, len(sh.parked))
 	for id := range sh.parked {
@@ -339,6 +339,7 @@ func (f *Fleet) validateShardEnvelope(sh *shard, env *shardEnvelope, base int) (
 // envelope contents. Caller holds sh.mu.
 func (sh *shard) commitShard(env *shardEnvelope, live, parked []*session) {
 	sh.sessions = make(map[int]*session, len(live))
+	clear(sh.order) // the backing array must not keep replaced sessions alive
 	sh.order = sh.order[:0]
 	for _, s := range live {
 		sh.insert(s)

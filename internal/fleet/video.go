@@ -64,8 +64,7 @@ func (sh *shard) probeVideo() error {
 		sh.vdec = h264.NewDecoder()
 		sh.vdec.SetPool(sh.vpool)
 	}
-	for _, id := range sh.order {
-		s := sh.sessions[id]
+	for _, s := range sh.order {
 		mode := s.mgr.DecoderMode()
 		sh.vdec.SetDeblock(mode.DeblockEnabled())
 		before := sh.vdec.Activity()
