@@ -142,7 +142,7 @@ bench-guard:
 # matching BENCH run -count 1 per side for ROUNDS rounds, alternating and
 # flipping the order each round. Prints per benchmark both ns/op medians
 # and ranges, the working tree's win count with a two-sided sign-test p,
-# and both sides' allocs/op. See scripts/bench-ab.sh.
+# and both sides' B/op and allocs/op. See scripts/bench-ab.sh.
 ROUNDS ?= 10
 bench-ab:
 	@[ -n "$(BASE)" ] && [ -n "$(PKG)" ] && [ -n "$(BENCH)" ] || { echo "usage: make bench-ab BASE=<rev> PKG=<pkg> BENCH=<regex> [ROUNDS=10]"; exit 2; }

@@ -68,7 +68,10 @@ type Metrics struct {
 	PeakRAM int64
 }
 
-// Device is the simulated phone.
+// Device is the simulated phone. A device built by NewDevice records
+// its process lifecycle (the Fig 9 log) for the experiments that render
+// it; one built by NewUnloggedDevice keeps no log, so its memory does
+// not grow with run length. The fleet serves unlogged devices.
 type Device struct {
 	cfg        DeviceConfig
 	policy     KillPolicy
@@ -77,8 +80,9 @@ type Device struct {
 	foreground string
 	mood       emotion.Mood
 	metrics    Metrics
-	log        *trace.Log
+	log        *trace.Log // nil on an unlogged device
 	candidates []*Process // pickVictim scratch
+	free       []*Process // killed processes, reused by cold starts
 }
 
 // catalogIndex validates the standard catalog and indexes it by name,
@@ -91,8 +95,20 @@ var catalogIndex = sync.OnceValues(func() (map[string]App, error) {
 })
 
 // NewDevice boots a device with the given policy over the standard
-// catalog.
+// catalog, recording its process lifecycle (see Trace).
 func NewDevice(cfg DeviceConfig, policy KillPolicy) (*Device, error) {
+	d, err := NewUnloggedDevice(cfg, policy)
+	if err != nil {
+		return nil, err
+	}
+	d.log = trace.New()
+	return d, nil
+}
+
+// NewUnloggedDevice boots a device like NewDevice that records no
+// lifecycle log: Trace returns nil, and ImportState drops a snapshot's
+// trace.
+func NewUnloggedDevice(cfg DeviceConfig, policy KillPolicy) (*Device, error) {
 	if cfg.RAMBytes <= 0 || cfg.ProcessLimit <= 0 || cfg.FlashReadBandwidth <= 0 {
 		return nil, fmt.Errorf("android: invalid device config %+v", cfg)
 	}
@@ -109,14 +125,14 @@ func NewDevice(cfg DeviceConfig, policy KillPolicy) (*Device, error) {
 		apps:   apps,
 		procs:  map[string]*Process{},
 		mood:   emotion.CalmMood,
-		log:    trace.New(),
 	}, nil
 }
 
 // Metrics returns the accumulated measurements.
 func (d *Device) Metrics() Metrics { return d.metrics }
 
-// Trace returns the process lifecycle log (Fig 9 data).
+// Trace returns the process lifecycle log (Fig 9 data), or nil, which
+// reads as an empty log, on an unlogged device.
 func (d *Device) Trace() *trace.Log { return d.log }
 
 // Mood returns the current detected mood.
@@ -191,7 +207,13 @@ func (d *Device) Launch(now time.Duration, appName string) (time.Duration, error
 		d.metrics.BytesLoaded += app.FileBytes
 		readTime := time.Duration(float64(app.FileBytes) / d.cfg.FlashReadBandwidth * float64(time.Second))
 		latency = readTime + app.InitTime
-		p = &Process{App: app, StartedAt: now}
+		if n := len(d.free); n > 0 {
+			p = d.free[n-1]
+			d.free = d.free[:n-1]
+			*p = Process{App: app, StartedAt: now}
+		} else {
+			p = &Process{App: app, StartedAt: now}
+		}
 		d.procs[appName] = p
 		d.log.Record(now, appName, trace.EventStart, "cold start")
 		mtr.coldStarts.Inc()
@@ -215,7 +237,8 @@ func (d *Device) Launch(now time.Duration, appName string) (time.Duration, error
 }
 
 // enforceLimits kills background processes while the process limit or RAM
-// budget is exceeded, using the configured policy to pick victims.
+// budget is exceeded, using the configured policy to pick victims. A
+// killed process goes on the free list for the next cold start.
 func (d *Device) enforceLimits(now time.Duration) {
 	for d.backgroundCount() > d.cfg.ProcessLimit || d.usedRAM() > d.cfg.RAMBytes {
 		victim := d.pickVictim(now)
@@ -232,6 +255,7 @@ func (d *Device) enforceLimits(now time.Duration) {
 			mtr.killsByLimit.Inc()
 		}
 		delete(d.procs, victim.App.Name)
+		d.free = append(d.free, victim)
 		d.metrics.Kills++
 		mtr.kills.Inc()
 		d.log.Record(now, victim.App.Name, trace.EventKill, reason)

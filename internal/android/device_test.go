@@ -36,15 +36,16 @@ func TestDevicesShareCatalogIndex(t *testing.T) {
 	}
 }
 
-// killCycle returns a device on which killCycleStep alternates a cold
-// start of chrome with a warm launch of messages that kills chrome: the
-// process limit is 1 and two exempt apps (system-ui, messages) keep the
-// background over it, so every demoted chrome is the one candidate.
-func killCycle(tb testing.TB) *Device {
+// killCycle returns a device, booted by boot, on which killCycleStep
+// alternates a cold start of chrome with a warm launch of messages that
+// kills chrome: the process limit is 1 and two exempt apps (system-ui,
+// messages) keep the background over it, so every demoted chrome is the
+// one candidate.
+func killCycle(tb testing.TB, boot func(DeviceConfig, KillPolicy) (*Device, error)) *Device {
 	tb.Helper()
 	cfg := DefaultDeviceConfig()
 	cfg.ProcessLimit = 1
-	d, err := NewDevice(cfg, FIFOPolicy{})
+	d, err := boot(cfg, FIFOPolicy{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -66,12 +67,12 @@ func killCycleStep(tb testing.TB, d *Device, step int) {
 	}
 }
 
-// TestKillingLaunchAllocs pins the victim search to zero allocations: a
-// cycle of a cold start and a warm launch that kills allocates the cold
-// start's Process and nothing else (the trace log's amortized growth
-// stays under one allocation per cycle).
+// TestKillingLaunchAllocs pins a cycle of a cold start and a warm launch
+// that kills to zero allocations: the victim search reuses its scratch,
+// the cold start reuses the Process the previous cycle killed, and the
+// trace log's amortized growth rounds to zero per cycle.
 func TestKillingLaunchAllocs(t *testing.T) {
-	d := killCycle(t)
+	d := killCycle(t, NewDevice)
 	step := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		killCycleStep(t, d, step)
@@ -80,8 +81,52 @@ func TestKillingLaunchAllocs(t *testing.T) {
 	if m := d.Metrics(); m.Kills < 200 || m.WarmStarts < 200 {
 		t.Fatalf("cycle did not kill on warm launches: %+v", m)
 	}
-	if allocs > 1 {
-		t.Fatalf("cold start + killing warm launch: %v allocs/cycle, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("cold start + killing warm launch: %v allocs/cycle, want 0", allocs)
+	}
+}
+
+// TestUnloggedDevice: a device from NewUnloggedDevice behaves exactly as
+// a logged one, keeps no log (not even from an imported snapshot) and
+// launches without allocating.
+func TestUnloggedDevice(t *testing.T) {
+	logged := killCycle(t, NewDevice)
+	d := killCycle(t, NewUnloggedDevice)
+	for step := 0; step < 50; step++ {
+		killCycleStep(t, logged, step)
+		killCycleStep(t, d, step)
+	}
+	if d.Trace() != nil {
+		t.Fatal("unlogged device has a trace log")
+	}
+	if !reflect.DeepEqual(d.Metrics(), logged.Metrics()) {
+		t.Fatalf("unlogged metrics %+v, logged %+v", d.Metrics(), logged.Metrics())
+	}
+	st := logged.ExportState()
+	if len(st.Trace) == 0 {
+		t.Fatal("logged device exported no trace")
+	}
+	if got := d.ExportState(); got.Trace != nil {
+		t.Fatalf("unlogged device exported %d trace events", len(got.Trace))
+	}
+	if err := d.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	if d.Trace() != nil {
+		t.Fatal("ImportState brought the trace log back")
+	}
+	st.Trace = nil
+	if got := d.ExportState(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("unlogged import/export differs from the logged state apart from the trace")
+	}
+
+	step := 50
+	allocs := testing.AllocsPerRun(1000, func() {
+		killCycleStep(t, d, step)
+		step++
+	})
+	if allocs != 0 {
+		t.Fatalf("unlogged cold start + killing warm launch: %v allocs/cycle, want 0", allocs)
 	}
 }
 
@@ -97,7 +142,8 @@ func BenchmarkNewDevice(b *testing.B) {
 
 // BenchmarkLaunch prices Launch: "warm" switches between two cached apps
 // (no kills), "kill" runs killCycleStep (a cold start and a warm launch
-// that kills), reported per launch.
+// that kills) and "kill-unlogged" runs it on an unlogged device, as the
+// fleet does; reported per launch.
 func BenchmarkLaunch(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		d := newTestDevice(b, FIFOPolicy{})
@@ -115,14 +161,22 @@ func BenchmarkLaunch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("kill", func(b *testing.B) {
-		d := killCycle(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			killCycleStep(b, d, i)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/launch")
-	})
+	for _, c := range []struct {
+		name string
+		boot func(DeviceConfig, KillPolicy) (*Device, error)
+	}{
+		{"kill", NewDevice},
+		{"kill-unlogged", NewUnloggedDevice},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := killCycle(b, c.boot)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				killCycleStep(b, d, i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/launch")
+		})
+	}
 }

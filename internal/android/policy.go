@@ -13,7 +13,8 @@ import (
 // KillPolicy selects which background process to evict under pressure.
 // Candidates arrive pre-filtered (background, killable) and pre-sorted by
 // creation time then name. The slice is the device's scratch: Victim
-// only reads it, and must not keep it past the call.
+// only reads it, and must not keep it or its processes past the call
+// (the device reuses a killed process for a later cold start).
 type KillPolicy interface {
 	Name() string
 	Victim(candidates []*Process, now time.Duration, mood emotion.Mood) *Process

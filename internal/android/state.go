@@ -10,11 +10,12 @@ import (
 )
 
 // Device snapshot/restore: the process table, foreground pointer, mood,
-// accumulated metrics, and the lifecycle trace, exported as plain data so
-// higher layers (the fleet session envelope) can gob-serialize a device
-// and rebuild it bit-for-bit. Apps are stored by name and re-resolved
-// against the catalog on import, so a snapshot never smuggles in made-up
-// footprints; import validates everything before touching the device.
+// accumulated metrics, and the lifecycle trace (if the device keeps
+// one), exported as plain data so higher layers (the fleet session
+// envelope) can gob-serialize a device and rebuild it bit-for-bit. Apps
+// are stored by name and re-resolved against the catalog on import, so a
+// snapshot never smuggles in made-up footprints; import validates
+// everything before touching the device.
 
 // ProcessState is one process-table entry in exportable form.
 type ProcessState struct {
@@ -36,7 +37,9 @@ type DeviceState struct {
 	// Procs are the resident processes, sorted by app name so the encoded
 	// form is deterministic regardless of map iteration order.
 	Procs []ProcessState
-	// Trace is the recorded lifecycle history (Fig 9 data).
+	// Trace is the recorded lifecycle history (Fig 9 data). Only a
+	// logged device (NewDevice) fills it; an unlogged one (the fleet's)
+	// exports it empty and drops it on import.
 	Trace []trace.Event
 }
 
@@ -116,7 +119,9 @@ func (d *Device) ImportState(st DeviceState) error {
 	d.foreground = st.Foreground
 	d.mood = st.Mood
 	d.metrics = st.Metrics
-	d.log = trace.FromEvents(st.Trace)
+	if d.log != nil {
+		d.log = trace.FromEvents(st.Trace)
+	}
 	return nil
 }
 

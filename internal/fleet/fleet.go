@@ -194,7 +194,7 @@ type session struct {
 	rng *rand.Rand     // Intn over src: latent schedule and traffic models
 	src *sessionSource // draw count is the RNG snapshot state
 	mgr *core.Manager
-	dev *android.Device
+	dev *android.Device // unlogged: session memory is flat in run length
 
 	latent     emotion.Label
 	nextSwitch int
@@ -404,7 +404,7 @@ func (f *Fleet) newSession(id int) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := android.NewDevice(f.shardOf(id).devcfg, f.policy)
+	dev, err := android.NewUnloggedDevice(f.shardOf(id).devcfg, f.policy)
 	if err != nil {
 		return nil, err
 	}

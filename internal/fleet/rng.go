@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // sessionSource is a session's random stream: math/rand's seeded stream,
 // carried in a concrete type so the hot path (24 Gaussian draws per
@@ -14,12 +11,11 @@ import (
 //
 //	x_n = x_{n-607} + x_{n-273}  (mod 2^64)
 //
-// seeded by math/rand's own rule: newSessionSource draws the first 607
-// outputs of rand.NewSource(seed) and recovers the 607-value history
-// that precedes them, so every value this source returns is the value
-// rand.NewSource(seed) would return at the same position. Go 1's
-// compatibility promise freezes that seeded stream (and the ziggurat
-// normals of NormFloat64), which is what makes carrying it here safe;
+// seeded by math/rand's own rule (Seed: seedrand and rngCooked), so
+// every value this source returns is the value rand.NewSource(seed)
+// would return at the same position. Go 1's compatibility promise
+// freezes that seeded stream (and the ziggurat normals of NormFloat64),
+// which is what makes carrying it here safe;
 // TestSessionSourceMatchesMathRand pins it.
 //
 // The draw count is the serializable RNG state: the seed derives from
@@ -46,29 +42,26 @@ const (
 
 // newSessionSource seeds a source with rand.NewSource(seed)'s stream.
 func newSessionSource(seed int64) *sessionSource {
-	// out[k] = x_{k+1}: the stream's first rngLen values.
-	var out [rngLen]uint64
-	ref := rand.NewSource(seed).(rand.Source64)
-	for k := range out {
-		out[k] = ref.Uint64()
-	}
-	// Recover the history x_{-606}..x_0 into vec[0..606] from the newest
-	// value down, as x_{n-607} = x_n - x_{n-273} for n = 607..1. x_{n-273}
-	// is an output for n > 273 and an already recovered history value
-	// (vec[n+333]) otherwise. The history counts as drawn, so the first
-	// draw refills the ring with x_1..x_607.
-	s := &sessionSource{pos: rngLen}
-	for n := rngLen; n >= 1; n-- {
-		short := n - rngTap
-		var tap uint64
-		if short >= 1 {
-			tap = out[short-1]
-		} else {
-			tap = s.vec[short+rngLen-1]
-		}
-		s.vec[n-1] = out[n-1] - tap
-	}
+	s := new(sessionSource)
+	s.Seed(seed)
 	return s
+}
+
+// seedMod is the modulus 2^31-1 of seedrand.
+const seedMod = 1<<31 - 1
+
+// seedrand is math/rand's seeding generator, x -> 48271*x mod 2^31-1.
+// It reduces without a division: 2^31 = 1 (mod 2^31-1), so the
+// product's bits above 31 fold onto its low 31 bits. For x < 2^31 the
+// product is below 2^47, the fold is below 2^31+2^16, and one
+// conditional subtraction makes the residue exact.
+func seedrand(x uint32) uint32 {
+	p := 48271 * uint64(x)
+	r := uint32(p&seedMod) + uint32(p>>31)
+	if r >= seedMod {
+		r -= seedMod
+	}
+	return r
 }
 
 // refill replaces the ring's values x_{n-607}..x_{n-1} with the next
@@ -103,8 +96,41 @@ func (s *sessionSource) Uint64() uint64 {
 // Int63 implements rand.Source: the value's low 63 bits, as math/rand.
 func (s *sessionSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
-// Seed implements rand.Source, restarting the stream at seed.
-func (s *sessionSource) Seed(seed int64) { *s = *newSessionSource(seed) }
+// Seed implements rand.Source, restarting the stream at seed with
+// math/rand's rule (rngSource.Seed): the seed, reduced mod 2^31-1,
+// starts seedrand, which runs 20 steps and then makes three outputs per
+// ring word, XORed with rngCooked. math/rand's ring is read downward
+// from index rngLen-rngTap-1, so its word i is this ring's
+// vec[(rngLen-rngTap-1-i) mod rngLen]: the history x_{-606}..x_0, all
+// counted as drawn, so the first draw refills the ring with x_1..x_607.
+func (s *sessionSource) Seed(seed int64) {
+	seed %= seedMod
+	if seed < 0 {
+		seed += seedMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint32(seed)
+	for range 20 {
+		x = seedrand(x)
+	}
+	for i := range rngLen {
+		x = seedrand(x)
+		u := uint64(x) << 40
+		x = seedrand(x)
+		u ^= uint64(x) << 20
+		x = seedrand(x)
+		u ^= uint64(x)
+		k := rngLen - rngTap - 1 - i
+		if k < 0 {
+			k += rngLen
+		}
+		s.vec[k] = u ^ uint64(rngCooked[i])
+	}
+	s.pos = rngLen
+	s.n = 0
+}
 
 // draws returns the number of values drawn since seeding.
 func (s *sessionSource) draws() uint64 { return s.n - uint64(rngLen-s.pos) }

@@ -46,7 +46,9 @@ func TestSessionSourceMatchesMathRand(t *testing.T) {
 		rounds = 100_000
 	}
 	seeds := []int64{0, 1, -5, 1 << 40,
-		sessionSeed(1, 0), sessionSeed(1, 1023), sessionSeed(-3, 7)}
+		sessionSeed(1, 0), sessionSeed(1, 1023), sessionSeed(-3, 7),
+		// The edges of math/rand's seed reduction mod 2^31-1.
+		-1, math.MaxInt32, 2 * math.MaxInt32, math.MinInt64, math.MaxInt64}
 	var branches [3]int
 	for _, seed := range seeds {
 		ref := &countedRef{Source64: rand.NewSource(seed).(rand.Source64)}
@@ -88,6 +90,37 @@ func TestSessionSourceMatchesMathRand(t *testing.T) {
 	t.Logf("ziggurat first strips: %d fast, %d base strip, %d wedge", branches[0], branches[1], branches[2])
 	if branches[1] == 0 || branches[2] == 0 {
 		t.Fatalf("slow branches not exercised: base strip %d, wedge %d", branches[1], branches[2])
+	}
+}
+
+// schrageSeedrand is math/rand's seedrand as Go writes it: Schrage's
+// method, 48271*x mod 2^31-1 without overflowing int32.
+func schrageSeedrand(x int32) int32 {
+	const (
+		a = 48271
+		q = 44488
+		r = 3399
+	)
+	hi := x / q
+	lo := x % q
+	x = a*lo - r*hi
+	if x < 0 {
+		x += seedMod
+	}
+	return x
+}
+
+// TestSeedrandMatchesSchrage: the division-free fold equals Go's
+// seedrand at the edges of its domain and along a stride through it.
+func TestSeedrandMatchesSchrage(t *testing.T) {
+	xs := []int32{0, 1, 2, 44487, 44488, 44489, 1 << 30, seedMod - 2, seedMod - 1}
+	for x := int32(3); x < seedMod-9973; x += 9973 {
+		xs = append(xs, x)
+	}
+	for _, x := range xs {
+		if g, w := seedrand(uint32(x)), schrageSeedrand(x); int32(g) != w {
+			t.Fatalf("seedrand(%d) = %d, want %d", x, g, w)
+		}
 	}
 }
 
@@ -188,6 +221,26 @@ func TestSampleAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Sample through the session source: %v allocs/op, want 0", allocs)
 	}
+}
+
+// sourceSink keeps BenchmarkNewSessionSource's results live.
+var sourceSink rand.Source
+
+// BenchmarkNewSessionSource prices seeding a session's source, against
+// rand.NewSource on the same seed.
+func BenchmarkNewSessionSource(b *testing.B) {
+	b.Run("source", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sourceSink = newSessionSource(sessionSeed(1, i))
+		}
+	})
+	b.Run("rand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sourceSink = rand.NewSource(sessionSeed(1, i))
+		}
+	})
 }
 
 // BenchmarkSessionSample prices one FeatureDim-wide Sample through the

@@ -178,7 +178,7 @@ func (f *Fleet) buildSession(sh *shard, st sessionState, base int) (*session, er
 	if err := mgr.ImportState(st.Manager); err != nil {
 		return nil, fmt.Errorf("fleet: snapshot session %d: %w", st.ID, err)
 	}
-	dev, err := android.NewDevice(sh.devcfg, f.policy)
+	dev, err := android.NewUnloggedDevice(sh.devcfg, f.policy)
 	if err != nil {
 		return nil, err
 	}

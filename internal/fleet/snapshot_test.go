@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -357,5 +358,92 @@ func TestFleetRestoreErrors(t *testing.T) {
 	}()
 	if err := f.Restore(bytes.NewReader(pristine)); err == nil || !strings.Contains(err.Error(), "live") {
 		t.Fatalf("restore on live fleet: %v", err)
+	}
+}
+
+// Version-1 envelopes written by a build whose fleet devices kept their
+// lifecycle log: detCfg run 20 ticks, then SnapshotSession(7) and
+// Snapshot. Their Trace fields are non-empty.
+const (
+	tracedSessionEnvelope = "testdata/session-v1-trace.gob"
+	tracedFleetEnvelope   = "testdata/fleet-v1-trace.gob"
+	// Fingerprints that build recorded: right after restoring either
+	// envelope at tick 20, and after running on to detCfg's 50 ticks.
+	tracedRestoredFP  = "24f932020f39b6fc1ba7b5b565ff2577bfeba4759222fec001f0e1e5141e9697"
+	tracedContinuedFP = "3da22385f77cbd83519498fd0ec777d9ae9fe843644a0bcb7100f36fe96f2528"
+)
+
+// TestTracedSnapshotsRestore: v1 envelopes that carry a device trace
+// still restore. The trace is dropped, and the fleet restores and runs
+// on with the fingerprints of the build that wrote them.
+func TestTracedSnapshotsRestore(t *testing.T) {
+	cfg := detCfg()
+	sess, err := os.ReadFile(tracedSessionEnvelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(tracedFleetEnvelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env sessionEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(sess)).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.State.Device.Trace) == 0 {
+		t.Fatalf("%s carries no trace", tracedSessionEnvelope)
+	}
+
+	f := snapFleet(t, 20)
+	if err := f.RemoveSession(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RestoreSession(bytes.NewReader(sess)); err != nil {
+		t.Fatal(err)
+	}
+	if tr := f.shardOf(7).sessions[7].dev.Trace(); tr != nil {
+		t.Fatalf("restored session keeps a trace of %d events", len(tr.Events()))
+	}
+	check := func(what string, f *Fleet) {
+		t.Helper()
+		if got := f.Stats().Fingerprint(); got != tracedRestoredFP {
+			t.Fatalf("%s restored: fingerprint %s, want %s", what, got, tracedRestoredFP)
+		}
+		if _, err := f.RunTicks(cfg.Ticks - 20); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Stats().Fingerprint(); got != tracedContinuedFP {
+			t.Fatalf("%s continued: fingerprint %s, want %s", what, got, tracedContinuedFP)
+		}
+	}
+	check("session envelope", f)
+
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(bytes.NewReader(whole)); err != nil {
+		t.Fatal(err)
+	}
+	check("fleet envelope", fresh)
+}
+
+// TestSessionEnvelopeCarriesNoTrace: fleet devices keep no lifecycle
+// log, so a session envelope's device trace is empty even after launches.
+func TestSessionEnvelopeCarriesNoTrace(t *testing.T) {
+	f := snapFleet(t, 20)
+	var buf bytes.Buffer
+	if err := f.SnapshotSession(7, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var env sessionEnvelope
+	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.State.Device.Metrics.Launches == 0 {
+		t.Fatal("session 7 launched no apps")
+	}
+	if n := len(env.State.Device.Trace); n != 0 {
+		t.Fatalf("session envelope carries %d trace events", n)
 	}
 }

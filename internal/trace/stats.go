@@ -29,7 +29,7 @@ func (l *Log) Stats(horizon time.Duration) []AppStats {
 		}
 		return s
 	}
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		s := get(e.App)
 		switch e.Kind {
 		case EventStart:

@@ -49,7 +49,10 @@ type Event struct {
 	Note string
 }
 
-// Log is an append-only event recorder.
+// Log is an append-only event recorder. A nil *Log is an empty log
+// that records nothing: Record is a no-op and Events returns nil, so an
+// owner that keeps no history (a fleet-served device) holds a nil log
+// instead of one that grows with run length.
 type Log struct {
 	events []Event
 }
@@ -64,19 +67,27 @@ func FromEvents(events []Event) *Log {
 	return &Log{events: append([]Event(nil), events...)}
 }
 
-// Record appends an event.
+// Record appends an event; on a nil log it does nothing.
 func (l *Log) Record(at time.Duration, app string, kind EventKind, note string) {
+	if l == nil {
+		return
+	}
 	l.events = append(l.events, Event{At: at, App: app, Kind: kind, Note: note})
 }
 
-// Events returns the recorded events in order.
-func (l *Log) Events() []Event { return l.events }
+// Events returns the recorded events in order (nil on a nil log).
+func (l *Log) Events() []Event {
+	if l == nil {
+		return nil
+	}
+	return l.events
+}
 
 // Apps returns the distinct app names in first-seen order.
 func (l *Log) Apps() []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		if !seen[e.App] {
 			seen[e.App] = true
 			out = append(out, e.App)
@@ -97,7 +108,7 @@ func (l *Log) lifespans(horizon time.Duration) map[string][]span {
 	alive := map[string]time.Duration{}
 	out := map[string][]span{}
 	started := map[string]bool{}
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		switch e.Kind {
 		case EventStart:
 			if !started[e.App] {
@@ -190,7 +201,7 @@ func (l *Log) AliveAt(t, horizon time.Duration) int {
 // app counts all).
 func (l *Log) KillCount(app string) int {
 	var n int
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		if e.Kind == EventKill && (app == "" || e.App == app) {
 			n++
 		}
@@ -203,7 +214,7 @@ func (l *Log) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "at_ms,app,event,note"); err != nil {
 		return err
 	}
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s\n",
 			e.At.Milliseconds(), e.App, e.Kind, e.Note); err != nil {
 			return err

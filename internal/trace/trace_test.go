@@ -8,6 +8,25 @@ import (
 	"time"
 )
 
+// TestNilLog: a nil log records nothing and reads as an empty log.
+func TestNilLog(t *testing.T) {
+	var l *Log
+	l.Record(time.Second, "chrome", EventStart, "cold start")
+	if ev := l.Events(); ev != nil {
+		t.Fatalf("nil log has events %v", ev)
+	}
+	if apps, st := l.Apps(), l.Stats(time.Minute); len(apps) != 0 || len(st) != 0 {
+		t.Fatalf("nil log has apps %v, stats %v", apps, st)
+	}
+	if l.KillCount("") != 0 || l.AliveAt(time.Second, time.Minute) != 0 || l.RenderASCII(time.Minute, 10) != "" {
+		t.Fatal("nil log reads as non-empty")
+	}
+	var csv bytes.Buffer
+	if err := l.WriteCSV(&csv); err != nil || csv.String() != "at_ms,app,event,note\n" {
+		t.Fatalf("nil log CSV %q, %v", csv.String(), err)
+	}
+}
+
 func TestLifespanReconstruction(t *testing.T) {
 	l := New()
 	l.Record(0, "chrome", EventStart, "")

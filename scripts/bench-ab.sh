@@ -20,7 +20,7 @@
 # The summary gives, per benchmark: the base and head ns/op medians and
 # ranges, the head's win count (strictly faster) out of the rounds, the
 # two-sided sign-test p over the rounds that were not tied, and both
-# sides' median allocs/op. A benchmark missing on one side is listed as
+# sides' median B/op and allocs/op. A benchmark missing on one side is listed as
 # such. The script exits 1 if either binary fails.
 set -euo pipefail
 
@@ -49,7 +49,7 @@ echo "bench-ab: base $base ($base_rev) vs working tree, package $pkg, benchmarks
 go test -c -o "$tmp/head.test" "$pkg"
 
 # run SIDE DIR ROUND: one pass of the benchmarks; appends
-# "ROUND NAME NS_PER_OP ALLOCS_PER_OP" lines to $tmp/SIDE.vals.
+# "ROUND NAME NS_PER_OP ALLOCS_PER_OP BYTES_PER_OP" lines to $tmp/SIDE.vals.
 run() {
 	local side=$1 dir=$2 round=$3 out=$tmp/$1.$3.out
 	(cd "$dir/$pkg" && "$tmp/$side.test" -test.run '^$' -test.bench "$bench" \
@@ -60,12 +60,13 @@ run() {
 	}
 	awk -v r="$round" '/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
-		ns = ""; allocs = ""
+		ns = ""; allocs = ""; bytes = ""
 		for (i = 3; i < NF; i++) {
 			if ($(i + 1) == "ns/op") ns = $i
 			if ($(i + 1) == "allocs/op") allocs = $i
+			if ($(i + 1) == "B/op") bytes = $i
 		}
-		if (ns != "") print r, name, ns, (allocs == "" ? "-" : allocs)
+		if (ns != "") print r, name, ns, (allocs == "" ? "-" : allocs), (bytes == "" ? "-" : bytes)
 	}' "$out" >>"$tmp/$side.vals"
 }
 
@@ -105,11 +106,11 @@ FNR == 1 { side++ }
 {
 	key = $2
 	if (!(key in seen)) { seen[key] = 1; order[++nk] = key }
-	if (side == 1) { bns[key] = bns[key] " " $3; bal[key] = bal[key] " " $4; b[key, $1] = $3 }
-	else { hns[key] = hns[key] " " $3; hal[key] = hal[key] " " $4; h[key, $1] = $3 }
+	if (side == 1) { bns[key] = bns[key] " " $3; bal[key] = bal[key] " " $4; bby[key] = bby[key] " " $5; b[key, $1] = $3 }
+	else { hns[key] = hns[key] " " $3; hal[key] = hal[key] " " $4; hby[key] = hby[key] " " $5; h[key, $1] = $3 }
 }
 END {
-	printf "%-40s %12s %23s %12s %23s %8s %6s %8s %9s\n", "benchmark", "base_ns/op", "base_range", "head_ns/op", "head_range", "delta", "wins", "sign_p", "allocs"
+	printf "%-40s %12s %23s %12s %23s %8s %6s %8s %13s %9s\n", "benchmark", "base_ns/op", "base_range", "head_ns/op", "head_range", "delta", "wins", "sign_p", "B/op", "allocs"
 	for (i = 1; i <= nk; i++) {
 		k = order[i]
 		if (!(k in bns) || !(k in hns)) { printf "%-40s %12s\n", k, (k in bns) ? "(head missing)" : "(base missing)"; continue }
@@ -122,7 +123,8 @@ END {
 			else if (h[k, r] + 0 > b[k, r] + 0) l++
 		}
 		split(stats(bal[k]), ba, " "); split(stats(hal[k]), ha, " ")
-		printf "%-40s %12s %23s %12s %23s %+7.1f%% %6s %8.3g %9s\n", k, bs[1], bs[2] "-" bs[3], hs[1], hs[2] "-" hs[3],
-			100 * (hs[1] - bs[1]) / bs[1], w "/" n, signp(w, l), ba[1] "->" ha[1]
+		split(stats(bby[k]), bb, " "); split(stats(hby[k]), hb, " ")
+		printf "%-40s %12s %23s %12s %23s %+7.1f%% %6s %8.3g %13s %9s\n", k, bs[1], bs[2] "-" bs[3], hs[1], hs[2] "-" hs[3],
+			100 * (hs[1] - bs[1]) / bs[1], w "/" n, signp(w, l), bb[1] "->" hb[1], ba[1] "->" ha[1]
 	}
 }' "$tmp/base.vals" "$tmp/head.vals"
