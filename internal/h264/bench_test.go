@@ -1,11 +1,6 @@
 package h264
 
-import (
-	"fmt"
-	"testing"
-
-	"affectedge/internal/parallel"
-)
+import "testing"
 
 // Benchmarks of the video hot path. The bitstream micro-benchmarks pair
 // each word-level primitive with its retained scalar reference
@@ -281,30 +276,6 @@ func BenchmarkDecodeResidualBlock(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeStreams(b *testing.B) {
-	stream, src := benchStream(b)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			defer parallel.SetWorkers(parallel.SetWorkers(workers))
-			streams := make([][]byte, 8)
-			for i := range streams {
-				streams[i] = stream
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				outs, err := DecodeStreams(streams, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(outs) != len(streams) || len(outs[0]) != len(src) {
-					b.Fatal("bad shape")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSADBlock sweeps a motion-search-shaped set of SAD calls over
 // two decoded frames: every 4x4 block of each macroblock against nine
 // candidate vectors. The Ref variant runs the retained scalar loop on
@@ -338,6 +309,49 @@ func benchmarkSAD(b *testing.B, sad func(orig, ref *Frame, bx, by int, mv MV) in
 
 func BenchmarkSADBlock(b *testing.B)       { benchmarkSAD(b, sadBlock) }
 func BenchmarkSADBlockScalar(b *testing.B) { benchmarkSAD(b, sadBlockRef) }
+
+// BenchmarkDecodeIntraFrame decodes the probe clip's IDR slice alone
+// (SPS, PPS and the one intra picture) on a pooled decoder with the
+// deblocking filter off, so its time is the intra macroblock path:
+// mode codes, intra prediction, residual parsing and reconstruction.
+// Allocations must be zero per op.
+func BenchmarkDecodeIntraFrame(b *testing.B) {
+	streams, _ := probeClip(b, 6)
+	units, err := SplitStream(streams[ModeStandard])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var intra []NAL
+	for _, u := range units {
+		if u.Type != NALSliceNonIDR {
+			intra = append(intra, u)
+		}
+	}
+	stream, err := MarshalStream(intra)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := NewDecoder()
+	pool := NewFramePool()
+	dec.SetPool(pool)
+	out, err := probeDecode(dec, ModeDFOff, stream, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool.PutAll(out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err = probeDecode(dec, ModeDFOff, stream, 1, out[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != 1 {
+			b.Fatalf("%d frames, want 1", len(out))
+		}
+		pool.PutAll(out)
+	}
+}
 
 // BenchmarkProbeDecode decodes the fleet's 6-frame probe clip per
 // operating mode exactly as a shard's video probe does: one pooled

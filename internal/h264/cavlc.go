@@ -300,30 +300,20 @@ func readLevelPrefixSlow(r *BitReader) (int, error) {
 func DecodeResidual(r *BitReader) (Block4, int, error) {
 	var scan [16]int32
 	start := r.BitsRead()
-	if _, err := decodeResidualScan(r, &scan); err != nil {
+	if _, err := decodeCodedResidual(r, &scan); err != nil {
 		return Block4{}, 0, err
 	}
 	return FromZigZag(scan), r.BitsRead() - start, nil
 }
 
-// decodeResidualScan reads one residual block into zig-zag order without
-// allocating and returns its number of nonzero levels. A block without
-// levels is the single coeff_token bit 1: it is consumed and scan is left
-// as it was. A block with levels overwrites all of scan. Bit consumption
-// and errors are identical to the original slice-based decoder.
-//
-// The empty-block check is small enough to inline: the cache's bits past
-// nbits are zero, so a set top bit is a cached 1. An empty cache falls
-// through to readCoeffToken, which refills and decodes the 1 itself.
-func decodeResidualScan(r *BitReader, scan *[16]int32) (nz int, err error) {
-	if r.cache>>63 != 0 {
-		r.skip(1)
-		return 0, nil
-	}
-	return decodeCodedResidual(r, scan)
-}
-
-// decodeCodedResidual is decodeResidualScan past its empty-block check.
+// decodeCodedResidual reads one residual block into zig-zag order
+// without allocating and returns its number of nonzero levels. Bit
+// consumption and errors are identical to the original slice-based
+// decoder. A block without levels is the single coeff_token bit 1: it
+// is consumed and scan is left as it was, so the macroblock decoders
+// check a cached 1 themselves (the cache's bits past nbits are zero, so
+// a set top bit is a cached 1) and call this only for a block that may
+// have levels. A block with levels overwrites all of scan.
 func decodeCodedResidual(r *BitReader, scan *[16]int32) (nz int, err error) {
 	totalCoeff, trailingOnes, err := readCoeffToken(r)
 	if err != nil {

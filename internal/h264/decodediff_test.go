@@ -9,12 +9,13 @@ import (
 
 // diffStreams encodes the genuine streams FuzzDecodeDiff starts from:
 // small clips with motion, B-frames and QPs that leave most residuals
-// zero but not all, the fleet's 6-frame probe clip in every mode, and a
-// flat panning clip whose every inter macroblock is coded with a
-// nonzero vector and almost no residual: long runs of empty blocks, and
-// border macroblocks predicted past the reference's edge. It also
-// returns the one stream the decoders must refuse: a tiny clip whose SPS
-// sets the chroma bit.
+// zero but not all; the fleet's 6-frame probe clip in every mode; a flat
+// panning clip whose every inter macroblock is coded with a nonzero
+// vector and almost no residual (long runs of empty blocks, and border
+// macroblocks predicted past the reference's edge); and an intra
+// picture mixing all three modes at random, the picture's edges
+// included (mixedIntraStream). It also returns the one stream the
+// decoders must refuse: a tiny clip whose SPS sets the chroma bit.
 func diffStreams(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -53,7 +54,7 @@ func diffStreams(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	probe, _ := probeClip(tb, 6)
-	return append(out, probe[ModeStandard], probe[ModeDeletion], chromaSPSStream(tb), panStream)
+	return append(out, probe[ModeStandard], probe[ModeDeletion], chromaSPSStream(tb), panStream, mixedIntraStream(tb))
 }
 
 // maxDiffMBs bounds the picture size a fuzzed SPS may ask for, so a

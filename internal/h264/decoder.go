@@ -1,7 +1,6 @@
 package h264
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -314,52 +313,88 @@ func (d *Decoder) ConcealTo(n int) []*Frame {
 // reconstructed before it), and the residual is added in place only
 // where the block has nonzero levels.
 //
-// Bit accounting: a block's header is its ue(v) mode code, whose length
+// The mode codes are ue(v) 0, 1 and 2: the bits 1, 010 and 011, read
+// from the reader's cache. Any other code, or a cache holding fewer
+// than three bits after a refill, goes through ReadUE, so a bad or
+// truncated code fails at the bit it always did. The mode's predictor
+// (predictV4, predictH4, predictDC4) is called directly. An empty block
+// is a cached bit 1 (the cache's bits past nbits are zero, so a set top
+// bit is a cached 1).
+//
+// Bit accounting: a block's header is its mode code, whose length
 // follows from the value; the residual bits are the rest of what the
 // macroblock consumed. On an error only the syntax elements read whole
-// count, so each block's start position is kept.
+// count, so the position before each element that can fail (a slow
+// mode code, a coded residual) is kept in mark.
 func (d *Decoder) decodeIntraMB(r *BitReader, recon *Frame, mx, my int, info *mbInfo) error {
 	info.intra = true
-	w := recon.Width
-	scan := &d.scans[0]
+	w, y := recon.Width, recon.Y
+	scan, dq := &d.scans[0], &dequantScan[d.qp]
 	start := r.BitsRead()
-	hdr, res := 0, 0
+	mark, hdr := start, 0
 	var err error
-	for blk := 0; blk < 16; blk++ {
-		mark := r.BitsRead()
-		res = mark - start - hdr
-		var modeVal uint32
-		if modeVal, err = r.ReadUE(); err != nil {
-			break
+	blk := 0
+blocks:
+	for ; blk < 16; blk++ {
+		x, yy := mx*16+blk%4*4, my*16+blk/4*4
+		off := yy*w + x
+		if r.nbits < 3 {
+			r.refill()
 		}
-		hdr += 2*bits.Len64(uint64(modeVal)+1) - 1
-		x, y := mx*16+blk%4*4, my*16+blk/4*4
-		off := y*w + x
-		if err = predictIntraInto(recon.Y, off, w, x > 0, y > 0, IntraMode(modeVal)); err != nil {
-			break
+		c := r.cache >> 61
+		if r.nbits < 3 {
+			c = 0 // the stream ends within three bits: ReadUE decides
 		}
-		d.activity.IntraBlocks++
+		// One branch per block on its mode code both consumes the code
+		// and predicts.
+		switch {
+		case c >= 4: // 1: vertical
+			r.skip(1)
+			hdr++
+			predictV4(y, off, w, yy > 0)
+		case c == 2: // 010: horizontal
+			r.skip(3)
+			hdr += 3
+			predictH4(y, off, w, x > 0)
+		case c == 3: // 011: DC
+			r.skip(3)
+			hdr += 3
+			predictDC4(y, off, w, x > 0, yy > 0)
+		default:
+			mark = r.BitsRead()
+			var v uint32
+			if v, err = r.ReadUE(); err != nil {
+				break blocks
+			}
+			hdr += 2*bits.Len64(uint64(v)+1) - 1
+			if err = predictIntraInto(y, off, w, x > 0, yy > 0, IntraMode(v)); err != nil {
+				mark = r.BitsRead()
+				break blocks
+			}
+		}
+		if r.cache>>63 != 0 {
+			r.skip(1)
+			continue
+		}
+		mark = r.BitsRead()
 		var nz int
-		if nz, err = decodeResidualScan(r, scan); err != nil {
+		if nz, err = decodeCodedResidual(r, scan); err != nil {
+			d.activity.IntraBlocks++ // its prediction counts, its residual does not
 			break
 		}
-		d.activity.BlocksIQIT++
 		if nz > 0 {
 			info.coded = true
-			var resid Block4
-			if err = iqitScanInto(scan, d.qp, &resid); err != nil {
-				res = r.BitsRead() - start - hdr
-				break
-			}
-			addResidual4(recon.Y[off:], recon.Y[off:], w, w, &resid)
+			addIQIT4(y[off:], w, scan, dq, nz == 1 && scan[0] != 0)
 		}
 	}
 	if err == nil {
-		res = r.BitsRead() - start - hdr
+		mark = r.BitsRead()
 		d.activity.CodedMBs++
 	}
+	d.activity.IntraBlocks += blk
+	d.activity.BlocksIQIT += blk
 	d.activity.HeaderBits += hdr
-	d.activity.ResidualBits += res
+	d.activity.ResidualBits += mark - start - hdr
 	return err
 }
 
@@ -381,9 +416,7 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 		// A skip MB is zero-MV prediction plus zero residual; the sixteen
 		// 4x4 motion-compensated predictions it stands for still count
 		// toward InterBlocks.
-		if err := d.reconInterMB(recon, mx, my, MV{}, 0); err != nil {
-			return err
-		}
+		d.reconInterMB(recon, mx, my, MV{}, 0, 0)
 		d.activity.InterBlocks += 16
 		return nil
 	}
@@ -399,7 +432,7 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 	d.activity.HeaderBits += hdrEnd - start
 	mv := MV{int(mvx), int(mvy)}
 	info.mv = mv
-	var coded uint16
+	var coded, dc uint16
 	for blk := 0; blk < 16; {
 		if k := r.leadingOnes(16 - blk); k > 0 {
 			r.skip(k)
@@ -407,7 +440,8 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 			continue
 		}
 		mark := r.BitsRead()
-		if _, err := decodeCodedResidual(r, &d.scans[blk]); err != nil {
+		nz, err := decodeCodedResidual(r, &d.scans[blk])
+		if err != nil {
 			// As when each block was counted on its own: the failing
 			// block's prediction counts, its residual does not.
 			d.activity.InterBlocks += blk + 1
@@ -416,15 +450,16 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 			return err
 		}
 		coded |= 1 << blk // a block that is not the bit 1 has levels
+		if nz == 1 && d.scans[blk][0] != 0 {
+			dc |= 1 << blk
+		}
 		blk++
 	}
 	d.activity.InterBlocks += 16
 	d.activity.BlocksIQIT += 16
 	d.activity.ResidualBits += r.BitsRead() - hdrEnd
 	info.coded = coded != 0
-	if err := d.reconInterMB(recon, mx, my, mv, coded); err != nil {
-		return err
-	}
+	d.reconInterMB(recon, mx, my, mv, coded, dc)
 	d.activity.CodedMBs++
 	return nil
 }
@@ -434,54 +469,56 @@ func (d *Decoder) decodeInterMB(r *BitReader, recon *Frame, mx, my int, info *mb
 // residual in d.scans added in place to the blocks flagged in coded.
 // Residual-free blocks are exact copies of their prediction
 // (clamp(pred+0) == pred for uint8 samples), so they skip the inverse
-// transform. A prediction inside the reference is sixteen row copies;
-// one that reaches past its edge is gathered through clamped
-// coordinates (edge extension), each column's once.
-func (d *Decoder) reconInterMB(recon *Frame, mx, my int, mv MV, coded uint16) error {
+// transform. A prediction inside the reference is sixteen row copies.
+// One that reaches past its edge is edge-extended a row at a time:
+// the row is the reference row at the clamped y, and its columns left
+// of the picture repeat the row's first sample, those inside are one
+// copy, and those right of it repeat the last sample.
+func (d *Decoder) reconInterMB(recon *Frame, mx, my int, mv MV, coded, dc uint16) {
 	ref := d.lastRef
 	dw, sw := recon.Width, ref.Width
 	x0, y0 := mx*16+mv.X, my*16+mv.Y
 	dst := recon.Y[my*16*dw+mx*16:]
 	if x0 >= 0 && y0 >= 0 && x0+16 <= sw && y0+16 <= ref.Height {
 		src := ref.Y[y0*sw+x0:]
-		for row := 0; row < 16; row++ {
-			copy16(dst[row*dw:], src[row*sw:])
+		for row, so, do := 0, 0, 0; row < 16; row, so, do = row+1, so+sw, do+dw {
+			copy16(dst[do:], src[so:])
 		}
 	} else {
-		var xs [16]int
-		for c := range xs {
-			xs[c] = min(max(x0+c, 0), sw-1)
-		}
+		// Columns [0, nl) lie left of the reference and [16-nr, 16)
+		// right of it. The reference is at least 16 samples wide, so at
+		// most one of the two is nonempty.
+		nl := min(max(-x0, 0), 16)
+		nr := min(max(x0+16-sw, 0), 16)
+		sx := min(max(x0, 0), sw-1)
 		for row := 0; row < 16; row++ {
 			sy := min(max(y0+row, 0), ref.Height-1)
 			s, d := ref.Y[sy*sw:sy*sw+sw], dst[row*dw:row*dw+16]
-			for c := range d {
-				d[c] = s[xs[c]]
+			if nl|nr == 0 {
+				copy16(d, s[sx:])
+				continue
 			}
+			fill(d[:nl], s[0])
+			copy(d[nl:16-nr], s[sx:])
+			fill(d[16-nr:], s[sw-1])
 		}
 	}
+	dq := &dequantScan[d.qp]
 	for m := coded; m != 0; m &= m - 1 {
 		blk := bits.TrailingZeros16(m)
-		var res Block4
-		if err := iqitScanInto(&d.scans[blk], d.qp, &res); err != nil {
-			return err
-		}
-		bd := dst[blk/4*4*dw+blk%4*4:]
-		addResidual4(bd, bd, dw, dw, &res)
+		addIQIT4(dst[blk/4*4*dw+blk%4*4:], dw, &d.scans[blk], dq, dc>>blk&1 != 0)
 	}
-	return nil
 }
 
-// copy4 and copy16 copy one 4- or 16-sample row segment as word moves
-// (a slice copy this short costs more in the memmove call than in the
-// move). Reslicing both operands to the segment first leaves one bounds
-// check each.
-func copy4(dst, src []uint8) {
-	binary.LittleEndian.PutUint32(dst[:4], binary.LittleEndian.Uint32(src[:4]))
+// fill sets every sample of s to v.
+func fill(s []uint8, v uint8) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
+// copy16 copies one 16-sample row segment as one 16-byte move (a slice
+// copy this short costs more in the memmove call than in the move).
 func copy16(dst, src []uint8) {
-	d, s := dst[:16], src[:16]
-	binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
-	binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+	*(*[16]uint8)(dst) = *(*[16]uint8)(src)
 }

@@ -72,13 +72,12 @@ func (f *Frame) SetY(x, y int, v uint8) {
 	f.Y[y*f.Width+x] = v
 }
 
-// clampU8 saturates an int32 to [0, 255].
+// clampU8 saturates an int32 to [0, 255]. Both out-of-range sides take
+// one branch: ^(v>>31) is all zeros for a negative v and all ones for
+// one above 255.
 func clampU8(v int32) uint8 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
+	if uint32(v) > 255 {
+		return uint8(^(v >> 31))
 	}
 	return uint8(v)
 }

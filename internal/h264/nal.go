@@ -70,6 +70,9 @@ func escapedLen(p []byte) int {
 
 var startCode = []byte{0, 0, 0, 1}
 
+// escapeSeq is two zeros and an emulation prevention byte.
+var escapeSeq = []byte{0, 0, 3}
+
 // escapeRBSP inserts emulation_prevention_three_byte (0x03) after any
 // 0x0000 pair followed by a byte <= 0x03, per the spec.
 func escapeRBSP(p []byte) []byte {
@@ -95,27 +98,26 @@ func escapeRBSP(p []byte) []byte {
 // itself: callers (SplitStream consumers) treat payloads as read-only, so
 // the zero-copy subslice is safe and skips one allocation per NAL unit.
 func unescapeRBSP(p []byte) []byte {
-	// First pass: find the first escape byte, if any.
+	// First pass: find the first escape byte, if any: a 3 after two
+	// zeros, followed by a byte no greater than 3.
 	esc := -1
-	zeros := 0
-	for i := 0; i < len(p); i++ {
-		b := p[i]
-		if zeros >= 2 && b == 3 && i+1 < len(p) && p[i+1] <= 3 {
-			esc = i
+	for i := 0; ; {
+		j := bytes.Index(p[i:], escapeSeq)
+		if j < 0 {
 			break
 		}
-		if b == 0 {
-			zeros++
-		} else {
-			zeros = 0
+		if e := i + j + 2; e+1 < len(p) && p[e+1] <= 3 {
+			esc = e
+			break
 		}
+		i += j + 3
 	}
 	if esc < 0 {
 		return p
 	}
 	out := make([]byte, 0, len(p))
 	out = append(out, p[:esc]...)
-	zeros = 0 // the escape follows two zeros; they are already appended
+	zeros := 0 // the escape follows two zeros; they are already appended
 	for i := esc; i < len(p); i++ {
 		b := p[i]
 		if i == esc {
@@ -215,8 +217,13 @@ func SplitStreamInto(stream []byte, units []NAL) ([]NAL, error) {
 // nextStartCode returns the index of the next start code at or after i and
 // the index just past it (the header byte), or (-1, -1).
 func nextStartCode(b []byte, i int) (codeStart, payloadStart int) {
-	for ; i+3 <= len(b); i++ {
-		if b[i] == 0 && b[i+1] == 0 {
+	for i+3 <= len(b) {
+		j := bytes.IndexByte(b[i:len(b)-2], 0)
+		if j < 0 {
+			break
+		}
+		i += j
+		if b[i+1] == 0 {
 			if b[i+2] == 1 {
 				return i, i + 3
 			}
@@ -224,6 +231,7 @@ func nextStartCode(b []byte, i int) (codeStart, payloadStart int) {
 				return i, i + 4
 			}
 		}
+		i++
 	}
 	return -1, -1
 }

@@ -4,31 +4,12 @@ import (
 	"affectedge/internal/parallel"
 )
 
-// Multi-stream fan-out: decoding independent streams (one per simulated
-// device, or one per operating mode) is embarrassingly parallel, so both
-// entry points fan out over the shared bounded worker pool. Results are
-// written back by index, which keeps aggregation deterministic: output
-// order never depends on scheduling, so a run is bit-identical at any
-// parallel.SetWorkers count.
-
-// DecodeStreams decodes each annex-B stream with its own Decoder (deblock
-// knob applied to all of them) and returns the per-stream frame sequences
-// in input order. Every output frame is retained by the caller, so no
-// FramePool is attached here; callers that recycle frames (the fleet's
-// per-shard probe decode) attach their own pool via Decoder.SetPool.
-func DecodeStreams(streams [][]byte, deblock bool) ([][]*Frame, error) {
-	return parallel.Map(len(streams), func(i int) ([]*Frame, error) {
-		dec := NewDecoder()
-		dec.SetDeblock(deblock)
-		return dec.DecodeStream(streams[i])
-	})
-}
-
 // MeasureModes runs DecodePipeline over the given modes in parallel,
 // returning results in mode order. It is the fan-out core of CompareModes
 // and of videosim's -workers flag: the four operating points decode
 // independent pipelines, so wall-clock scales down with the pool size while
-// every statistic stays bit-identical to a serial run.
+// every statistic stays bit-identical to a serial run: results are
+// written back by index, so output order never depends on scheduling.
 func MeasureModes(stream []byte, modes []DecoderMode) ([]*PipelineResult, error) {
 	return parallel.Map(len(modes), func(i int) (*PipelineResult, error) {
 		return DecodePipeline(stream, modes[i])

@@ -9,11 +9,14 @@ import "sync"
 // reset between streams (or a fleet shard decoding the same probe clip
 // every tick) reaches a steady state of zero plane allocations.
 //
-// Frames are zeroed on Put, not Get: returned frames never leak pixel data
-// from a previous stream, and the zeroing cost sits on the release path
-// where it overlaps naturally with the consumer being done with the frame.
-// A nil *FramePool is valid and degrades to plain NewFrame allocation, so
-// pooling stays strictly opt-in.
+// A frame from Get has zeroed chroma planes and a luma plane holding
+// whatever its last user left there. Both users overwrite every luma
+// sample before reading one: a decoded slice reconstructs every
+// macroblock, a concealment frame copies the whole plane, and the
+// encoder's reconstruction writes every block. The codec never writes
+// Cb or Cr, so Put zeroes those and Get hands out the zero chroma a
+// fresh frame has. A nil *FramePool is valid and degrades to plain
+// NewFrame allocation, so pooling stays strictly opt-in.
 type FramePool struct {
 	mu   sync.Mutex
 	w, h int
@@ -24,8 +27,9 @@ type FramePool struct {
 // the first frame it sees; frames of any other size bypass it.
 func NewFramePool() *FramePool { return &FramePool{} }
 
-// Get returns a zeroed w×h frame, reusing a pooled one when the
-// dimensions match. Dimension validation is NewFrame's, so a pooled Get
+// Get returns a w×h frame with zeroed chroma, reusing a pooled one when
+// the dimensions match; a reused frame's luma is stale, a fresh one's is
+// zero. Dimension validation is NewFrame's, so a pooled Get
 // fails in exactly the cases an unpooled allocation would.
 func (p *FramePool) Get(w, h int) (*Frame, error) {
 	if p == nil {
@@ -42,16 +46,13 @@ func (p *FramePool) Get(w, h int) (*Frame, error) {
 	return NewFrame(w, h)
 }
 
-// Put zeroes f and returns it to the pool. Frames whose dimensions differ
+// Put zeroes f's chroma and returns it to the pool. Frames whose dimensions differ
 // from the pool's current size are dropped (the pool re-keys itself when
 // empty, so a dimension change costs one generation of frames, not a
 // permanent mismatch). Nil pools and nil frames are no-ops.
 func (p *FramePool) Put(f *Frame) {
 	if p == nil || f == nil {
 		return
-	}
-	for i := range f.Y {
-		f.Y[i] = 0
 	}
 	for i := range f.Cb {
 		f.Cb[i] = 0

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"affectedge/internal/simd"
@@ -40,7 +41,7 @@ func PredictIntra4(f *Frame, bx, by int, mode IntraMode) (Block4, error) {
 	var patch [25]uint8
 	hasTop, hasLeft := by > 0, bx > 0
 	if hasTop {
-		copy4(patch[1:], f.Y[(by-1)*f.Width+bx:])
+		copy(patch[1:5], f.Y[(by-1)*f.Width+bx:])
 	}
 	if hasLeft {
 		for r := 0; r < 4; r++ {
@@ -59,9 +60,6 @@ func PredictIntra4(f *Frame, bx, by int, mode IntraMode) (Block4, error) {
 	return pred, nil
 }
 
-// gray4 is the 128-valued top row vertical prediction falls back to.
-var gray4 = [4]uint8{128, 128, 128, 128}
-
 // predictIntraInto writes the 4x4 intra prediction of the block whose
 // top-left sample is y[off] (rows stride apart) straight into the plane,
 // reading its already-reconstructed neighbours there. hasLeft and hasTop
@@ -71,47 +69,66 @@ var gray4 = [4]uint8{128, 128, 128, 128}
 func predictIntraInto(y []uint8, off, stride int, hasLeft, hasTop bool, mode IntraMode) error {
 	switch mode {
 	case IntraVertical:
-		top := gray4[:]
-		if hasTop {
-			top = y[off-stride:]
-		}
-		for r := 0; r < 4; r++ {
-			copy4(y[off+r*stride:], top)
-		}
+		predictV4(y, off, stride, hasTop)
 	case IntraHorizontal:
-		for r := 0; r < 4; r++ {
-			row := y[off+r*stride : off+r*stride+4]
-			v := uint8(128)
-			if hasLeft {
-				v = y[off+r*stride-1]
-			}
-			row[0], row[1], row[2], row[3] = v, v, v, v
-		}
+		predictH4(y, off, stride, hasLeft)
 	case IntraDC:
-		var sum, n int32
-		if hasTop {
-			t := y[off-stride : off-stride+4]
-			sum += int32(t[0]) + int32(t[1]) + int32(t[2]) + int32(t[3])
-			n += 4
-		}
-		if hasLeft {
-			for r := 0; r < 4; r++ {
-				sum += int32(y[off+r*stride-1])
-			}
-			n += 4
-		}
-		dc := uint8(128)
-		if n > 0 {
-			dc = uint8((sum + n/2) / n)
-		}
-		for r := 0; r < 4; r++ {
-			row := y[off+r*stride : off+r*stride+4]
-			row[0], row[1], row[2], row[3] = dc, dc, dc, dc
-		}
+		predictDC4(y, off, stride, hasLeft, hasTop)
 	default:
 		return fmt.Errorf("h264: unknown intra mode %d", int(mode))
 	}
 	return nil
+}
+
+// predictV4, predictH4 and predictDC4 are predictIntraInto's three
+// modes, each a word store per row. The decoder's intra macroblock
+// calls them directly once it has its mode.
+
+// predictV4 repeats the top row, or 128 without one, down the block.
+func predictV4(y []uint8, off, stride int, hasTop bool) {
+	t := uint32(0x80808080)
+	if hasTop {
+		t = binary.LittleEndian.Uint32(y[off-stride:])
+	}
+	for r := 0; r < 4; r++ {
+		binary.LittleEndian.PutUint32(y[off+r*stride:], t)
+	}
+}
+
+// predictH4 repeats each row's left neighbour, or 128 without one,
+// across the row.
+func predictH4(y []uint8, off, stride int, hasLeft bool) {
+	for r := 0; r < 4; r++ {
+		o, t := off+r*stride, uint32(0x80808080)
+		if hasLeft {
+			t = uint32(y[o-1]) * 0x01010101
+		}
+		binary.LittleEndian.PutUint32(y[o:], t)
+	}
+}
+
+// predictDC4 fills the block with the rounded mean of the available top
+// row and left column, or 128 without either.
+func predictDC4(y []uint8, off, stride int, hasLeft, hasTop bool) {
+	var sum, n uint32
+	if hasTop {
+		t := binary.LittleEndian.Uint32(y[off-stride:])
+		sum += t&0xff + t>>8&0xff + t>>16&0xff + t>>24
+		n += 4
+	}
+	if hasLeft {
+		for r := 0; r < 4; r++ {
+			sum += uint32(y[off+r*stride-1])
+		}
+		n += 4
+	}
+	dc := uint32(128)
+	if n > 0 {
+		dc = (sum + n/2) >> (n/4 + 1) // (sum + n/2) / n for n = 4 or 8
+	}
+	for r := 0; r < 4; r++ {
+		binary.LittleEndian.PutUint32(y[off+r*stride:], dc*0x01010101)
+	}
 }
 
 // MV is a full-pel motion vector.
@@ -180,21 +197,6 @@ func reconstructBlock(f *Frame, bx, by int, pred, residual Block4) {
 		for c := 0; c < 4; c++ {
 			f.SetY(bx+c, by+r, clampU8(pred[r*4+c]+residual[r*4+c]))
 		}
-	}
-}
-
-// addResidual4 writes clamp(src + res) for one 4x4 block: src and dst
-// start at the block's top-left sample, rows srcStride and dstStride
-// apart. dst may alias src (the intra case, prediction already in the
-// plane).
-func addResidual4(dst, src []uint8, dstStride, srcStride int, res *Block4) {
-	for r := 0; r < 4; r++ {
-		s := src[r*srcStride : r*srcStride+4]
-		d := dst[r*dstStride : r*dstStride+4]
-		d[0] = clampU8(int32(s[0]) + res[r*4])
-		d[1] = clampU8(int32(s[1]) + res[r*4+1])
-		d[2] = clampU8(int32(s[2]) + res[r*4+2])
-		d[3] = clampU8(int32(s[3]) + res[r*4+3])
 	}
 }
 

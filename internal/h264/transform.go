@@ -1,6 +1,9 @@
 package h264
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Block4 is a 4x4 block of residual samples or coefficients, row-major.
 type Block4 [16]int32
@@ -46,31 +49,23 @@ func ForwardTransform4(x Block4) Block4 {
 // residual samples.
 func InverseTransform4(w Block4) Block4 {
 	var tmp, out Block4
-	// rows of w
 	for r := 0; r < 4; r++ {
-		s0, s1, s2, s3 := w[4*r], w[4*r+1], w[4*r+2], w[4*r+3]
-		e0 := s0 + s2
-		e1 := s0 - s2
-		e2 := (s1 >> 1) - s3
-		e3 := s1 + (s3 >> 1)
-		tmp[4*r] = e0 + e3
-		tmp[4*r+1] = e1 + e2
-		tmp[4*r+2] = e1 - e2
-		tmp[4*r+3] = e0 - e3
+		tmp[4*r], tmp[4*r+1], tmp[4*r+2], tmp[4*r+3] = invButterfly(w[4*r], w[4*r+1], w[4*r+2], w[4*r+3])
 	}
-	// columns
 	for c := 0; c < 4; c++ {
-		s0, s1, s2, s3 := tmp[c], tmp[4+c], tmp[8+c], tmp[12+c]
-		e0 := s0 + s2
-		e1 := s0 - s2
-		e2 := (s1 >> 1) - s3
-		e3 := s1 + (s3 >> 1)
-		out[c] = (e0 + e3 + 32) >> 6
-		out[4+c] = (e1 + e2 + 32) >> 6
-		out[8+c] = (e1 - e2 + 32) >> 6
-		out[12+c] = (e0 - e3 + 32) >> 6
+		o0, o1, o2, o3 := invButterfly(tmp[c], tmp[4+c], tmp[8+c], tmp[12+c])
+		out[c], out[4+c], out[8+c], out[12+c] = (o0+32)>>6, (o1+32)>>6, (o2+32)>>6, (o3+32)>>6
 	}
 	return out
+}
+
+// invButterfly is one 1-D pass of the inverse integer transform.
+func invButterfly(s0, s1, s2, s3 int32) (int32, int32, int32, int32) {
+	e0 := s0 + s2
+	e1 := s0 - s2
+	e2 := (s1 >> 1) - s3
+	e3 := s1 + (s3 >> 1)
+	return e0 + e3, e1 + e2, e1 - e2, e0 - e3
 }
 
 // Quantization tables from the spec (per QP%6). Positions fall into three
@@ -203,11 +198,11 @@ func TransformQuantize(x Block4, qp int) (Block4, error) {
 	return Quantize(ForwardTransform4(x), qp)
 }
 
-// iqitScanInto is the decoder's fused hot path: zig-zag-ordered levels to
-// reconstructed residual in one pass, no intermediate Block4 copies. The
-// dequantScan table maps each scan position straight to its baked V<<shift
-// factor, and FromZigZag's permutation is folded into the same loop.
-// Bit-identical to FromZigZag -> Dequantize -> InverseTransform4.
+// iqitScanInto is the encoder's reconstruction of a block's residual:
+// zig-zag-ordered levels dequantized straight into block order (the
+// dequantScan table maps each scan position to its baked V<<shift
+// factor) and inverse-transformed. Bit-identical to FromZigZag ->
+// Dequantize -> InverseTransform4.
 func iqitScanInto(scan *[16]int32, qp int, out *Block4) error {
 	if !ValidQP(qp) {
 		return fmt.Errorf("h264: QP %d out of range", qp)
@@ -217,31 +212,55 @@ func iqitScanInto(scan *[16]int32, qp int, out *Block4) error {
 	for i, pos := range zigzag4 {
 		w[pos] = scan[i] * dv[i]
 	}
-	// Inverse transform, rows then columns, writing the result into out.
-	var tmp Block4
-	for r := 0; r < 4; r++ {
-		s0, s1, s2, s3 := w[4*r], w[4*r+1], w[4*r+2], w[4*r+3]
-		e0 := s0 + s2
-		e1 := s0 - s2
-		e2 := (s1 >> 1) - s3
-		e3 := s1 + (s3 >> 1)
-		tmp[4*r] = e0 + e3
-		tmp[4*r+1] = e1 + e2
-		tmp[4*r+2] = e1 - e2
-		tmp[4*r+3] = e0 - e3
-	}
-	for c := 0; c < 4; c++ {
-		s0, s1, s2, s3 := tmp[c], tmp[4+c], tmp[8+c], tmp[12+c]
-		e0 := s0 + s2
-		e1 := s0 - s2
-		e2 := (s1 >> 1) - s3
-		e3 := s1 + (s3 >> 1)
-		out[c] = (e0 + e3 + 32) >> 6
-		out[4+c] = (e1 + e2 + 32) >> 6
-		out[8+c] = (e1 - e2 + 32) >> 6
-		out[12+c] = (e0 - e3 + 32) >> 6
-	}
+	*out = InverseTransform4(w)
 	return nil
+}
+
+// addIQIT4 is the decoder's reconstruction of one coded block in one
+// pass: it dequantizes the zig-zag levels in scan by dq (a dequantScan
+// row), inverse-transforms them and adds the residual, clamped, to the
+// 4x4 block whose top-left sample is dst[0] (rows stride apart).
+// Bit-identical to iqitScanInto followed by clamp(sample + residual):
+// the zig-zag permutation is written out in the loads, and the final
+// rounding's +32 rides on the column pass's first input, which reaches
+// every output of the butterfly unchanged. dcOnly says that scan[0] is
+// the only nonzero level; the residual is then the one value
+// (scan[0]*dq[0]+32)>>6, which is what both passes make of a lone DC
+// coefficient.
+func addIQIT4(dst []uint8, stride int, scan, dq *[16]int32, dcOnly bool) {
+	if dcOnly {
+		if v := (scan[0]*dq[0] + 32) >> 6; v != 0 {
+			for row := 0; row < 4; row++ {
+				addRow4(dst[row*stride:], v, v, v, v)
+			}
+		}
+		return
+	}
+	// Rows of the dequantized block, raster position p <- scan index
+	// zigzag4^-1(p).
+	a0, a1, a2, a3 := invButterfly(scan[0]*dq[0], scan[1]*dq[1], scan[5]*dq[5], scan[6]*dq[6])
+	b0, b1, b2, b3 := invButterfly(scan[2]*dq[2], scan[4]*dq[4], scan[7]*dq[7], scan[12]*dq[12])
+	c0, c1, c2, c3 := invButterfly(scan[3]*dq[3], scan[8]*dq[8], scan[11]*dq[11], scan[13]*dq[13])
+	e0, e1, e2, e3 := invButterfly(scan[9]*dq[9], scan[10]*dq[10], scan[14]*dq[14], scan[15]*dq[15])
+	// Columns: pN is column N, its outputs rows 0..3.
+	p00, p01, p02, p03 := invButterfly(a0+32, b0, c0, e0)
+	p10, p11, p12, p13 := invButterfly(a1+32, b1, c1, e1)
+	p20, p21, p22, p23 := invButterfly(a2+32, b2, c2, e2)
+	p30, p31, p32, p33 := invButterfly(a3+32, b3, c3, e3)
+	addRow4(dst, p00>>6, p10>>6, p20>>6, p30>>6)
+	addRow4(dst[stride:], p01>>6, p11>>6, p21>>6, p31>>6)
+	addRow4(dst[2*stride:], p02>>6, p12>>6, p22>>6, p32>>6)
+	addRow4(dst[3*stride:], p03>>6, p13>>6, p23>>6, p33>>6)
+}
+
+// addRow4 adds r0..r3 to the four samples d[0:4], clamped, as one word
+// load and one word store.
+func addRow4(d []uint8, r0, r1, r2, r3 int32) {
+	s := binary.LittleEndian.Uint32(d)
+	binary.LittleEndian.PutUint32(d, uint32(clampU8(int32(s&0xff)+r0))|
+		uint32(clampU8(int32(s>>8&0xff)+r1))<<8|
+		uint32(clampU8(int32(s>>16&0xff)+r2))<<16|
+		uint32(clampU8(int32(s>>24)+r3))<<24)
 }
 
 // transformQuantizeScan is the encoder's fused hot path: residual to

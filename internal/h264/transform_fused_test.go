@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -78,6 +79,56 @@ func TestIQITScanMatchesComposed(t *testing.T) {
 	}
 	if err := iqitScanInto(&[16]int32{}, -1, &Block4{}); err == nil {
 		t.Fatal("expected QP range error")
+	}
+}
+
+// TestAddIQIT4MatchesComposed holds the decoder's fused reconstruct to
+// iqitScanInto plus a clamped add, at every QP, over random levels (a
+// lone DC level among them, and magnitudes that wrap int32) added to
+// random samples of a strided plane.
+func TestAddIQIT4MatchesComposed(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const stride = 7
+	for qp := 0; qp <= 51; qp++ {
+		for trial := 0; trial < 40; trial++ {
+			var scan [16]int32
+			switch trial % 4 {
+			case 0: // DC only
+				scan[0] = int32(rng.Intn(81) - 40)
+			case 1: // wrapping magnitudes
+				for i := range scan {
+					scan[i] = int32(rng.Uint32())
+				}
+			default:
+				for i := range scan {
+					if rng.Intn(3) == 0 {
+						scan[i] = int32(rng.Intn(41) - 20)
+					}
+				}
+			}
+			plane := make([]uint8, 3*stride+4)
+			for i := range plane {
+				plane[i] = uint8(rng.Intn(256))
+			}
+			want := append([]uint8(nil), plane...)
+			var res Block4
+			if err := iqitScanInto(&scan, qp, &res); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 4; r++ {
+				for c := 0; c < 4; c++ {
+					want[r*stride+c] = clampU8(int32(want[r*stride+c]) + res[r*4+c])
+				}
+			}
+			dcOnly := scan[0] != 0
+			for _, v := range scan[1:] {
+				dcOnly = dcOnly && v == 0
+			}
+			addIQIT4(plane, stride, &scan, &dequantScan[qp], dcOnly)
+			if !bytes.Equal(plane, want) {
+				t.Fatalf("qp %d trial %d (dcOnly %v): fused %v, composed %v", qp, trial, dcOnly, plane, want)
+			}
+		}
 	}
 }
 

@@ -348,17 +348,6 @@ func FFTStage2(x []complex128, w complex128) {
 	}
 }
 
-// FFTStage2Ref is the portable FFTStage2 body.
-func FFTStage2Ref(x []complex128, w complex128) {
-	nb := len(x) / 2
-	for g := 0; g < nb; g++ {
-		a := x[2*g]
-		b := x[2*g+1] * w
-		x[2*g] = a + b
-		x[2*g+1] = a - b
-	}
-}
-
 // SAD4x4 returns the sum of absolute differences between two 4x4 byte
 // blocks: rows a[r·astride : r·astride+4] against b[r·bstride :
 // r·bstride+4] for r in [0,4). Integer addition is exact, so the packed

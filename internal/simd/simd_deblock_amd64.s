@@ -118,7 +118,8 @@
 // are rows 4e-4..4e+3 of the macroblock, each row's 16 samples the
 // lanes. A vertical call first transposes the macroblock's 16 rows into
 // the stack buffer, buffer row c holding frame column x0-8+c of all 16
-// rows (columns x0-8..x0-1 only when edge 0 is on), runs the same edge
+// rows (columns x0-8..x0-1 only when edge 0 is on, x0+8..x0+15 only when
+// edge 2 or 3 is), runs the same edge
 // loop over the buffer's rows, and transposes back if any edge wrote.
 // Lanes a segment does not write keep their original value. Returns the
 // masks with bit 16e+i = edge e, segment i.
@@ -181,10 +182,17 @@ vin:
 
 vinB:
 	DBK_TIN(0, 336)
-	DBK_TIN(8, 464)
 	LEAQ  (DI)(DX*8), DI
 	DBK_TIN(0, 344)
+	MOVL  edges+32(FP), AX
+	TESTL $0xc, AX
+	JZ    vinC            // edges 0 and 1 read no column right of x0+7
+	MOVQ  p+0(FP), DI
+	DBK_TIN(8, 464)
+	LEAQ  (DI)(DX*8), DI
 	DBK_TIN(8, 472)
+
+vinC:
 	MOVQ  $16, R13
 	MOVQ  $48, BX
 	LEAQ  272(SP), SI     // buffer row 4 (column x0-4): edge 0's p3 row
@@ -335,9 +343,14 @@ nextedge:
 
 voutB:
 	DBK_TOUT(0, 336)
-	DBK_TOUT(8, 464)
 	LEAQ  (DI)(DX*8), DI
 	DBK_TOUT(0, 344)
+	MOVL  edges+32(FP), AX
+	TESTL $0xc, AX
+	JZ    done
+	MOVQ  p+0(FP), DI
+	DBK_TOUT(8, 464)
+	LEAQ  (DI)(DX*8), DI
 	DBK_TOUT(8, 472)
 
 done:

@@ -305,7 +305,7 @@ func TestFFTStage2Diff(t *testing.T) {
 				x := randComplex(rng, 2*nb)
 				want := append([]complex128(nil), x...)
 				FFTStage2(x, w)
-				FFTStage2Ref(want, w)
+				fftStage2Ref(want, w)
 				if i, ok := complexBitsEqual(x, want); !ok {
 					t.Fatalf("enabled=%v nb=%d w=%v: x[%d]", on, nb, w, i)
 				}

@@ -233,20 +233,19 @@ type chromeEvent struct {
 }
 
 // WriteChromeTrace exports begin/end duration events per process lifespan
-// in the Chrome trace-event format that Perfetto loads.
+// in the Chrome trace-event format that Perfetto loads. Events are
+// ordered by timestamp; ties keep the apps' first-seen order, and an
+// app's spans their order in time, so one log always exports the same
+// bytes.
 func (l *Log) WriteChromeTrace(w io.Writer, horizon time.Duration) error {
-	apps := l.Apps()
-	pidOf := map[string]int{}
-	for i, a := range apps {
-		pidOf[a] = i + 1
-	}
+	spans := l.lifespans(horizon)
 	var evs []chromeEvent
-	for app, spans := range l.lifespans(horizon) {
-		for _, s := range spans {
-			evs = append(evs, chromeEvent{Name: app, Phase: "B", TS: s.from.Microseconds(), PID: pidOf[app], TID: 1})
-			evs = append(evs, chromeEvent{Name: app, Phase: "E", TS: s.to.Microseconds(), PID: pidOf[app], TID: 1})
+	for i, app := range l.Apps() {
+		for _, s := range spans[app] {
+			evs = append(evs, chromeEvent{Name: app, Phase: "B", TS: s.from.Microseconds(), PID: i + 1, TID: 1})
+			evs = append(evs, chromeEvent{Name: app, Phase: "E", TS: s.to.Microseconds(), PID: i + 1, TID: 1})
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 	return json.NewEncoder(w).Encode(evs)
 }

@@ -121,6 +121,51 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceDeterministic exports one log whose apps share
+// timestamps many times over: every export must be the same bytes, with
+// tied events in the apps' first-seen order.
+func TestWriteChromeTraceDeterministic(t *testing.T) {
+	l := New()
+	apps := []string{"mail", "maps", "camera", "music", "chat", "game", "news", "shop"}
+	for round := 0; round < 3; round++ {
+		at := time.Duration(round) * time.Minute
+		for _, app := range apps {
+			l.Record(at, app, EventStart, "")
+		}
+		for _, app := range apps {
+			l.Record(at+30*time.Second, app, EventKill, "")
+		}
+	}
+	export := func() []byte {
+		var buf bytes.Buffer
+		if err := l.WriteChromeTrace(&buf, 5*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := export()
+	for i := 0; i < 20; i++ {
+		if got := export(); !bytes.Equal(got, first) {
+			t.Fatalf("export %d differs from the first:\n%s\n%s", i+1, got, first)
+		}
+	}
+	var evs []struct {
+		Name string `json:"name"`
+		TS   int64  `json:"ts"`
+	}
+	if err := json.Unmarshal(first, &evs); err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 2*3*len(apps) {
+		t.Fatalf("%d events, want %d", len(evs), 2*3*len(apps))
+	}
+	for i, e := range evs {
+		if want := apps[i%len(apps)]; e.Name != want {
+			t.Fatalf("event %d is %s at %d us, want %s (first-seen order among ties)", i, e.Name, e.TS, want)
+		}
+	}
+}
+
 func TestDoubleStartIgnored(t *testing.T) {
 	l := New()
 	l.Record(0, "x", EventStart, "")
